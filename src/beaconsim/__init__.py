@@ -47,7 +47,6 @@ from .capacity import (
 )
 from .channel import (
     ChannelSet,
-    LinkParams,
     MeanGains,
     MetricTriple,
     MultiuserChannelSet,
@@ -75,15 +74,11 @@ from .protocols import (
     ProtocolConfig,
     RelayIdentity,
     Scheme,
-    StatusProbs,
-    TrialOutcome,
     csa_conditional_miss,
     csa_joint_success,
-    evaluate_trial,
     mucsa_conditional_miss,
     mucsa_pair_joint_success,
     nc_conditional_miss,
-    nc_false_alarm_conditional,
     nc_joint_success,
     ocsa_conditional_miss,
     ocsa_joint_success,
@@ -99,7 +94,6 @@ __all__ = [
     "CapacityEstimate",
     "ChannelSet",
     "DiversityFit",
-    "LinkParams",
     "MAX_PAIRS",
     "MeanGains",
     "MetricTriple",
@@ -110,10 +104,8 @@ __all__ = [
     "ProtocolConfig",
     "RelayIdentity",
     "Scheme",
-    "StatusProbs",
     "SweepResult",
     "SweepSpec",
-    "TrialOutcome",
     "abs_diff_q_mean",
     "alternating_binomial_moment",
     "capacity_draws",
@@ -128,7 +120,6 @@ __all__ = [
     "estimate_diversity",
     "estimate_joint_success_curve",
     "estimate_miss_curve",
-    "evaluate_trial",
     "exp_erlang_box_prob",
     "exp_q_mean",
     "exp_sum_box_prob",
@@ -138,7 +129,6 @@ __all__ = [
     "mucsa_conditional_miss",
     "mucsa_pair_joint_success",
     "nc_conditional_miss",
-    "nc_false_alarm_conditional",
     "nc_joint_success",
     "ocsa_conditional_miss",
     "ocsa_fade_regions",

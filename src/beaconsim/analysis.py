@@ -25,20 +25,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import MeanGains, MultiuserChannelSet, MultiuserMeans
+from .channel import (
+    MeanGains,
+    MultiuserMeans,
+    draw_multiuser_chunk,
+    draw_pair_chunk,
+)
 from .fadeprob import (
     exp_erlang_box_prob,
     exp_q_mean,
     exp_sum_box_prob,
     ocsa_fade_regions,
 )
-from .mc import (
-    CHUNK,
-    TAG_GAINS,
-    TAG_THRESHOLDS,
-    parallel_chunk_stats,
-    substream,
-)
+from .mc import TAG_THRESHOLDS, parallel_chunk_stats, substream
 from .numerics import fit_diversity_slope
 from .protocols import (
     ProtocolConfig,
@@ -104,10 +103,6 @@ class SweepSpec:
         if self.d1 < 1 or self.d2 < 1:
             raise ValueError("SweepSpec: d1 and d2 must be positive")
 
-    @property
-    def effective_chunk(self) -> int:
-        return CHUNK if self.chunk is None else self.chunk
-
     def config(self, rho: float) -> ProtocolConfig:
         return ProtocolConfig(rho=rho, d1=self.d1, d2=self.d2)
 
@@ -133,18 +128,12 @@ class DiversityFit:
     result: SweepResult
 
 
-def _require_pair_means(spec: SweepSpec) -> MeanGains:
-    if not isinstance(spec.means, MeanGains):
+def _require_means(spec: SweepSpec):
+    """spec.means, checked against the model the scheme needs."""
+    cls = MultiuserMeans if spec.scheme is Scheme.MUCSA else MeanGains
+    if not isinstance(spec.means, cls):
         raise TypeError(
-            f"{spec.scheme.value}: spec.means must be a MeanGains instance"
-        )
-    return spec.means
-
-
-def _require_multiuser_means(spec: SweepSpec) -> MultiuserMeans:
-    if not isinstance(spec.means, MultiuserMeans):
-        raise TypeError(
-            f"{spec.scheme.value}: spec.means must be a MultiuserMeans instance"
+            f"{spec.scheme.value}: spec.means must be a {cls.__name__} instance"
         )
     return spec.means
 
@@ -156,25 +145,6 @@ def _pair_lams(means: MeanGains, side: str) -> tuple[float, float, float]:
     if side == "r":
         return means.pr, means.pt, means.tr
     raise ValueError("side must be 't' or 'r'")
-
-
-def _sample_pair_chunk(means: MeanGains, seed: int, idx: int, size: int):
-    rng = substream(seed, TAG_GAINS, idx)
-    g = rng.exponential([means.pt, means.pr, means.tr], (size, 3))
-    return g[:, 0], g[:, 1], g[:, 2]
-
-
-def _sample_multiuser_chunk(means: MultiuserMeans, seed: int, idx: int,
-                            size: int) -> MultiuserChannelSet:
-    rng = substream(seed, TAG_GAINS, idx)
-    nu = means.n_users
-    iu, ju = np.triu_indices(nu, k=1)
-    g_p = rng.exponential(means.primary, (size, nu)).T
-    tri = rng.exponential(means.inter[iu, ju], (size, iu.size)).T
-    full = np.zeros((nu, nu, size))
-    full[iu, ju] = tri
-    full[ju, iu] = tri
-    return MultiuserChannelSet(g_p=g_p, g_uu=full)
 
 
 def _thresholds(seed: int, idx: int, size: int, k: int, rho: float):
@@ -191,27 +161,26 @@ def _thresholds(seed: int, idx: int, size: int, k: int, rho: float):
 
 def _miss_values_channel(spec: SweepSpec, rho: float, side: str, user: int):
     cfg = spec.config(rho)
+    means = _require_means(spec)
     if spec.scheme is Scheme.MUCSA:
-        means = _require_multiuser_means(spec)
         if not 0 <= user < means.n_users:
             raise ValueError("user index out of range")
 
         def worker(idx, start, size):
-            mch = _sample_multiuser_chunk(means, spec.seed, idx, size)
+            mch = draw_multiuser_chunk(means, spec.seed, idx, size)
             return mucsa_conditional_miss(cfg, mch, user)
 
         return worker
-    means = _require_pair_means(spec)
     _pair_lams(means, side)  # validates side
 
     def worker(idx, start, size):
-        g_pt, g_pr, g_tr = _sample_pair_chunk(means, spec.seed, idx, size)
-        own, peer = (g_pt, g_pr) if side == "t" else (g_pr, g_pt)
+        ch = draw_pair_chunk(means, spec.seed, idx, size)
+        own, peer = (ch.g_pt, ch.g_pr) if side == "t" else (ch.g_pr, ch.g_pt)
         if spec.scheme is Scheme.NC:
             return nc_conditional_miss(cfg, own)
         if spec.scheme is Scheme.CSA:
-            return csa_conditional_miss(cfg, own, peer, g_tr)
-        return ocsa_conditional_miss(cfg, own, peer, g_tr)
+            return csa_conditional_miss(cfg, own, peer, ch.g_tr)
+        return ocsa_conditional_miss(cfg, own, peer, ch.g_tr)
 
     return worker
 
@@ -219,8 +188,8 @@ def _miss_values_channel(spec: SweepSpec, rho: float, side: str, user: int):
 def _miss_values_tail(spec: SweepSpec, rho: float, side: str, user: int):
     d1, d2 = spec.d1, spec.d2
     d = d1 + d2
+    means = _require_means(spec)
     if spec.scheme is Scheme.MUCSA:
-        means = _require_multiuser_means(spec)
         if not 0 <= user < means.n_users:
             raise ValueError("user index out of range")
         nu = means.n_users
@@ -267,7 +236,6 @@ def _miss_values_tail(spec: SweepSpec, rho: float, side: str, user: int):
 
         return worker
 
-    means = _require_pair_means(spec)
     lam_own, lam_peer, lam_tr = _pair_lams(means, side)
     if spec.scheme is Scheme.NC:
 
@@ -302,23 +270,22 @@ def _miss_values_tail(spec: SweepSpec, rho: float, side: str, user: int):
 
 def _joint_values_channel(spec: SweepSpec, rho: float, pair: int):
     cfg = spec.config(rho)
+    means = _require_means(spec)
     if spec.scheme is Scheme.MUCSA:
-        means = _require_multiuser_means(spec)
 
         def worker(idx, start, size):
-            mch = _sample_multiuser_chunk(means, spec.seed, idx, size)
+            mch = draw_multiuser_chunk(means, spec.seed, idx, size)
             return mucsa_pair_joint_success(cfg, mch, pair)
 
         return worker
-    means = _require_pair_means(spec)
 
     def worker(idx, start, size):
-        g_pt, g_pr, g_tr = _sample_pair_chunk(means, spec.seed, idx, size)
+        ch = draw_pair_chunk(means, spec.seed, idx, size)
         if spec.scheme is Scheme.NC:
-            return nc_joint_success(cfg, g_pt, g_pr)
+            return nc_joint_success(cfg, ch.g_pt, ch.g_pr)
         if spec.scheme is Scheme.CSA:
-            return csa_joint_success(cfg, g_pt, g_pr, g_tr)
-        return ocsa_joint_success(cfg, g_pt, g_pr, g_tr)
+            return csa_joint_success(cfg, ch.g_pt, ch.g_pr, ch.g_tr)
+        return ocsa_joint_success(cfg, ch.g_pt, ch.g_pr, ch.g_tr)
 
     return worker
 
@@ -334,7 +301,7 @@ def _run_sweep(spec: SweepSpec, make_worker) -> SweepResult:
     for i, rho_db in enumerate(spec.rho_db):
         worker = make_worker(db_to_linear(rho_db))
         mean, err, _n = parallel_chunk_stats(
-            worker, spec.n_trials, spec.effective_chunk, spec.threads
+            worker, spec.n_trials, spec.chunk, spec.threads
         )
         est[i] = mean
         se[i] = err

@@ -26,11 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import MeanGains, MetricTriple, perturb_metrics
+from .channel import MeanGains, compute_metrics, draw_pair_chunk, perturb_metrics
 from .fadeprob import abs_diff_q_mean
 from .mc import (
-    CHUNK,
-    TAG_GAINS,
     TAG_METRIC_NOISE,
     TAG_STATUS,
     parallel_chunk_arrays,
@@ -179,13 +177,8 @@ def _capacity_worker(scheme: Scheme, means: MeanGains, activity: ActivityModel,
     cfg = ProtocolConfig(rho=rho, d1=d1, d2=d2)
 
     def worker(idx: int, start: int, size: int) -> np.ndarray:
-        rng = substream(seed, TAG_GAINS, idx)
-        g = rng.exponential([means.pt, means.pr, means.tr], (size, 3))
-        g_pt, g_pr, g_tr = g[:, 0], g[:, 1], g[:, 2]
-        metrics = MetricTriple(g_pt + g_pr, g_pt + g_tr, g_pr + g_tr)
-        if sigma2 > 0:
-            noise_rng = substream(seed, TAG_METRIC_NOISE, idx)
-            metrics = perturb_metrics(metrics, sigma2, noise_rng)
+        ch = draw_pair_chunk(means, seed, idx, size)
+        g_pt, g_pr, g_tr = ch.g_pt, ch.g_pr, ch.g_tr
         if scheme is Scheme.NC:
             miss_t = nc_conditional_miss(cfg, g_pt)
             joint = nc_joint_success(cfg, g_pt, g_pr)
@@ -193,6 +186,11 @@ def _capacity_worker(scheme: Scheme, means: MeanGains, activity: ActivityModel,
             miss_t = csa_conditional_miss(cfg, g_pt, g_pr, g_tr)
             joint = csa_joint_success(cfg, g_pt, g_pr, g_tr)
         else:
+            # only the opportunistic rule reads the (noisy) metrics
+            metrics = compute_metrics(ch)
+            if sigma2 > 0:
+                noise_rng = substream(seed, TAG_METRIC_NOISE, idx)
+                metrics = perturb_metrics(metrics, sigma2, noise_rng)
             miss_t = ocsa_conditional_miss(
                 cfg, g_pt, g_pr, g_tr,
                 metrics=(metrics.t_p, metrics.t_t, metrics.t_r),
@@ -214,8 +212,7 @@ def capacity_draws(scheme: Scheme, means: MeanGains, activity: ActivityModel,
     """Per-realization (upper, lower) capacity bound arrays."""
     worker = _capacity_worker(scheme, means, activity, rho, t_c, seed,
                               d1, d2, sigma2)
-    vals = parallel_chunk_arrays(worker, n, CHUNK if chunk is None else chunk,
-                                 threads)
+    vals = parallel_chunk_arrays(worker, n, chunk, threads)
     return vals[:, 0], vals[:, 1]
 
 
@@ -231,9 +228,7 @@ def imperfect_capacity(scheme: Scheme, means: MeanGains,
     """
     worker = _capacity_worker(scheme, means, activity, rho, t_c, seed,
                               d1, d2, sigma2)
-    mean, se, n_done = parallel_chunk_stats(
-        worker, n, CHUNK if chunk is None else chunk, threads
-    )
+    mean, se, n_done = parallel_chunk_stats(worker, n, chunk, threads)
     return CapacityEstimate(
         upper_mean=float(mean[0]),
         upper_se=float(se[0]),
@@ -298,6 +293,17 @@ def relative_capacity_loss(base: CapacityEstimate,
 # ---------------------------------------------------------------------------
 
 
+def _phase1_draw(cfg: ProtocolConfig, means: MeanGains, seed: int, idx: int,
+                 size: int):
+    """Selection metrics and sampled first-phase outcomes of one chunk:
+    (metrics, transmitter side detected, receiver side detected)."""
+    ch = draw_pair_chunk(means, seed, idx, size)
+    u = substream(seed, TAG_STATUS, idx).random((size, 2))
+    t_ok = u[:, 0] < 1.0 - phase1_failure(cfg, ch.g_pt)
+    r_ok = u[:, 1] < 1.0 - phase1_failure(cfg, ch.g_pr)
+    return compute_metrics(ch), t_ok, r_ok
+
+
 def wrong_relay_bound(sigma2: float, means: MeanGains) -> float:
     """Closed-form upper bound on the wrong-relay probability.
 
@@ -333,14 +339,7 @@ def wrong_relay_probability_mc(sigma2: float, means: MeanGains, rho: float,
     cfg = ProtocolConfig(rho=rho, d1=d1, d2=d2)
 
     def worker(idx: int, start: int, size: int) -> np.ndarray:
-        rng = substream(seed, TAG_GAINS, idx)
-        g = rng.exponential([means.pt, means.pr, means.tr], (size, 3))
-        g_pt, g_pr, g_tr = g[:, 0], g[:, 1], g[:, 2]
-        metrics = MetricTriple(g_pt + g_pr, g_pt + g_tr, g_pr + g_tr)
-        srng = substream(seed, TAG_STATUS, idx)
-        u = srng.random((size, 2))
-        t_ok = u[:, 0] < 1.0 - phase1_failure(cfg, g_pt)
-        r_ok = u[:, 1] < 1.0 - phase1_failure(cfg, g_pr)
+        metrics, t_ok, r_ok = _phase1_draw(cfg, means, seed, idx, size)
         sel_true = ocsa_select_relay(metrics, t_ok, r_ok)
         noise_rng = substream(seed, TAG_METRIC_NOISE, idx)
         noisy = perturb_metrics(metrics, sigma2, noise_rng)
@@ -348,9 +347,7 @@ def wrong_relay_probability_mc(sigma2: float, means: MeanGains, rho: float,
         event = (sel_true != sel_noisy) & (t_ok != r_ok)
         return event.astype(float)
 
-    mean, se, _ = parallel_chunk_stats(worker, n,
-                                       CHUNK if chunk is None else chunk,
-                                       threads)
+    mean, se, _ = parallel_chunk_stats(worker, n, chunk, threads)
     return float(mean), float(se)
 
 
@@ -434,20 +431,11 @@ def throughput_loss_mc(ov: OverheadParams, means: MeanGains, rho: float,
     cfg = ProtocolConfig(rho=rho, d1=d1, d2=d2)
 
     def worker(idx: int, start: int, size: int) -> np.ndarray:
-        rng = substream(seed, TAG_GAINS, idx)
-        g = rng.exponential([means.pt, means.pr, means.tr], (size, 3))
-        g_pt, g_pr, g_tr = g[:, 0], g[:, 1], g[:, 2]
-        metrics = MetricTriple(g_pt + g_pr, g_pt + g_tr, g_pr + g_tr)
-        srng = substream(seed, TAG_STATUS, idx)
-        u = srng.random((size, 2))
-        t_ok = u[:, 0] < 1.0 - phase1_failure(cfg, g_pt)
-        r_ok = u[:, 1] < 1.0 - phase1_failure(cfg, g_pr)
+        metrics, t_ok, r_ok = _phase1_draw(cfg, means, seed, idx, size)
         sel = ocsa_select_relay(metrics, t_ok, r_ok)
         t_i = np.where(sel == 1, metrics.t_t,
                        np.where(sel == 2, metrics.t_r, metrics.t_p))
         return 1.0 - _frame_share(ov, t_i)
 
-    mean, se, _ = parallel_chunk_stats(worker, n,
-                                       CHUNK if chunk is None else chunk,
-                                       threads)
+    mean, se, _ = parallel_chunk_stats(worker, n, chunk, threads)
     return float(mean), float(se)

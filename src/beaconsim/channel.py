@@ -12,41 +12,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mc import TAG_GAINS, TAG_METRIC_NOISE, chunk_ranges, substream
+from .mc import TAG_GAINS, chunk_ranges, substream
 
 __all__ = [
-    "LinkParams",
     "MeanGains",
     "ChannelSet",
     "MetricTriple",
     "MultiuserMeans",
     "MultiuserChannelSet",
+    "draw_pair_chunk",
     "sample_channels",
     "compute_metrics",
     "perturb_metrics",
+    "draw_multiuser_chunk",
     "sample_multiuser",
 ]
-
-
-@dataclass(frozen=True)
-class LinkParams:
-    """Static description of one link: scale, distance, path-loss exponent."""
-
-    gain_scale: float
-    distance: float
-    exponent: float
-
-    def __post_init__(self):
-        if self.gain_scale <= 0:
-            raise ValueError("LinkParams: gain_scale must be positive")
-        if self.distance <= 0:
-            raise ValueError("LinkParams: distance must be positive")
-        if self.exponent < 0:
-            raise ValueError("LinkParams: exponent must be nonnegative")
-
-    @property
-    def mean_gain(self) -> float:
-        return self.gain_scale * self.distance ** (-self.exponent)
 
 
 @dataclass(frozen=True)
@@ -62,10 +42,6 @@ class MeanGains:
         for v in (self.pt, self.pr, self.tr):
             if not v > 0:
                 raise ValueError("MeanGains: mean gains must be positive")
-
-    @classmethod
-    def from_links(cls, pt: LinkParams, pr: LinkParams, tr: LinkParams) -> "MeanGains":
-        return cls(pt.mean_gain, pr.mean_gain, tr.mean_gain)
 
 
 @dataclass(frozen=True)
@@ -91,22 +67,25 @@ class MetricTriple:
     t_r: np.ndarray
 
 
+def draw_pair_chunk(means: MeanGains, seed: int, idx: int,
+                    size: int) -> ChannelSet:
+    """Draw chunk idx (size trials) of the three pair links.
+
+    The substream is keyed by (seed, gains tag, chunk index), so a chunk's
+    gains do not depend on which other chunks are drawn or in what order.
+    """
+    rng = substream(seed, TAG_GAINS, idx)
+    g = rng.exponential([means.pt, means.pr, means.tr], (size, 3))
+    return ChannelSet(g[:, 0], g[:, 1], g[:, 2])
+
+
 def sample_channels(means: MeanGains, n: int, seed: int,
                     chunk: int | None = None) -> ChannelSet:
-    """Draw n independent channel realizations.
-
-    Each chunk of trials uses a substream keyed by (seed, gains tag, chunk
-    index), so results do not depend on how many chunks are computed at a
-    time.
-    """
-    from .mc import CHUNK
-    chunk = CHUNK if chunk is None else chunk
-    parts = []
-    for idx, _start, size in chunk_ranges(n, chunk):
-        rng = substream(seed, TAG_GAINS, idx)
-        parts.append(rng.exponential([means.pt, means.pr, means.tr], (size, 3)))
-    g = np.concatenate(parts, axis=0)
-    return ChannelSet(g[:, 0].copy(), g[:, 1].copy(), g[:, 2].copy())
+    """Draw n independent channel realizations, chunk by chunk."""
+    parts = [draw_pair_chunk(means, seed, idx, size)
+             for idx, _start, size in chunk_ranges(n, chunk)]
+    return ChannelSet(*(np.concatenate([getattr(p, f) for p in parts])
+                        for f in ("g_pt", "g_pr", "g_tr")))
 
 
 def compute_metrics(ch: ChannelSet) -> MetricTriple:
@@ -188,25 +167,28 @@ class MultiuserChannelSet:
         return self.g_p.shape[1]
 
 
-def sample_multiuser(means: MultiuserMeans, n: int, seed: int,
-                     chunk: int | None = None) -> MultiuserChannelSet:
-    """Draw n realizations of all primary and inter-user links.
+def draw_multiuser_chunk(means: MultiuserMeans, seed: int, idx: int,
+                        size: int) -> MultiuserChannelSet:
+    """Draw chunk idx (size trials) of all primary and inter-user links.
 
     Inter-user links are reciprocal: only the upper triangle is drawn and
     the matrix is mirrored.
     """
-    from .mc import CHUNK
-    chunk = CHUNK if chunk is None else chunk
+    rng = substream(seed, TAG_GAINS, idx)
     nu = means.n_users
-    gp_parts, guu_parts = [], []
     iu, ju = np.triu_indices(nu, k=1)
-    for idx, _start, size in chunk_ranges(n, chunk):
-        rng = substream(seed, TAG_GAINS, idx)
-        gp_parts.append(rng.exponential(means.primary, (size, nu)).T)
-        tri = rng.exponential(means.inter[iu, ju], (size, iu.size)).T
-        full = np.zeros((nu, nu, size))
-        full[iu, ju] = tri
-        full[ju, iu] = tri
-        guu_parts.append(full)
-    return MultiuserChannelSet(np.concatenate(gp_parts, axis=1),
-                               np.concatenate(guu_parts, axis=2))
+    g_p = rng.exponential(means.primary, (size, nu)).T
+    tri = rng.exponential(means.inter[iu, ju], (size, iu.size)).T
+    full = np.zeros((nu, nu, size))
+    full[iu, ju] = tri
+    full[ju, iu] = tri
+    return MultiuserChannelSet(g_p, full)
+
+
+def sample_multiuser(means: MultiuserMeans, n: int, seed: int,
+                     chunk: int | None = None) -> MultiuserChannelSet:
+    """Draw n realizations of all primary and inter-user links."""
+    parts = [draw_multiuser_chunk(means, seed, idx, size)
+             for idx, _start, size in chunk_ranges(n, chunk)]
+    return MultiuserChannelSet(np.concatenate([p.g_p for p in parts], axis=1),
+                               np.concatenate([p.g_uu for p in parts], axis=2))

@@ -32,6 +32,7 @@ import numpy as np
 
 from .analysis import (
     SweepSpec,
+    db_to_linear,
     estimate_diversity,
     estimate_joint_success_curve,
     estimate_miss_curve,
@@ -256,6 +257,20 @@ def build_multiuser_means(conf: Conf) -> MultiuserMeans:
     )
 
 
+def run_params(conf: Conf) -> tuple[int, int, int | None]:
+    """The [run] section as (seed, n_trials, chunk); chunk may be None."""
+    seed = conf.get_int("run", "seed", required=True)
+    n_trials = conf.get_int("run", "n_trials", required=True)
+    chunk = conf.get_int("run", "chunk")
+    if seed < 0:
+        raise ConfigError("run.seed must be >= 0")
+    if n_trials < 1:
+        raise ConfigError("run.n_trials must be >= 1")
+    if chunk is not None and chunk < 1:
+        raise ConfigError("run.chunk must be >= 1")
+    return seed, n_trials, chunk
+
+
 def build_sweep_spec(conf: Conf, scheme: Scheme, threads: int,
                      mode_default="channel") -> SweepSpec:
     if scheme is Scheme.MUCSA:
@@ -263,18 +278,19 @@ def build_sweep_spec(conf: Conf, scheme: Scheme, threads: int,
     else:
         means = build_pair_means(conf)
     d1, d2 = resolve_split(conf)
+    seed, n_trials, chunk = run_params(conf)
     return _build(
         SweepSpec,
         scheme=scheme,
         means=means,
         rho_db=tuple(conf.get_numlist("sweep", "rho_db", required=True)),
-        n_trials=conf.get_int("run", "n_trials", required=True),
-        seed=conf.get_int("run", "seed", required=True),
+        n_trials=n_trials,
+        seed=seed,
         d1=d1,
         d2=d2,
         mode=conf.get_str("sweep", "mode", default=mode_default),
         threads=threads,
-        chunk=conf.get_int("run", "chunk"),
+        chunk=chunk,
     )
 
 
@@ -285,13 +301,12 @@ def get_side(conf: Conf) -> str:
     return side
 
 
-def get_user(conf: Conf, means: MultiuserMeans) -> int:
-    user = conf.get_int("multiuser", "user", default=0)
-    if not 0 <= user < means.n_users:
-        raise ConfigError(
-            f"multiuser.user must lie in [0, {means.n_users - 1}]"
-        )
-    return user
+def get_index(conf: Conf, key: str, count: int) -> int:
+    """multiuser.<key> (default 0), checked to lie in [0, count)."""
+    value = conf.get_int("multiuser", key, default=0)
+    if not 0 <= value < count:
+        raise ConfigError(f"multiuser.{key} must lie in [0, {count - 1}]")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -299,17 +314,25 @@ def get_user(conf: Conf, means: MultiuserMeans) -> int:
 # ---------------------------------------------------------------------------
 
 
-def run_miss_sweep(conf: Conf, threads: int):
-    scheme = resolve_scheme(conf)
+def _curve_rows(res) -> list[dict]:
+    return [{"rho_db": r, "estimate": e, "std_error": se}
+            for r, e, se in zip(res.rho_db, res.estimate, res.std_error)]
+
+
+def _miss_curve(conf: Conf, threads: int, scheme: Scheme, side: str = "t"):
+    """Miss-curve rows and meta, plus the user a mucsa curve is for."""
     spec = build_sweep_spec(conf, scheme, threads)
-    user = get_user(conf, spec.means) if scheme is Scheme.MUCSA else 0
-    res = estimate_miss_curve(spec, side=get_side(conf), user=user)
-    rows = [
-        {"rho_db": res.rho_db[i], "estimate": res.estimate[i],
-         "std_error": res.std_error[i]}
-        for i in range(len(res.rho_db))
-    ]
-    return rows, {"scheme": scheme.value, "mode": spec.mode}
+    user = 0
+    if scheme is Scheme.MUCSA:
+        user = get_index(conf, "user", spec.means.n_users)
+    res = estimate_miss_curve(spec, side=side, user=user)
+    return _curve_rows(res), {"scheme": scheme.value, "mode": spec.mode}, user
+
+
+def run_miss_sweep(conf: Conf, threads: int):
+    rows, meta, _user = _miss_curve(conf, threads, resolve_scheme(conf),
+                                    get_side(conf))
+    return rows, meta
 
 
 def run_joint_sweep(conf: Conf, threads: int):
@@ -317,20 +340,20 @@ def run_joint_sweep(conf: Conf, threads: int):
     spec = build_sweep_spec(conf, scheme, threads)
     if spec.mode != "channel":
         raise ConfigError("joint-sweep supports sweep.mode = 'channel' only")
-    pair = conf.get_int("multiuser", "pair", default=0)
+    if scheme is Scheme.MUCSA:
+        pair = get_index(conf, "pair", spec.means.n_users // 2)
+    else:
+        pair = conf.get_int("multiuser", "pair", default=0)
     res = estimate_joint_success_curve(spec, pair=pair)
-    rows = [
-        {"rho_db": res.rho_db[i], "estimate": res.estimate[i],
-         "std_error": res.std_error[i]}
-        for i in range(len(res.rho_db))
-    ]
-    return rows, {"scheme": scheme.value, "mode": spec.mode}
+    return _curve_rows(res), {"scheme": scheme.value, "mode": spec.mode}
 
 
 def run_diversity(conf: Conf, threads: int):
     scheme = resolve_scheme(conf)
     spec = build_sweep_spec(conf, scheme, threads, mode_default="tail")
-    user = get_user(conf, spec.means) if scheme is Scheme.MUCSA else 0
+    user = 0
+    if scheme is Scheme.MUCSA:
+        user = get_index(conf, "user", spec.means.n_users)
     fit = estimate_diversity(spec, side=get_side(conf), user=user)
     rows = [{
         "scheme": scheme.value,
@@ -356,16 +379,17 @@ def _capacity_setup(conf: Conf, threads: int):
     t_c = conf.get_float("capacity", "t_c", required=True)
     if t_c <= 0:
         raise ConfigError("capacity.t_c must be positive")
+    seed, n, chunk = run_params(conf)
     common = dict(
         means=means,
         activity=activity,
         t_c=t_c,
-        n=conf.get_int("run", "n_trials", required=True),
-        seed=conf.get_int("run", "seed", required=True),
+        n=n,
+        seed=seed,
         d1=d1,
         d2=d2,
         threads=threads,
-        chunk=conf.get_int("run", "chunk"),
+        chunk=chunk,
     )
     rho_db = conf.get_numlist("sweep", "rho_db", required=True)
     return scheme, common, rho_db
@@ -375,7 +399,7 @@ def run_capacity_ergodic(conf: Conf, threads: int):
     scheme, common, rho_db = _capacity_setup(conf, threads)
     rows = []
     for rdb in rho_db:
-        est = ergodic_capacity(scheme, rho=10.0 ** (rdb / 10.0), **common)
+        est = ergodic_capacity(scheme, rho=db_to_linear(rdb), **common)
         rows.append({
             "rho_db": rdb,
             "upper_mean": est.upper_mean, "upper_se": est.upper_se,
@@ -393,7 +417,7 @@ def run_capacity_outage(conf: Conf, threads: int):
     sigma2 = conf.get_float("capacity", "sigma2", default=0.0)
     rows = []
     for rdb in rho_db:
-        res = outage_capacity(scheme, rho=10.0 ** (rdb / 10.0),
+        res = outage_capacity(scheme, rho=db_to_linear(rdb),
                               epsilons=epsilons, sigma2=sigma2, **common)
         for i, eps in enumerate(res.epsilons):
             rows.append({
@@ -412,14 +436,11 @@ def run_imperfect(conf: Conf, threads: int):
         if s2 < 0:
             raise ConfigError("capacity.sigma2 entries must be nonnegative")
     means = common["means"]
-    mc_kw = dict(
-        means=means, n=common["n"], seed=common["seed"],
-        d1=common["d1"], d2=common["d2"], threads=common["threads"],
-        chunk=common["chunk"],
-    )
+    mc_kw = {k: common[k]
+             for k in ("means", "n", "seed", "d1", "d2", "threads", "chunk")}
     rows = []
     for rdb in rho_db:
-        rho = 10.0 ** (rdb / 10.0)
+        rho = db_to_linear(rdb)
         base = ergodic_capacity(scheme, rho=rho, **common)
         for s2 in sigma2s:
             est = imperfect_capacity(scheme, rho=rho, sigma2=s2, **common)
@@ -443,13 +464,11 @@ def run_throughput(conf: Conf, threads: int):
     rho_db = conf.get_numlist("sweep", "rho_db", required=True)
     if len(rho_db) != 1:
         raise ConfigError("throughput expects a single sweep.rho_db value")
-    rho = 10.0 ** (rho_db[0] / 10.0)
+    rho = db_to_linear(rho_db[0])
     t_cr = conf.get_float("throughput", "t_cr", default=1.0)
     w1s = conf.get_numlist("throughput", "w1", required=True)
     w2s = conf.get_numlist("throughput", "w2", required=True)
-    n = conf.get_int("run", "n_trials", required=True)
-    seed = conf.get_int("run", "seed", required=True)
-    chunk = conf.get_int("run", "chunk")
+    seed, n, chunk = run_params(conf)
     rows = []
     for w1 in w1s:
         for w2 in w2s:
@@ -470,19 +489,10 @@ def run_throughput(conf: Conf, threads: int):
 
 def run_multiuser(conf: Conf, threads: int):
     if conf.has("protocol", "scheme"):
-        scheme = resolve_scheme(conf)
-        if scheme is not Scheme.MUCSA:
+        if resolve_scheme(conf) is not Scheme.MUCSA:
             raise ConfigError("the multiuser kind requires scheme 'mucsa'")
-    spec = build_sweep_spec(conf, Scheme.MUCSA, threads)
-    user = get_user(conf, spec.means)
-    res = estimate_miss_curve(spec, user=user)
-    rows = [
-        {"rho_db": res.rho_db[i], "estimate": res.estimate[i],
-         "std_error": res.std_error[i]}
-        for i in range(len(res.rho_db))
-    ]
-    return rows, {"scheme": Scheme.MUCSA.value, "mode": spec.mode,
-                  "user": user}
+    rows, meta, user = _miss_curve(conf, threads, Scheme.MUCSA)
+    return rows, {**meta, "user": user}
 
 
 RUNNERS = {
@@ -623,7 +633,7 @@ def main(argv=None) -> int:
         apply_overrides(data, args.overrides)
         check_schema(args.kind, data)
         conf = Conf(data)
-        seed = conf.get_int("run", "seed", required=True)
+        seed, _n_trials, _chunk = run_params(conf)
     except ConfigError as exc:
         print(f"beaconsim: config error: {exc}", file=sys.stderr)
         return 2

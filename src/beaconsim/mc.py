@@ -32,8 +32,10 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), *[int(k) for k in key]])
 
 
-def chunk_ranges(n: int, chunk: int) -> list[tuple[int, int, int]]:
-    """(chunk_index, start, size) triples covering n trials."""
+def chunk_ranges(n: int, chunk: int | None = None) -> list[tuple[int, int, int]]:
+    """(chunk_index, start, size) triples covering n trials; chunk=None
+    means CHUNK."""
+    chunk = CHUNK if chunk is None else chunk
     if n <= 0:
         raise ValueError("chunk_ranges: n must be positive")
     if chunk <= 0:
@@ -56,7 +58,7 @@ def _run_chunks(worker: Callable, ranges: Sequence[tuple[int, int, int]],
 
 
 def parallel_chunk_stats(worker: Callable[[int, int, int], np.ndarray],
-                         n: int, chunk: int = CHUNK, threads: int = 1):
+                         n: int, chunk: int | None = None, threads: int = 1):
     """Mean and standard error of per-trial values produced chunk by chunk.
 
     worker(chunk_index, start, size) returns an array of shape (size,) or
@@ -86,7 +88,8 @@ def parallel_chunk_stats(worker: Callable[[int, int, int], np.ndarray],
 
 
 def parallel_chunk_arrays(worker: Callable[[int, int, int], np.ndarray],
-                          n: int, chunk: int = CHUNK, threads: int = 1) -> np.ndarray:
+                          n: int, chunk: int | None = None,
+                          threads: int = 1) -> np.ndarray:
     """Concatenated per-trial values, chunk order preserved."""
     ranges = chunk_ranges(n, chunk)
     parts = _run_chunks(worker, ranges, threads)

@@ -18,7 +18,6 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
@@ -30,13 +29,10 @@ from .numerics import gaussian_q
 __all__ = [
     "Scheme",
     "RelayIdentity",
-    "StatusProbs",
-    "TrialOutcome",
     "ProtocolConfig",
     "split_channel_uses",
     "phase1_failure",
     "nc_conditional_miss",
-    "nc_false_alarm_conditional",
     "nc_joint_success",
     "csa_conditional_miss",
     "csa_joint_success",
@@ -45,7 +41,6 @@ __all__ = [
     "ocsa_joint_success",
     "mucsa_conditional_miss",
     "mucsa_pair_joint_success",
-    "evaluate_trial",
     "MAX_PAIRS",
 ]
 
@@ -72,18 +67,6 @@ class RelayIdentity(IntEnum):
 
 
 @dataclass(frozen=True)
-class StatusProbs:
-    """Probabilities of the four first-phase detection statuses of the
-    secondary pair; the first letter refers to the transmitter-side node
-    (``sf`` = transmitter side succeeded, receiver side failed)."""
-
-    ss: float
-    sf: float
-    fs: float
-    ff: float
-
-
-@dataclass(frozen=True)
 class ProtocolConfig:
     """Signal-to-noise ratio and channel-use split shared by all schemes."""
 
@@ -102,18 +85,6 @@ class ProtocolConfig:
     @property
     def d(self) -> int:
         return self.d1 + self.d2
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    """Conditional outcome summary for one channel realization."""
-
-    scheme: Scheme
-    relay: RelayIdentity | None
-    p_miss_t: float
-    p_miss_r: float
-    p_joint_success: float
-    status_probs: StatusProbs | None
 
 
 def split_channel_uses(d: int, alpha: float = 0.5) -> tuple[int, int]:
@@ -162,12 +133,6 @@ def nc_conditional_miss(cfg: ProtocolConfig, g):
     """Miss probability of a lone node listening for the full beacon."""
     arr, scalar = _as_float_array(g, "nc_conditional_miss")
     return _ret(_fail(cfg.rho, cfg.d, arr), scalar)
-
-
-def nc_false_alarm_conditional(cfg: ProtocolConfig, g):
-    """False-alarm probability of a lone node; with symmetric on/off
-    signalling it coincides with the miss probability."""
-    return nc_conditional_miss(cfg, g)
 
 
 def nc_joint_success(cfg: ProtocolConfig, g_pt, g_pr):
@@ -403,62 +368,3 @@ def mucsa_pair_joint_success(cfg: ProtocolConfig, mch: MultiuserChannelSet,
     miss_tx = mucsa_conditional_miss(cfg, mch, pair)
     miss_rx = mucsa_conditional_miss(cfg, mch, pair + m_pairs)
     return (1.0 - miss_tx) * (1.0 - miss_rx)
-
-
-# ---------------------------------------------------------------------------
-# Single-trial convenience wrapper
-# ---------------------------------------------------------------------------
-
-
-def evaluate_trial(cfg: ProtocolConfig, scheme: Scheme,
-                   g_pt: float, g_pr: float, g_tr: float) -> TrialOutcome:
-    """Evaluate one scheme on one channel realization (scalars only)."""
-    scheme = Scheme(scheme)
-    for name, v in (("g_pt", g_pt), ("g_pr", g_pr), ("g_tr", g_tr)):
-        if not math.isfinite(v) or v < 0:
-            raise ValueError(f"evaluate_trial: {name} must be finite and >= 0")
-    if scheme is Scheme.MUCSA:
-        raise ValueError(
-            "evaluate_trial: the multiuser scheme needs a MultiuserChannelSet; "
-            "use mucsa_conditional_miss / mucsa_pair_joint_success"
-        )
-    if scheme is Scheme.NC:
-        return TrialOutcome(
-            scheme=scheme,
-            relay=None,
-            p_miss_t=nc_conditional_miss(cfg, g_pt),
-            p_miss_r=nc_conditional_miss(cfg, g_pr),
-            p_joint_success=nc_joint_success(cfg, g_pt, g_pr),
-            status_probs=None,
-        )
-    a = phase1_failure(cfg, g_pt)
-    b = phase1_failure(cfg, g_pr)
-    status = StatusProbs(
-        ss=(1.0 - a) * (1.0 - b),
-        sf=(1.0 - a) * b,
-        fs=a * (1.0 - b),
-        ff=a * b,
-    )
-    if scheme is Scheme.CSA:
-        return TrialOutcome(
-            scheme=scheme,
-            relay=None,
-            p_miss_t=csa_conditional_miss(cfg, g_pt, g_pr, g_tr),
-            p_miss_r=csa_conditional_miss(cfg, g_pr, g_pt, g_tr),
-            p_joint_success=csa_joint_success(cfg, g_pt, g_pr, g_tr),
-            status_probs=status,
-        )
-    metrics = MetricTriple(
-        t_p=np.array([g_pt + g_pr]),
-        t_t=np.array([g_pt + g_tr]),
-        t_r=np.array([g_pr + g_tr]),
-    )
-    nominal = ocsa_select_relay(metrics, np.array([True]), np.array([True]))
-    return TrialOutcome(
-        scheme=scheme,
-        relay=RelayIdentity(int(nominal[0])),
-        p_miss_t=ocsa_conditional_miss(cfg, g_pt, g_pr, g_tr),
-        p_miss_r=ocsa_conditional_miss(cfg, g_pr, g_pt, g_tr),
-        p_joint_success=ocsa_joint_success(cfg, g_pt, g_pr, g_tr),
-        status_probs=status,
-    )

@@ -7,7 +7,6 @@ import pytest
 
 from beaconsim.channel import (
     ChannelSet,
-    LinkParams,
     MeanGains,
     MetricTriple,
     MultiuserMeans,
@@ -17,21 +16,6 @@ from beaconsim.channel import (
     sample_multiuser,
 )
 from beaconsim.mc import parallel_chunk_stats, substream
-
-
-class TestLinkParams:
-    def test_mean_gain(self):
-        lp = LinkParams(gain_scale=2.0, distance=2.0, exponent=3.0)
-        assert lp.mean_gain == pytest.approx(0.25)
-        assert LinkParams(1.0, 1.0, 4.0).mean_gain == 1.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LinkParams(0.0, 1.0, 2.0)
-        with pytest.raises(ValueError):
-            LinkParams(1.0, -1.0, 2.0)
-        with pytest.raises(ValueError):
-            LinkParams(1.0, 1.0, -0.5)
 
 
 class TestSampling:

@@ -40,6 +40,11 @@ mode = "tail"
 """
 
 
+_CAPACITY = "\n[capacity]\np_theta_t = 0.85\np_theta_joint = 0.7\nt_c = 10.0\n"
+_THROUGHPUT = "\n[throughput]\nw1 = [0.0]\nw2 = [0.1]\n"
+_MUCSA_PAIR = "\n[multiuser]\nm_pairs = 2\nprimary = 1.0\ninter = 1.0\npair = 2\n"
+
+
 def run_cli(*args, config_text=None, tmp_path=None):
     argv = [sys.executable, "-m", "beaconsim.cli", *args]
     if config_text is not None:
@@ -158,6 +163,33 @@ t_c = 10.0
 """
         proc = run_cli("capacity-ergodic", config_text=cfg, tmp_path=tmp_path)
         assert proc.returncode == 3
+
+    @pytest.mark.parametrize("kind, old, new, extra", [
+        ("miss-sweep", "seed = 123", "seed = -1", ""),
+        ("capacity-ergodic", "seed = 123", "seed = -5", _CAPACITY),
+        ("capacity-ergodic", "n_trials = 20000", "n_trials = 0", _CAPACITY),
+        ("capacity-outage", "n_trials = 20000", "n_trials = -3",
+         _CAPACITY + "epsilons = [0.1]\n"),
+        ("imperfect", "n_trials = 20000", "n_trials = 20000\nchunk = 0",
+         _CAPACITY + "sigma2 = [0.0]\n"),
+        ("throughput", "n_trials = 20000", "n_trials = 0", _THROUGHPUT),
+        ("throughput", "n_trials = 20000", "n_trials = 20000\nchunk = -1",
+         _THROUGHPUT),
+        ("joint-sweep", 'scheme = "csa"', 'scheme = "mucsa"', _MUCSA_PAIR),
+    ], ids=["negative-seed-sweep", "negative-seed-capacity",
+            "zero-trials-capacity", "negative-trials-outage",
+            "zero-chunk-imperfect", "zero-trials-throughput",
+            "negative-chunk-throughput", "pair-out-of-range"])
+    def test_bad_run_or_pair_is_config_error(self, tmp_path, kind, old, new,
+                                              extra):
+        cfg = BASE_CONFIG.replace(old, new) + extra
+        if kind == "joint-sweep":
+            cfg = cfg.replace('mode = "tail"', 'mode = "channel"')
+        if kind == "throughput":
+            cfg = cfg.replace("rho_db = [0.0, 10.0]", "rho_db = [6.0]")
+        proc = run_cli(kind, config_text=cfg, tmp_path=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert b"config error" in proc.stderr
 
     def test_bad_value_type(self, tmp_path):
         cfg = BASE_CONFIG.replace("n_trials = 20000", "n_trials = \"many\"")

@@ -20,15 +20,11 @@ from beaconsim.channel import MetricTriple, MultiuserChannelSet
 from beaconsim.protocols import (
     ProtocolConfig,
     RelayIdentity,
-    Scheme,
-    StatusProbs,
     csa_conditional_miss,
     csa_joint_success,
-    evaluate_trial,
     mucsa_conditional_miss,
     mucsa_pair_joint_success,
     nc_conditional_miss,
-    nc_false_alarm_conditional,
     nc_joint_success,
     ocsa_conditional_miss,
     ocsa_joint_success,
@@ -223,11 +219,6 @@ class TestNonCooperative:
         cfg = ProtocolConfig(rho=10.0)
         assert nc_conditional_miss(cfg, 0.0) == 0.5
         assert nc_joint_success(cfg, 0.0, 0.0) == 0.25
-
-    def test_false_alarm_matches_miss(self):
-        cfg = ProtocolConfig(rho=3.0, d1=2, d2=1)
-        for g in (0.0, 0.1, 1.0, 4.0):
-            assert nc_false_alarm_conditional(cfg, g) == nc_conditional_miss(cfg, g)
 
     def test_joint_product_form(self):
         cfg = ProtocolConfig(rho=10.0)
@@ -560,42 +551,50 @@ class TestMultiuser:
 
 
 # ---------------------------------------------------------------------------
-# Single-trial evaluation wrapper
+# Single-trial regression values at (g_pt, g_pr, g_tr) = (0.5, 0.2, 1.0)
 # ---------------------------------------------------------------------------
 
 
 class TestEvaluateTrial:
     CFG = ProtocolConfig(rho=10.0)
+    G = (0.5, 0.2, 1.0)
 
     def test_noncooperative(self):
-        out = evaluate_trial(self.CFG, Scheme.NC, 0.5, 0.2, 1.0)
-        assert out.scheme is Scheme.NC
-        assert out.relay is None
-        assert out.status_probs is None
-        assert out.p_miss_t == pytest.approx(3.872108215522048e-06, rel=1e-12)
-        assert out.p_joint_success == pytest.approx(0.9976572694576089, rel=1e-12)
+        g_pt, g_pr, _g_tr = self.G
+        assert nc_conditional_miss(self.CFG, g_pt) == pytest.approx(
+            3.872108215522048e-06, rel=1e-12)
+        assert nc_conditional_miss(self.CFG, g_pr) == pytest.approx(
+            0.002338867490523633, rel=1e-12)
+        assert nc_joint_success(self.CFG, g_pt, g_pr) == pytest.approx(
+            0.9976572694576089, rel=1e-12)
 
     def test_cooperative_status_probs(self):
-        out = evaluate_trial(self.CFG, Scheme.CSA, 0.5, 0.2, 1.0)
-        assert out.relay is None
-        sp = out.status_probs
-        assert isinstance(sp, StatusProbs)
-        total = sp.ss + sp.sf + sp.fs + sp.ff
-        assert total == pytest.approx(1.0, abs=1e-14)
-        ft = q(math.sqrt(2 * 10.0 * 0.5))
-        fr = q(math.sqrt(2 * 10.0 * 0.2))
-        assert sp.sf == pytest.approx((1 - ft) * fr, rel=1e-13)
-        assert out.p_miss_t == pytest.approx(1.780657048426161e-05, rel=1e-12)
-        assert out.p_miss_r == pytest.approx(1.7817503633263476e-05, rel=1e-12)
+        g_pt, g_pr, g_tr = self.G
+        ft = phase1_failure(self.CFG, g_pt)
+        fr = phase1_failure(self.CFG, g_pr)
+        assert ft == pytest.approx(q(math.sqrt(2 * 10.0 * 0.5)), rel=1e-13)
+        assert fr == pytest.approx(q(math.sqrt(2 * 10.0 * 0.2)), rel=1e-13)
+        status = ((1 - ft) * (1 - fr), (1 - ft) * fr, ft * (1 - fr), ft * fr)
+        assert sum(status) == pytest.approx(1.0, abs=1e-14)
+        assert status[1] == pytest.approx(0.022732325394218447, rel=1e-12)
+        assert csa_conditional_miss(self.CFG, g_pt, g_pr, g_tr) == pytest.approx(
+            1.780657048426161e-05, rel=1e-12)
+        assert csa_conditional_miss(self.CFG, g_pr, g_pt, g_tr) == pytest.approx(
+            1.7817503633263476e-05, rel=1e-12)
+        assert csa_joint_success(self.CFG, g_pt, g_pr, g_tr) == pytest.approx(
+            0.9999821824798433, rel=1e-12)
 
     def test_opportunistic_reports_nominal_relay(self):
-        out = evaluate_trial(self.CFG, Scheme.OCSA, 0.5, 0.2, 1.0)
+        g_pt, g_pr, g_tr = self.G
         # Metrics are (0.7, 1.5, 1.2): with both nodes successful the
         # transmitter-side secondary holds the strict maximum.
-        assert out.relay == RelayIdentity.SECONDARY_TX
-        assert out.p_miss_t == pytest.approx(3.030703471904217e-09, rel=1e-12)
-        assert out.p_joint_success == pytest.approx(0.9999999473178462, rel=1e-12)
-
-    def test_multiuser_rejected(self):
-        with pytest.raises(ValueError):
-            evaluate_trial(self.CFG, Scheme.MUCSA, 0.5, 0.2, 1.0)
+        metrics = MetricTriple(np.array([g_pt + g_pr]), np.array([g_pt + g_tr]),
+                               np.array([g_pr + g_tr]))
+        relay = ocsa_select_relay(metrics, np.array([True]), np.array([True]))
+        assert relay[0] == RelayIdentity.SECONDARY_TX
+        assert ocsa_conditional_miss(self.CFG, g_pt, g_pr, g_tr) == pytest.approx(
+            3.030703471904217e-09, rel=1e-12)
+        assert ocsa_conditional_miss(self.CFG, g_pr, g_pt, g_tr) == pytest.approx(
+            5.2596842672732625e-08, rel=1e-12)
+        assert ocsa_joint_success(self.CFG, g_pt, g_pr, g_tr) == pytest.approx(
+            0.9999999473178462, rel=1e-12)
