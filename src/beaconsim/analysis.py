@@ -42,6 +42,7 @@ from .numerics import fit_diversity_slope
 from .protocols import (
     ProtocolConfig,
     Scheme,
+    check_user_count,
     csa_conditional_miss,
     csa_joint_success,
     mucsa_conditional_miss,
@@ -190,9 +191,9 @@ def _miss_values_tail(spec: SweepSpec, rho: float, side: str, user: int):
     d = d1 + d2
     means = _require_means(spec)
     if spec.scheme is Scheme.MUCSA:
-        if not 0 <= user < means.n_users:
+        nu = check_user_count(means.n_users)
+        if not 0 <= user < nu:
             raise ValueError("user index out of range")
-        nu = means.n_users
         m_pairs = nu // 2
         off = ~np.eye(nu, dtype=bool)
         inter_vals = np.unique(means.inter[off])

@@ -20,11 +20,9 @@ __all__ = [
     "MetricTriple",
     "MultiuserMeans",
     "MultiuserChannelSet",
-    "draw_pair_chunk",
     "sample_channels",
     "compute_metrics",
     "perturb_metrics",
-    "draw_multiuser_chunk",
     "sample_multiuser",
 ]
 

@@ -50,19 +50,7 @@ from .capacity import (
     wrong_relay_probability_mc,
 )
 from .channel import MeanGains, MultiuserMeans
-from .protocols import Scheme, split_channel_uses
-
-KINDS = (
-    "miss-sweep",
-    "joint-sweep",
-    "diversity",
-    "capacity-ergodic",
-    "capacity-outage",
-    "imperfect",
-    "throughput",
-    "multiuser",
-    "selfcheck",
-)
+from .protocols import MAX_PAIRS, Scheme, split_channel_uses
 
 _SELFCHECK_SEED = 20240601
 
@@ -75,25 +63,20 @@ class ConfigError(Exception):
 # Configuration loading
 # ---------------------------------------------------------------------------
 
-_RUN = {("run", "seed"), ("run", "n_trials"), ("run", "chunk")}
-_CHANNEL = {("channel", k) for k in ("pt", "pr", "tr")}
-_PROTOCOL = {("protocol", k) for k in ("scheme", "d", "alpha", "d1", "d2")}
-_SWEEP = {("sweep", k) for k in ("rho_db", "mode", "side")}
-_MULTI = {("multiuser", k) for k in ("m_pairs", "primary", "inter", "user", "pair")}
-_CAPACITY = {("capacity", k)
-             for k in ("p_theta_t", "p_theta_joint", "t_c", "epsilons", "sigma2")}
-_THROUGHPUT = {("throughput", k) for k in ("t_cr", "w1", "w2")}
-
-_SWEEP_KINDS_KEYS = _RUN | _CHANNEL | _PROTOCOL | _SWEEP | _MULTI
-KNOWN_KEYS = {
-    "miss-sweep": _SWEEP_KINDS_KEYS,
-    "joint-sweep": _SWEEP_KINDS_KEYS,
-    "diversity": _SWEEP_KINDS_KEYS,
-    "capacity-ergodic": _RUN | _CHANNEL | _PROTOCOL | _SWEEP | _CAPACITY,
-    "capacity-outage": _RUN | _CHANNEL | _PROTOCOL | _SWEEP | _CAPACITY,
-    "imperfect": _RUN | _CHANNEL | _PROTOCOL | _SWEEP | _CAPACITY,
-    "throughput": _RUN | _CHANNEL | _PROTOCOL | _SWEEP | _THROUGHPUT,
-    "multiuser": _RUN | _MULTI | _PROTOCOL | _SWEEP,
+SECTION_KEYS = {
+    "run": ("seed", "n_trials", "chunk"),
+    "channel": ("pt", "pr", "tr"),
+    "protocol": ("scheme", "d", "alpha", "d1", "d2"),
+    "sweep": ("rho_db", "mode", "side"),
+    "multiuser": ("m_pairs", "primary", "inter", "user", "pair"),
+    "capacity": ("p_theta_t", "p_theta_joint", "t_c", "epsilons", "sigma2"),
+    "throughput": ("t_cr", "w1", "w2"),
+}
+# Keys with a fixed set of values, checked for every kind that accepts the
+# section, including kinds that ignore the key.
+_KEY_VALUES = {
+    ("sweep", "mode"): ("channel", "tail"),
+    ("sweep", "side"): ("t", "r"),
 }
 
 
@@ -134,15 +117,18 @@ def apply_overrides(data: dict, overrides: list[str]) -> None:
 
 
 def check_schema(kind: str, data: dict) -> None:
-    known = KNOWN_KEYS[kind]
-    sections = {s for s, _ in known}
-    for section, key in data:
+    sections = KINDS[kind][1]
+    for (section, key), value in data.items():
         if section not in sections:
             raise ConfigError(f"unknown section [{section}] for kind {kind}")
-        if (section, key) not in known:
+        if key not in SECTION_KEYS[section]:
             raise ConfigError(
                 f"unknown key {section}.{key} for kind {kind}"
             )
+        allowed = _KEY_VALUES.get((section, key))
+        if allowed and value not in allowed:
+            raise ConfigError(f"{section}.{key} must be "
+                              + " or ".join(map(repr, allowed)))
 
 
 class Conf:
@@ -249,9 +235,12 @@ def build_pair_means(conf: Conf) -> MeanGains:
 
 
 def build_multiuser_means(conf: Conf) -> MultiuserMeans:
+    m_pairs = conf.get_int("multiuser", "m_pairs", required=True)
+    if m_pairs > MAX_PAIRS:
+        raise ConfigError(f"multiuser.m_pairs must be <= {MAX_PAIRS}")
     return _build(
         MultiuserMeans.uniform,
-        conf.get_int("multiuser", "m_pairs", required=True),
+        m_pairs,
         conf.get_float("multiuser", "primary", required=True),
         conf.get_float("multiuser", "inter", required=True),
     )
@@ -295,10 +284,7 @@ def build_sweep_spec(conf: Conf, scheme: Scheme, threads: int,
 
 
 def get_side(conf: Conf) -> str:
-    side = conf.get_str("sweep", "side", default="t")
-    if side not in ("t", "r"):
-        raise ConfigError("sweep.side must be 't' or 'r'")
-    return side
+    return conf.get_str("sweep", "side", default="t")
 
 
 def get_index(conf: Conf, key: str, count: int) -> int:
@@ -443,7 +429,8 @@ def run_imperfect(conf: Conf, threads: int):
         rho = db_to_linear(rdb)
         base = ergodic_capacity(scheme, rho=rho, **common)
         for s2 in sigma2s:
-            est = imperfect_capacity(scheme, rho=rho, sigma2=s2, **common)
+            est = (base if s2 == 0 else
+                   imperfect_capacity(scheme, rho=rho, sigma2=s2, **common))
             mc, se = wrong_relay_probability_mc(s2, rho=rho, **mc_kw)
             rows.append({
                 "rho_db": rdb,
@@ -495,15 +482,20 @@ def run_multiuser(conf: Conf, threads: int):
     return rows, {**meta, "user": user}
 
 
-RUNNERS = {
-    "miss-sweep": run_miss_sweep,
-    "joint-sweep": run_joint_sweep,
-    "diversity": run_diversity,
-    "capacity-ergodic": run_capacity_ergodic,
-    "capacity-outage": run_capacity_outage,
-    "imperfect": run_imperfect,
-    "throughput": run_throughput,
-    "multiuser": run_multiuser,
+_SWEEP_SECTIONS = ("run", "channel", "protocol", "sweep", "multiuser")
+_CAPACITY_SECTIONS = ("run", "channel", "protocol", "sweep", "capacity")
+
+# kind -> (runner, config sections the kind accepts)
+KINDS = {
+    "miss-sweep": (run_miss_sweep, _SWEEP_SECTIONS),
+    "joint-sweep": (run_joint_sweep, _SWEEP_SECTIONS),
+    "diversity": (run_diversity, _SWEEP_SECTIONS),
+    "capacity-ergodic": (run_capacity_ergodic, _CAPACITY_SECTIONS),
+    "capacity-outage": (run_capacity_outage, _CAPACITY_SECTIONS),
+    "imperfect": (run_imperfect, _CAPACITY_SECTIONS),
+    "throughput": (run_throughput,
+                   ("run", "channel", "protocol", "sweep", "throughput")),
+    "multiuser": (run_multiuser, ("run", "multiuser", "protocol", "sweep")),
 }
 
 
@@ -605,7 +597,7 @@ def main(argv=None) -> int:
         prog="beaconsim",
         description="Simulation and analysis of beacon-assisted spectrum access",
     )
-    parser.add_argument("kind", choices=KINDS)
+    parser.add_argument("kind", choices=(*KINDS, "selfcheck"))
     parser.add_argument("--config", help="INI configuration file")
     parser.add_argument("--set", action="append", default=[], dest="overrides",
                         metavar="SECTION.KEY=VALUE",
@@ -639,7 +631,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        rows, extra = RUNNERS[args.kind](conf, args.threads)
+        rows, extra = KINDS[args.kind][0](conf, args.threads)
     except ConfigError as exc:
         print(f"beaconsim: config error: {exc}", file=sys.stderr)
         return 2

@@ -293,8 +293,8 @@ def ocsa_joint_success(cfg: ProtocolConfig, g_pt, g_pr, g_tr, metrics=None):
 # ---------------------------------------------------------------------------
 
 
-def _check_multiuser(mch: MultiuserChannelSet) -> int:
-    nu = mch.n_users
+def check_user_count(nu: int) -> int:
+    """nu, checked to be 2M users with 1 <= M <= MAX_PAIRS."""
     if nu < 2 or nu % 2:
         raise ValueError("multiuser: need an even number of users (2M)")
     if nu // 2 > MAX_PAIRS:
@@ -316,7 +316,7 @@ def mucsa_conditional_miss(cfg: ProtocolConfig, mch: MultiuserChannelSet,
     miss is the plain first-phase outcome left unrecovered, i.e. the
     product of all users' failure probabilities counts as a full miss.
     """
-    nu = _check_multiuser(mch)
+    nu = check_user_count(mch.n_users)
     m_pairs = nu // 2
     user = int(user)
     if not 0 <= user < nu:
@@ -360,7 +360,7 @@ def mucsa_pair_joint_success(cfg: ProtocolConfig, mch: MultiuserChannelSet,
     recovery events are driven by disjoint helper links, so the pair
     probability is the product of the per-user success probabilities.
     """
-    nu = _check_multiuser(mch)
+    nu = check_user_count(mch.n_users)
     m_pairs = nu // 2
     pair = int(pair)
     if not 0 <= pair < m_pairs:

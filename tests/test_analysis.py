@@ -25,7 +25,7 @@ from beaconsim.analysis import (
     estimate_joint_success_curve,
     estimate_miss_curve,
 )
-from beaconsim.protocols import Scheme
+from beaconsim.protocols import MAX_PAIRS, Scheme
 
 MEANS = MeanGains(pt=1.0, pr=2.0, tr=3.0)
 
@@ -74,6 +74,14 @@ class TestSpecValidation:
                          n_trials=10, seed=1)
         with pytest.raises(ValueError):
             estimate_miss_curve(spec, side="x")
+
+    @pytest.mark.parametrize("mode", ["channel", "tail"])
+    def test_too_many_pairs(self, mode):
+        mu = MultiuserMeans.uniform(MAX_PAIRS + 1, 1.0, 1.0)
+        spec = SweepSpec(scheme=Scheme.MUCSA, means=mu, rho_db=(0.0,),
+                         n_trials=10, seed=1, mode=mode)
+        with pytest.raises(ValueError, match="at most"):
+            estimate_miss_curve(spec)
 
 
 class TestNonCooperativeClosedForm:

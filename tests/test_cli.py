@@ -43,6 +43,22 @@ mode = "tail"
 _CAPACITY = "\n[capacity]\np_theta_t = 0.85\np_theta_joint = 0.7\nt_c = 10.0\n"
 _THROUGHPUT = "\n[throughput]\nw1 = [0.0]\nw2 = [0.1]\n"
 _MUCSA_PAIR = "\n[multiuser]\nm_pairs = 2\nprimary = 1.0\ninter = 1.0\npair = 2\n"
+_THROUGHPUT_CONFIG = BASE_CONFIG.replace("rho_db = [0.0, 10.0]",
+                                        "rho_db = 6.0") + _THROUGHPUT
+_MULTIUSER_CONFIG = """\
+[run]
+seed = 7
+n_trials = 5000
+
+[multiuser]
+m_pairs = 2
+primary = 1.0
+inter = 1.0
+
+[sweep]
+rho_db = [0.0, 10.0]
+mode = "tail"
+"""
 
 
 def run_cli(*args, config_text=None, tmp_path=None):
@@ -190,6 +206,35 @@ t_c = 10.0
         proc = run_cli(kind, config_text=cfg, tmp_path=tmp_path)
         assert proc.returncode == 2, proc.stderr
         assert b"config error" in proc.stderr
+
+    @pytest.mark.parametrize("kind, key, cfg", [
+        ("capacity-ergodic", "mode", BASE_CONFIG + _CAPACITY),
+        ("capacity-ergodic", "side", BASE_CONFIG + _CAPACITY),
+        ("capacity-outage", "side",
+         BASE_CONFIG + _CAPACITY + "epsilons = [0.1]\n"),
+        ("imperfect", "side", BASE_CONFIG + _CAPACITY + "sigma2 = [0.0]\n"),
+        ("throughput", "mode", _THROUGHPUT_CONFIG),
+        ("throughput", "side", _THROUGHPUT_CONFIG),
+        ("joint-sweep", "side",
+         BASE_CONFIG.replace('mode = "tail"', 'mode = "channel"')),
+        ("multiuser", "side", _MULTIUSER_CONFIG),
+    ], ids=["ergodic-mode", "ergodic-side", "outage-side", "imperfect-side",
+            "throughput-mode", "throughput-side", "joint-side",
+            "multiuser-side"])
+    def test_bad_sweep_value_every_kind(self, tmp_path, kind, key, cfg):
+        # none of these kinds reads the key, but a bad value is still an error
+        proc = run_cli(kind, "--set", f"sweep.{key}=bogus",
+                       config_text=cfg, tmp_path=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert f"sweep.{key} must be".encode() in proc.stderr
+
+    @pytest.mark.parametrize("mode", ["channel", "tail"])
+    def test_too_many_pairs(self, tmp_path, mode):
+        proc = run_cli("multiuser", "--set", "multiuser.m_pairs=7",
+                       "--set", f"sweep.mode={mode}",
+                       config_text=_MULTIUSER_CONFIG, tmp_path=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert b"multiuser.m_pairs must be <= 6" in proc.stderr
 
     def test_bad_value_type(self, tmp_path):
         cfg = BASE_CONFIG.replace("n_trials = 20000", "n_trials = \"many\"")
