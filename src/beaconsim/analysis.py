@@ -229,10 +229,12 @@ def _miss_values_tail(spec: SweepSpec, rho: float, side: str, user: int):
         def worker(idx, start, size):
             x = _thresholds(spec.seed, idx, size, 2, rho)
             x_own, x_rec = x[:, 0], x[:, 1]
+            # the box depends on the subset only through its size
+            boxes = {kk: exp_erlang_box_prob(x_rec, x_own, a_mean, b_mean, kk)
+                     for kk in range(1, k_others + 1)}
             total = np.full(size, all_fail)
             for w, kk in zip(weights, sizes):
-                box = exp_erlang_box_prob(x_rec, x_own, a_mean, b_mean, kk)
-                total += 0.25 * w * box
+                total += 0.25 * w * boxes[kk]
             return total
 
         return worker

@@ -262,6 +262,12 @@ def run_params(conf: Conf) -> tuple[int, int, int | None]:
 
 def build_sweep_spec(conf: Conf, scheme: Scheme, threads: int,
                      mode_default="channel") -> SweepSpec:
+    # mucsa reads [multiuser], every pair scheme [channel]: refuse the other
+    # section rather than accept keys that are never checked
+    unread = "channel" if scheme is Scheme.MUCSA else "multiuser"
+    if any(section == unread for section, _key in conf.data):
+        raise ConfigError(
+            f"section [{unread}] is not read by scheme {scheme.value}")
     if scheme is Scheme.MUCSA:
         means = build_multiuser_means(conf)
     else:

@@ -9,6 +9,7 @@ are therefore bit-identical across reruns and across worker thread counts.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
@@ -50,9 +51,11 @@ def chunk_ranges(n: int, chunk: int | None = None) -> list[tuple[int, int, int]]
 
 def _run_chunks(worker: Callable, ranges: Sequence[tuple[int, int, int]],
                 threads: int) -> list:
-    if threads <= 1 or len(ranges) <= 1:
+    # more workers than chunks or CPUs only adds OS threads
+    workers = min(threads, len(ranges), os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(*r) for r in ranges]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(worker, *r) for r in ranges]
         return [f.result() for f in futures]
 

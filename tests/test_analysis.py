@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from beaconsim import analysis
 from beaconsim.channel import MeanGains, MultiuserMeans
 from beaconsim.fadeprob import exp_q_mean
 from beaconsim.analysis import (
@@ -216,6 +217,27 @@ class TestDiversity:
         assert isinstance(fit.result, SweepResult)
         assert fit.result.estimate.shape == (3,)
         assert np.all(np.diff(fit.result.estimate) < 0)
+
+
+class TestMultiuserTailCost:
+    @pytest.mark.parametrize("m_pairs", [3, 4])
+    def test_one_box_per_subset_size(self, monkeypatch, m_pairs):
+        # 2M - 1 helpers give subset sizes 1..2M-1; each chunk needs one box
+        # per size, not one per subset (2^(2M-1) - 1 of them)
+        calls = []
+        box = analysis.exp_erlang_box_prob
+
+        def counted(*args, **kwargs):
+            calls.append(args[-1])
+            return box(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "exp_erlang_box_prob", counted)
+        spec = SweepSpec(scheme=Scheme.MUCSA,
+                         means=MultiuserMeans.uniform(m_pairs, 1.0, 1.5),
+                         rho_db=(10.0,), n_trials=200, seed=3, mode="tail",
+                         chunk=100)
+        estimate_miss_curve(spec)
+        assert len(calls) == 2 * (2 * m_pairs - 1)
 
 
 class TestDeterminism:

@@ -1,6 +1,8 @@
 """Tests for channel sampling, metrics, and the deterministic stream layout."""
 
 import math
+import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from beaconsim.channel import (
     sample_channels,
     sample_multiuser,
 )
+from beaconsim import mc
 from beaconsim.mc import parallel_chunk_stats, substream
 
 
@@ -133,3 +136,43 @@ class TestChunkStats:
         mean, se, n = parallel_chunk_stats(worker, n=30_000, chunk=4096, threads=2)
         assert mean.shape == (2,)
         assert mean[1] == pytest.approx(2 * mean[0], rel=1e-12)
+
+
+class _InlinePool:
+    """Stand-in for ThreadPoolExecutor: records max_workers, runs inline."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("threads, chunks, cpus, want", [
+        (10**6, 3, 8, 3),
+        (10**6, 50, 8, 8),
+        (2, 50, 8, 2),
+        (10**6, 50, None, None),
+        (10**6, 1, 8, None),
+    ], ids=["chunks", "cpus", "threads", "cpu-count-unknown", "one-chunk"])
+    def test_pool_capped(self, monkeypatch, threads, chunks, cpus, want):
+        # the fake pool starts no thread, so the huge request is safe
+        monkeypatch.setattr(_InlinePool, "sizes", [])
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", _InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        ranges = mc.chunk_ranges(chunks * 10, 10)
+        out = mc._run_chunks(lambda idx, start, size: (idx, start, size),
+                             ranges, threads)
+        assert out == ranges
+        assert _InlinePool.sizes == ([] if want is None else [want])

@@ -40,6 +40,7 @@ mode = "tail"
 """
 
 
+_CHANNEL = "[channel]\npt = 1.0\npr = 2.0\ntr = 3.0\n\n"
 _CAPACITY = "\n[capacity]\np_theta_t = 0.85\np_theta_joint = 0.7\nt_c = 10.0\n"
 _THROUGHPUT = "\n[throughput]\nw1 = [0.0]\nw2 = [0.1]\n"
 _MUCSA_PAIR = "\n[multiuser]\nm_pairs = 2\nprimary = 1.0\ninter = 1.0\npair = 2\n"
@@ -191,7 +192,8 @@ t_c = 10.0
         ("throughput", "n_trials = 20000", "n_trials = 0", _THROUGHPUT),
         ("throughput", "n_trials = 20000", "n_trials = 20000\nchunk = -1",
          _THROUGHPUT),
-        ("joint-sweep", 'scheme = "csa"', 'scheme = "mucsa"', _MUCSA_PAIR),
+        ("joint-sweep", _CHANNEL + '[protocol]\nscheme = "csa"',
+         '[protocol]\nscheme = "mucsa"', _MUCSA_PAIR),
     ], ids=["negative-seed-sweep", "negative-seed-capacity",
             "zero-trials-capacity", "negative-trials-outage",
             "zero-chunk-imperfect", "zero-trials-throughput",
@@ -206,6 +208,29 @@ t_c = 10.0
         proc = run_cli(kind, config_text=cfg, tmp_path=tmp_path)
         assert proc.returncode == 2, proc.stderr
         assert b"config error" in proc.stderr
+
+    @pytest.mark.parametrize("kind, scheme, section, cfg", [
+        ("miss-sweep", "csa", "multiuser", BASE_CONFIG
+         + "\n[multiuser]\nm_pairs = \"x\"\npair = -5\n"),
+        ("joint-sweep", "ocsa", "multiuser",
+         BASE_CONFIG.replace('mode = "tail"', 'mode = "channel"')
+         + "\n[multiuser]\nm_pairs = 2\n"),
+        ("diversity", "nc", "multiuser", BASE_CONFIG + _MUCSA_PAIR),
+        ("miss-sweep", "mucsa", "channel",
+         _MULTIUSER_CONFIG + "\n[channel]\npt = \"bogus\"\npr = -2.0\n"),
+        ("joint-sweep", "mucsa", "channel",
+         _MULTIUSER_CONFIG.replace('mode = "tail"', 'mode = "channel"')
+         + "\n" + _CHANNEL),
+    ], ids=["miss-csa-multiuser", "joint-ocsa-multiuser",
+            "diversity-nc-multiuser", "miss-mucsa-channel",
+            "joint-mucsa-channel"])
+    def test_section_the_scheme_never_reads(self, tmp_path, kind, scheme,
+                                            section, cfg):
+        proc = run_cli(kind, "--set", f"protocol.scheme={scheme!r}",
+                       config_text=cfg, tmp_path=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        msg = f"section [{section}] is not read by scheme {scheme}"
+        assert msg.encode() in proc.stderr
 
     @pytest.mark.parametrize("kind, key, cfg", [
         ("capacity-ergodic", "mode", BASE_CONFIG + _CAPACITY),

@@ -84,6 +84,11 @@ def _cases():
         cases[f"multiuser-{mode}"] = (
             "multiuser",
             _RUN + _MULTI + "user = 2\n" + _sweep([0.0, 10.0], mode))
+    # M = 4 reaches helper-subset sizes 4..7, which M = 2 never does
+    cases["multiuser-tail-m4"] = (
+        "multiuser",
+        _RUN + _MULTI.replace("m_pairs = 2", "m_pairs = 4") + "user = 5\n"
+        + _sweep([0.0, 10.0], "tail"))
     return cases
 
 
