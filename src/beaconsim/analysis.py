@@ -16,7 +16,8 @@ Two estimator families are provided:
 
 Both modes draw from substreams keyed by (seed, purpose, chunk index), so
 results are reproducible bit for bit for a given seed, independent of
-thread count.
+thread count.  Since draws do not depend on rho, each chunk is drawn once
+and evaluated at every grid point.
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ from .fadeprob import (
     exp_sum_box_prob,
     ocsa_fade_regions,
 )
-from .mc import TAG_THRESHOLDS, parallel_chunk_stats, substream
+# parallel_chunk_stats is unused but stays bound: perfbench hooks it here
+from .mc import (TAG_THRESHOLDS, parallel_chunk_stats,  # noqa: F401
+                 parallel_grid_stats, substream)
 from .numerics import fit_diversity_slope
 from .protocols import (
     ProtocolConfig,
@@ -148,45 +151,58 @@ def _pair_lams(means: MeanGains, side: str) -> tuple[float, float, float]:
     raise ValueError("side must be 't' or 'r'")
 
 
-def _thresholds(seed: int, idx: int, size: int, k: int, rho: float):
-    """Draw k independent squared half-normal thresholds per trial."""
-    rng = substream(seed, TAG_THRESHOLDS, idx)
-    z = rng.standard_normal((size, k))
-    return z * z / (2.0 * rho)
-
-
 # ---------------------------------------------------------------------------
-# Per-chunk value workers
+# Per-chunk draws and per-rho evaluators, returned as (draw, evaluator)
 # ---------------------------------------------------------------------------
 
 
-def _miss_values_channel(spec: SweepSpec, rho: float, side: str, user: int):
-    cfg = spec.config(rho)
+def _tail_draw(spec: SweepSpec, k: int):
+    """Per-chunk draw of k values z^2 per trial, one contiguous row each;
+    the thresholds at rho are z^2 / (2 rho)."""
+
+    def draw(idx, size):
+        z = substream(spec.seed, TAG_THRESHOLDS, idx).standard_normal((size, k))
+        z *= z
+        return z.T.copy()
+
+    return draw
+
+
+def _gain_draw(spec: SweepSpec):
+    """Per-chunk draw of the channel gains of the scheme's model."""
+    means = _require_means(spec)
+    if spec.scheme is Scheme.MUCSA:
+        return lambda idx, size: draw_multiuser_chunk(means, spec.seed, idx, size)
+    return lambda idx, size: draw_pair_chunk(means, spec.seed, idx, size)
+
+
+def _miss_values_channel(spec: SweepSpec, side: str, user: int):
     means = _require_means(spec)
     if spec.scheme is Scheme.MUCSA:
         if not 0 <= user < means.n_users:
             raise ValueError("user index out of range")
+    else:
+        _pair_lams(means, side)  # validates side
 
-        def worker(idx, start, size):
-            mch = draw_multiuser_chunk(means, spec.seed, idx, size)
-            return mucsa_conditional_miss(cfg, mch, user)
+    def evaluator(rho):
+        cfg = spec.config(rho)
 
-        return worker
-    _pair_lams(means, side)  # validates side
+        def values(ch):
+            if spec.scheme is Scheme.MUCSA:
+                return mucsa_conditional_miss(cfg, ch, user)
+            own, peer = (ch.g_pt, ch.g_pr) if side == "t" else (ch.g_pr, ch.g_pt)
+            if spec.scheme is Scheme.NC:
+                return nc_conditional_miss(cfg, own)
+            if spec.scheme is Scheme.CSA:
+                return csa_conditional_miss(cfg, own, peer, ch.g_tr)
+            return ocsa_conditional_miss(cfg, own, peer, ch.g_tr)
 
-    def worker(idx, start, size):
-        ch = draw_pair_chunk(means, spec.seed, idx, size)
-        own, peer = (ch.g_pt, ch.g_pr) if side == "t" else (ch.g_pr, ch.g_pt)
-        if spec.scheme is Scheme.NC:
-            return nc_conditional_miss(cfg, own)
-        if spec.scheme is Scheme.CSA:
-            return csa_conditional_miss(cfg, own, peer, ch.g_tr)
-        return ocsa_conditional_miss(cfg, own, peer, ch.g_tr)
+        return values
 
-    return worker
+    return _gain_draw(spec), evaluator
 
 
-def _miss_values_tail(spec: SweepSpec, rho: float, side: str, user: int):
+def _miss_values_tail(spec: SweepSpec, side: str, user: int):
     d1, d2 = spec.d1, spec.d2
     d = d1 + d2
     means = _require_means(spec)
@@ -203,94 +219,101 @@ def _miss_values_tail(spec: SweepSpec, rho: float, side: str, user: int):
                 "(helper sums are integrated as a gamma variate)"
             )
         lam_uu = float(inter_vals[0])
-        q_bar = np.array(
-            [exp_q_mean(d1 * rho, lam) for lam in means.primary]
-        )
         others = [j for j in range(nu) if j != user]
         k_others = len(others)
-        # Per-subset deterministic weights: failed own detection is part of
-        # the dualized box term, so the weight covers only the other users.
-        weights, sizes = [], []
-        for mask in range(1, 1 << k_others):
-            w = 1.0
-            bits = 0
-            for pos, j in enumerate(others):
-                if mask >> pos & 1:
-                    w *= 1.0 - q_bar[j]
-                    bits += 1
-                else:
-                    w *= q_bar[j]
-            weights.append(w)
-            sizes.append(bits)
-        all_fail = float(np.prod(q_bar))
         a_mean = d1 * float(means.primary[user])
         b_mean = (d2 / (2.0 * m_pairs)) * lam_uu
 
-        def worker(idx, start, size):
-            x = _thresholds(spec.seed, idx, size, 2, rho)
-            x_own, x_rec = x[:, 0], x[:, 1]
-            # the box depends on the subset only through its size
-            boxes = {kk: exp_erlang_box_prob(x_rec, x_own, a_mean, b_mean, kk)
-                     for kk in range(1, k_others + 1)}
-            total = np.full(size, all_fail)
-            for w, kk in zip(weights, sizes):
-                total += 0.25 * w * boxes[kk]
-            return total
+        def evaluator(rho):
+            q_bar = np.array(
+                [exp_q_mean(d1 * rho, lam) for lam in means.primary]
+            )
+            # Per-subset deterministic weights: failed own detection is part
+            # of the dualized box term, so the weight covers only the other
+            # users.
+            weights, sizes = [], []
+            for mask in range(1, 1 << k_others):
+                w = 1.0
+                bits = 0
+                for pos, j in enumerate(others):
+                    if mask >> pos & 1:
+                        w *= 1.0 - q_bar[j]
+                        bits += 1
+                    else:
+                        w *= q_bar[j]
+                weights.append(w)
+                sizes.append(bits)
+            all_fail = float(np.prod(q_bar))
 
-        return worker
+            def values(zz):
+                x_own, x_rec = zz / (2.0 * rho)
+                # the box depends on the subset only through its size
+                boxes = {kk: exp_erlang_box_prob(x_rec, x_own, a_mean, b_mean, kk)
+                         for kk in range(1, k_others + 1)}
+                total = np.full(len(x_own), all_fail)
+                for w, kk in zip(weights, sizes):
+                    total += 0.25 * w * boxes[kk]
+                return total
+
+            return values
+
+        return _tail_draw(spec, 2), evaluator
 
     lam_own, lam_peer, lam_tr = _pair_lams(means, side)
     if spec.scheme is Scheme.NC:
 
-        def worker(idx, start, size):
-            x = _thresholds(spec.seed, idx, size, 1, rho)[:, 0]
-            return 0.5 * -np.expm1(-x / (d * lam_own))
+        def evaluator(rho):
+            def values(zz):
+                x = zz[0] / (2.0 * rho)
+                return 0.5 * -np.expm1(-x / (d * lam_own))
 
-        return worker
+            return values
+
+        return _tail_draw(spec, 1), evaluator
     if spec.scheme is Scheme.CSA:
-        q_own = exp_q_mean(d1 * rho, lam_own)
-        q_peer = exp_q_mean(d1 * rho, lam_peer)
 
-        def worker(idx, start, size):
-            x = _thresholds(spec.seed, idx, size, 2, rho)
-            x_own, x_rec = x[:, 0], x[:, 1]
-            box = exp_sum_box_prob(x_rec, x_own, d1 * lam_own, d2 * lam_tr)
-            return 0.25 * box * (1.0 - q_peer) + q_own * q_peer
+        def evaluator(rho):
+            q_own = exp_q_mean(d1 * rho, lam_own)
+            q_peer = exp_q_mean(d1 * rho, lam_peer)
 
-        return worker
+            def values(zz):
+                x_own, x_rec = zz / (2.0 * rho)
+                box = exp_sum_box_prob(x_rec, x_own, d1 * lam_own, d2 * lam_tr)
+                return 0.25 * box * (1.0 - q_peer) + q_own * q_peer
+
+            return values
+
+        return _tail_draw(spec, 2), evaluator
 
     lams = (lam_own, lam_peer, lam_tr)
 
-    def worker(idx, start, size):
-        x = _thresholds(spec.seed, idx, size, 3, rho)
-        p1, p2, p3, p4 = ocsa_fade_regions(
-            x[:, 0], x[:, 1], x[:, 2], d1, d2, lams
-        )
-        return 0.25 * p1 + 0.25 * p3 - 0.125 * p2 + 0.125 * p4
+    def evaluator(rho):
+        def values(zz):
+            x = zz / (2.0 * rho)
+            p1, p2, p3, p4 = ocsa_fade_regions(x[0], x[1], x[2], d1, d2, lams)
+            return 0.25 * p1 + 0.25 * p3 - 0.125 * p2 + 0.125 * p4
 
-    return worker
+        return values
+
+    return _tail_draw(spec, 3), evaluator
 
 
-def _joint_values_channel(spec: SweepSpec, rho: float, pair: int):
-    cfg = spec.config(rho)
-    means = _require_means(spec)
-    if spec.scheme is Scheme.MUCSA:
+def _joint_values_channel(spec: SweepSpec, pair: int):
+    def evaluator(rho):
+        cfg = spec.config(rho)
 
-        def worker(idx, start, size):
-            mch = draw_multiuser_chunk(means, spec.seed, idx, size)
-            return mucsa_pair_joint_success(cfg, mch, pair)
+        def values(ch):
+            if spec.scheme is Scheme.MUCSA:
+                return mucsa_pair_joint_success(cfg, ch, pair)
+            if spec.scheme is Scheme.NC:
+                return nc_joint_success(cfg, ch.g_pt, ch.g_pr)
+            if spec.scheme is Scheme.CSA:
+                return csa_joint_success(cfg, ch.g_pt, ch.g_pr, ch.g_tr)
+            return ocsa_joint_success(cfg, ch.g_pt, ch.g_pr, ch.g_tr)
 
-        return worker
+        return values
 
-    def worker(idx, start, size):
-        ch = draw_pair_chunk(means, spec.seed, idx, size)
-        if spec.scheme is Scheme.NC:
-            return nc_joint_success(cfg, ch.g_pt, ch.g_pr)
-        if spec.scheme is Scheme.CSA:
-            return csa_joint_success(cfg, ch.g_pt, ch.g_pr, ch.g_tr)
-        return ocsa_joint_success(cfg, ch.g_pt, ch.g_pr, ch.g_tr)
-
-    return worker
+    return _gain_draw(spec), evaluator
 
 
 # ---------------------------------------------------------------------------
@@ -298,22 +321,22 @@ def _joint_values_channel(spec: SweepSpec, rho: float, pair: int):
 # ---------------------------------------------------------------------------
 
 
-def _run_sweep(spec: SweepSpec, make_worker) -> SweepResult:
-    est = np.empty(len(spec.rho_db))
-    se = np.empty(len(spec.rho_db))
-    for i, rho_db in enumerate(spec.rho_db):
-        worker = make_worker(db_to_linear(rho_db))
-        mean, err, _n = parallel_chunk_stats(
-            worker, spec.n_trials, spec.chunk, spec.threads
-        )
-        est[i] = mean
-        se[i] = err
+def _run_sweep(spec: SweepSpec, draw, evaluator) -> SweepResult:
+    """Chunks outside, grid points inside: each chunk is drawn once and
+    evaluated at every rho, and each point is reduced in chunk order."""
+    evals = [evaluator(db_to_linear(rho_db)) for rho_db in spec.rho_db]
+
+    def worker(idx, start, size):
+        sample = draw(idx, size)
+        return (values(sample) for values in evals)
+
+    stats = parallel_grid_stats(worker, spec.n_trials, spec.chunk, spec.threads)
     return SweepResult(
         scheme=spec.scheme,
         mode=spec.mode,
         rho_db=np.asarray(spec.rho_db, dtype=float),
-        estimate=est,
-        std_error=se,
+        estimate=np.array([mean for mean, _se, _n in stats]),
+        std_error=np.array([se for _mean, se, _n in stats]),
         n_trials=spec.n_trials,
     )
 
@@ -325,13 +348,8 @@ def estimate_miss_curve(spec: SweepSpec, side: str = "t",
     ``side`` picks the node for the pair schemes ('t' or 'r'); ``user``
     picks the node for the multiuser scheme.
     """
-    if spec.mode == "channel":
-        return _run_sweep(
-            spec, lambda rho: _miss_values_channel(spec, rho, side, user)
-        )
-    return _run_sweep(
-        spec, lambda rho: _miss_values_tail(spec, rho, side, user)
-    )
+    factory = _miss_values_channel if spec.mode == "channel" else _miss_values_tail
+    return _run_sweep(spec, *factory(spec, side, user))
 
 
 def estimate_joint_success_curve(spec: SweepSpec, pair: int = 0) -> SweepResult:
@@ -345,7 +363,7 @@ def estimate_joint_success_curve(spec: SweepSpec, pair: int = 0) -> SweepResult:
         raise ValueError(
             "estimate_joint_success_curve supports channel mode only"
         )
-    return _run_sweep(spec, lambda rho: _joint_values_channel(spec, rho, pair))
+    return _run_sweep(spec, *_joint_values_channel(spec, pair))
 
 
 def estimate_diversity(spec: SweepSpec, side: str = "t",

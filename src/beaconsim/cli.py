@@ -12,10 +12,10 @@ with '#').  Values are parsed as Python literals where possible (numbers,
 quoted strings, lists); anything else is kept as a plain string.  The
 --set flag overrides single keys after the file is read.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric error during
-estimation, 4 input/output error.  Output is deterministic: the same
-configuration and seed produce byte-identical files regardless of thread
-count.
+Exit codes: 0 success, 2 configuration error, 3 numeric error or out of
+memory during estimation, 4 input/output error.  Output is deterministic:
+the same configuration and seed produce byte-identical files regardless of
+thread count.
 """
 
 from __future__ import annotations
@@ -294,7 +294,11 @@ def get_side(conf: Conf) -> str:
 
 
 def get_index(conf: Conf, key: str, count: int) -> int:
-    """multiuser.<key> (default 0), checked to lie in [0, count)."""
+    """multiuser.<key> (default 0), checked to lie in [0, count); a kind
+    reads "user" or "pair", never both, so the other key is refused."""
+    other = "pair" if key == "user" else "user"
+    if conf.has("multiuser", other):
+        raise ConfigError(f"multiuser.{other} is not read by this kind")
     value = conf.get_int("multiuser", key, default=0)
     if not 0 <= value < count:
         raise ConfigError(f"multiuser.{key} must lie in [0, {count - 1}]")
@@ -332,10 +336,9 @@ def run_joint_sweep(conf: Conf, threads: int):
     spec = build_sweep_spec(conf, scheme, threads)
     if spec.mode != "channel":
         raise ConfigError("joint-sweep supports sweep.mode = 'channel' only")
+    pair = 0
     if scheme is Scheme.MUCSA:
         pair = get_index(conf, "pair", spec.means.n_users // 2)
-    else:
-        pair = conf.get_int("multiuser", "pair", default=0)
     res = estimate_joint_success_curve(spec, pair=pair)
     return _curve_rows(res), {"scheme": scheme.value, "mode": spec.mode}
 
@@ -643,6 +646,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, ArithmeticError) as exc:
         print(f"beaconsim: numeric error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"beaconsim: out of memory: {exc}", file=sys.stderr)
         return 3
 
     meta = {

@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["CHUNK", "substream", "chunk_ranges", "parallel_chunk_stats",
-           "parallel_chunk_arrays"]
+__all__ = ["CHUNK", "substream", "chunk_ranges", "parallel_grid_stats",
+           "parallel_chunk_stats", "parallel_chunk_arrays"]
 
 # fixed chunk size; part of the stream layout, so changing it changes results
 CHUNK = 1_000_000
@@ -60,34 +60,48 @@ def _run_chunks(worker: Callable, ranges: Sequence[tuple[int, int, int]],
         return [f.result() for f in futures]
 
 
-def parallel_chunk_stats(worker: Callable[[int, int, int], np.ndarray],
-                         n: int, chunk: int | None = None, threads: int = 1):
-    """Mean and standard error of per-trial values produced chunk by chunk.
+def parallel_grid_stats(worker: Callable[[int, int, int], Iterable], n: int,
+                        chunk: int | None = None, threads: int = 1) -> list:
+    """Mean and standard error of per-trial values at each grid point.
 
-    worker(chunk_index, start, size) returns an array of shape (size,) or
-    (size, width). Per-chunk sums are combined with math.fsum in chunk order,
-    which keeps the reduction exact and independent of the thread count.
+    worker(chunk_index, start, size) yields one array of shape (size,) or
+    (size, width) per grid point, in grid order, so a chunk drawn once serves
+    every point. Each array is reduced to its sum and sum of squares as soon
+    as it is yielded. Per point, the chunk sums are combined with math.fsum
+    in chunk order, which keeps the reduction exact and independent of the
+    thread count. Returns one (mean, std_error, n) triple per point.
     """
     ranges = chunk_ranges(n, chunk)
 
     def stats(chunk_idx: int, start: int, size: int):
-        vals = np.asarray(worker(chunk_idx, start, size), dtype=float)
-        if vals.shape[0] != size:
-            raise ValueError("parallel_chunk_stats: worker returned wrong length")
-        return (np.sum(vals, axis=0), np.sum(vals * vals, axis=0))
+        out = []
+        for vals in worker(chunk_idx, start, size):
+            vals = np.asarray(vals, dtype=float)
+            if vals.shape[0] != size:
+                raise ValueError("parallel_grid_stats: worker returned wrong length")
+            out.append((np.sum(vals, axis=0), np.sum(vals * vals, axis=0)))
+            del vals  # free this point's values before the next is computed
+        return out
 
-    parts = _run_chunks(stats, ranges, threads)
-    width = np.ndim(parts[0][0]) and len(parts[0][0])
-    if width:
-        total = np.array([math.fsum(p[0][j] for p in parts) for j in range(width)])
-        total_sq = np.array([math.fsum(p[1][j] for p in parts) for j in range(width)])
-    else:
-        total = math.fsum(float(p[0]) for p in parts)
-        total_sq = math.fsum(float(p[1]) for p in parts)
-    mean = total / n
-    var = np.maximum(total_sq / n - mean * mean, 0.0)
-    se = np.sqrt(var / n)
-    return mean, se, n
+    results = []
+    for parts in zip(*_run_chunks(stats, ranges, threads), strict=True):
+        width = np.ndim(parts[0][0]) and len(parts[0][0])
+        if width:
+            total = np.array([math.fsum(p[0][j] for p in parts) for j in range(width)])
+            total_sq = np.array([math.fsum(p[1][j] for p in parts) for j in range(width)])
+        else:
+            total = math.fsum(float(p[0]) for p in parts)
+            total_sq = math.fsum(float(p[1]) for p in parts)
+        mean = total / n
+        var = np.maximum(total_sq / n - mean * mean, 0.0)
+        results.append((mean, np.sqrt(var / n), n))
+    return results
+
+
+def parallel_chunk_stats(worker: Callable[[int, int, int], np.ndarray],
+                         n: int, chunk: int | None = None, threads: int = 1):
+    """(mean, std_error, n) of per-trial values: one-point parallel_grid_stats."""
+    return parallel_grid_stats(lambda *r: (worker(*r),), n, chunk, threads)[0]
 
 
 def parallel_chunk_arrays(worker: Callable[[int, int, int], np.ndarray],

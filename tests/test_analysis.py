@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from beaconsim import analysis
+from beaconsim import analysis, channel
 from beaconsim.channel import MeanGains, MultiuserMeans
 from beaconsim.fadeprob import exp_q_mean
 from beaconsim.analysis import (
@@ -238,6 +238,40 @@ class TestMultiuserTailCost:
                          chunk=100)
         estimate_miss_curve(spec)
         assert len(calls) == 2 * (2 * m_pairs - 1)
+
+
+class TestChunkOuterSweep:
+    @pytest.mark.parametrize("mode, scheme, estimator", [
+        ("tail", Scheme.NC, estimate_miss_curve),
+        ("tail", Scheme.OCSA, estimate_miss_curve),
+        ("tail", Scheme.MUCSA, estimate_miss_curve),
+        ("channel", Scheme.CSA, estimate_miss_curve),
+        ("channel", Scheme.MUCSA, estimate_miss_curve),
+        ("channel", Scheme.OCSA, estimate_joint_success_curve),
+        ("channel", Scheme.MUCSA, estimate_joint_success_curve),
+    ], ids=["tail-nc", "tail-ocsa", "tail-mucsa", "channel-csa",
+            "channel-mucsa", "joint-ocsa", "joint-mucsa"])
+    def test_one_substream_per_chunk(self, monkeypatch, mode, scheme,
+                                     estimator):
+        # P grid points over C chunks open C threshold or gain substreams,
+        # not C x P: draws do not depend on rho
+        module = analysis if mode == "tail" else channel
+        opened = []
+        orig = module.substream
+
+        def counted(*key):
+            opened.append(key)
+            return orig(*key)
+
+        monkeypatch.setattr(module, "substream", counted)
+        means = (MultiuserMeans.uniform(2, 1.0, 1.5)
+                 if scheme is Scheme.MUCSA else MEANS)
+        spec = SweepSpec(scheme=scheme, means=means,
+                         rho_db=(0.0, 10.0, 20.0), n_trials=400, seed=5,
+                         mode=mode, chunk=100)
+        res = estimator(spec)
+        assert res.estimate.shape == (3,)
+        assert sorted(key[-1] for key in opened) == [0, 1, 2, 3]
 
 
 class TestDeterminism:

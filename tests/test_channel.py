@@ -137,6 +137,48 @@ class TestChunkStats:
         assert mean.shape == (2,)
         assert mean[1] == pytest.approx(2 * mean[0], rel=1e-12)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("width", [None, 2])
+    def test_grid_equals_per_point(self, threads, width):
+        # one chunk draw serves three grid points; each point must reduce
+        # exactly as a one-point call on the same values would
+        scales = (1.0, 0.5, 3.0)
+
+        def draw(chunk_idx, size):
+            x = substream(11, 1, chunk_idx).exponential(1.0, size)
+            return x if width is None else np.stack([x, x * x], axis=1)
+
+        def grid_worker(chunk_idx, start, size):
+            x = draw(chunk_idx, size)
+            return (c * x for c in scales)
+
+        grid = mc.parallel_grid_stats(grid_worker, 30_000, 4096, threads)
+        assert len(grid) == len(scales)
+        for c, (mean, se, n) in zip(scales, grid):
+            ref = parallel_chunk_stats(
+                lambda i, start, size: c * draw(i, size), 30_000, 4096, threads)
+            np.testing.assert_array_equal(mean, ref[0])
+            np.testing.assert_array_equal(se, ref[1])
+            assert n == ref[2] == 30_000
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="wrong length"):
+            parallel_chunk_stats(lambda i, start, size: np.zeros(size + 1),
+                                 n=1000, chunk=300)
+        with pytest.raises(ValueError, match="wrong length"):
+            mc.parallel_grid_stats(
+                lambda i, start, size: (np.zeros(size), np.zeros(size - 1)),
+                n=1000, chunk=300)
+
+    def test_grid_points_must_agree(self):
+        # a chunk that yields fewer points than the others is an error, not
+        # a silently shorter grid
+        def worker(chunk_idx, start, size):
+            return (np.zeros(size) for _ in range(3 if chunk_idx else 2))
+
+        with pytest.raises(ValueError):
+            mc.parallel_grid_stats(worker, n=1000, chunk=300)
+
 
 class _InlinePool:
     """Stand-in for ThreadPoolExecutor: records max_workers, runs inline."""

@@ -16,6 +16,7 @@ import sys
 import numpy as np
 import pytest
 
+from beaconsim import cli
 from beaconsim.analysis import SweepSpec, estimate_miss_curve
 from beaconsim.channel import MeanGains
 from beaconsim.protocols import Scheme
@@ -260,6 +261,34 @@ t_c = 10.0
                        config_text=_MULTIUSER_CONFIG, tmp_path=tmp_path)
         assert proc.returncode == 2, proc.stderr
         assert b"multiuser.m_pairs must be <= 6" in proc.stderr
+
+    @pytest.mark.parametrize("kind, key, cfg", [
+        ("multiuser", "pair", _MULTIUSER_CONFIG),
+        ("miss-sweep", "pair", _MULTIUSER_CONFIG),
+        ("diversity", "pair", _MULTIUSER_CONFIG),
+        ("joint-sweep", "user",
+         _MULTIUSER_CONFIG.replace('mode = "tail"', 'mode = "channel"')),
+    ], ids=["multiuser-pair", "miss-mucsa-pair", "diversity-mucsa-pair",
+            "joint-mucsa-user"])
+    def test_index_key_the_kind_never_reads(self, tmp_path, kind, key, cfg):
+        proc = run_cli(kind, "--set", "protocol.scheme='mucsa'",
+                       "--set", f"multiuser.{key}=0",
+                       config_text=cfg, tmp_path=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert f"multiuser.{key} is not read".encode() in proc.stderr
+
+    def test_out_of_memory(self, tmp_path, monkeypatch, capsys):
+        # the runner raises instead of allocating, so nothing is exhausted
+        def exhausted(conf, threads):
+            raise MemoryError("cannot allocate 8 EiB")
+
+        monkeypatch.setitem(cli.KINDS, "miss-sweep",
+                            (exhausted, cli.KINDS["miss-sweep"][1]))
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(BASE_CONFIG)
+        assert cli.main(["miss-sweep", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err == "beaconsim: out of memory: cannot allocate 8 EiB\n"
 
     def test_bad_value_type(self, tmp_path):
         cfg = BASE_CONFIG.replace("n_trials = 20000", "n_trials = \"many\"")
