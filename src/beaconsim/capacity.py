@@ -28,11 +28,13 @@ import numpy as np
 
 from .channel import MeanGains, compute_metrics, draw_pair_chunk, perturb_metrics
 from .fadeprob import abs_diff_q_mean
-from .mc import (
+# parallel_chunk_stats is unused but stays bound: perfbench hooks it here
+from .mc import (  # noqa: F401
     TAG_METRIC_NOISE,
     TAG_STATUS,
     parallel_chunk_arrays,
     parallel_chunk_stats,
+    parallel_grid_stats,
     substream,
 )
 from .protocols import (
@@ -162,22 +164,54 @@ def capacity_lower(p_t, p_joint, power, coherence_time):
 # ---------------------------------------------------------------------------
 
 
-def _capacity_worker(scheme: Scheme, means: MeanGains, activity: ActivityModel,
-                     rho: float, t_c: float, seed: int, d1: int, d2: int,
-                     sigma2: float):
+def _grid(*params):
+    """(broadcast shape, each parameter as a flat C-order list of floats)."""
+    cells = np.broadcast_arrays(*(np.asarray(p, dtype=float) for p in params))
+    return cells[0].shape, [c.ravel().tolist() for c in cells]
+
+
+def _grid_stats(shape, worker, n, chunk, threads):
+    """Mean and se arrays (grid shape + value shape) of a C-order worker."""
+    stats = parallel_grid_stats(worker, n, chunk, threads)
+    mean, se = (np.array([cell[k] for cell in stats]) for k in (0, 1))
+    return mean.reshape(shape + mean.shape[1:]), se.reshape(shape + se.shape[1:])
+
+
+def _out(values):
+    """A scalar grid's value as a float, any other grid's as its array."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def _noise_cells(s2s, metrics, seed: int, idx: int):
+    """Per cell, chunk idx's metrics plus N(0, sigma2) noise, drawn again
+    only where sigma2 differs from the previous cell's; None stays None."""
+    level = noisy = None
+    for s2 in s2s:
+        if metrics is not None and s2 != level:
+            level = s2
+            noisy = metrics if level == 0 else perturb_metrics(
+                metrics, level, substream(seed, TAG_METRIC_NOISE, idx))
+        yield noisy
+
+
+def _bound_cells(scheme: Scheme, means: MeanGains, activity: ActivityModel,
+                 rho, t_c: float, seed: int, d1: int, d2: int, sigma2):
+    """(grid shape, worker yielding per-trial (upper, lower) bounds for each
+    rho x sigma2 cell in C order)."""
     scheme = Scheme(scheme)
     if scheme is Scheme.MUCSA:
         raise ValueError(
             "capacity estimation covers the single-pair schemes only"
         )
-    if sigma2 < 0:
+    shape, (rhos, s2s) = _grid(rho, sigma2)
+    if min(s2s) < 0:
         raise ValueError("sigma2 must be nonnegative")
     if not isinstance(means, MeanGains):
         raise TypeError("means must be a MeanGains instance")
-    cfg = ProtocolConfig(rho=rho, d1=d1, d2=d2)
+    cfgs = [ProtocolConfig(rho=r, d1=d1, d2=d2) for r in rhos]
 
-    def worker(idx: int, start: int, size: int) -> np.ndarray:
-        ch = draw_pair_chunk(means, seed, idx, size)
+    # one cell per call, so its temporaries are freed before the next cell
+    def bounds(ch, cfg: ProtocolConfig, metrics) -> np.ndarray:
         g_pt, g_pr, g_tr = ch.g_pt, ch.g_pr, ch.g_tr
         if scheme is Scheme.NC:
             miss_t = nc_conditional_miss(cfg, g_pt)
@@ -186,64 +220,73 @@ def _capacity_worker(scheme: Scheme, means: MeanGains, activity: ActivityModel,
             miss_t = csa_conditional_miss(cfg, g_pt, g_pr, g_tr)
             joint = csa_joint_success(cfg, g_pt, g_pr, g_tr)
         else:
-            # only the opportunistic rule reads the (noisy) metrics
-            metrics = compute_metrics(ch)
-            if sigma2 > 0:
-                noise_rng = substream(seed, TAG_METRIC_NOISE, idx)
-                metrics = perturb_metrics(metrics, sigma2, noise_rng)
             miss_t = ocsa_conditional_miss(
                 cfg, g_pt, g_pr, g_tr,
                 metrics=(metrics.t_p, metrics.t_t, metrics.t_r),
             )
             joint = ocsa_joint_success(cfg, g_pt, g_pr, g_tr, metrics=metrics)
         p_t, p_joint = state_probs(activity, miss_t, joint)
-        power = rho * g_tr
+        power = cfg.rho * g_tr
         upper = capacity_upper(p_joint, power)
         lower = capacity_lower(p_t, p_joint, power, t_c)
         return np.stack([upper, lower], axis=1)
 
-    return worker
+    def worker(idx: int, start: int, size: int):
+        ch = draw_pair_chunk(means, seed, idx, size)
+        # only the opportunistic rule reads the (noisy) metrics
+        clean = compute_metrics(ch) if scheme is Scheme.OCSA else None
+        noise = _noise_cells(s2s, clean, seed, idx)
+        return (bounds(ch, cfg, metrics) for cfg, metrics in zip(cfgs, noise))
+
+    return shape, worker
 
 
 def capacity_draws(scheme: Scheme, means: MeanGains, activity: ActivityModel,
                    rho: float, t_c: float, n: int, seed: int,
                    d1: int = 1, d2: int = 1, sigma2: float = 0.0,
                    threads: int = 1, chunk: int | None = None):
-    """Per-realization (upper, lower) capacity bound arrays."""
-    worker = _capacity_worker(scheme, means, activity, rho, t_c, seed,
-                              d1, d2, sigma2)
-    vals = parallel_chunk_arrays(worker, n, chunk, threads)
+    """Per-realization (upper, lower) capacity bound arrays at one rho."""
+    shape, cells = _bound_cells(scheme, means, activity, rho, t_c, seed,
+                                d1, d2, sigma2)
+    if shape:
+        raise ValueError("capacity_draws: rho and sigma2 must be scalars")
+    vals = parallel_chunk_arrays(lambda *r: next(cells(*r)), n, chunk, threads)
     return vals[:, 0], vals[:, 1]
 
 
 def imperfect_capacity(scheme: Scheme, means: MeanGains,
-                       activity: ActivityModel, rho: float, t_c: float,
-                       n: int, seed: int, sigma2: float,
+                       activity: ActivityModel, rho, t_c: float,
+                       n: int, seed: int, sigma2,
                        d1: int = 1, d2: int = 1, threads: int = 1,
                        chunk: int | None = None) -> CapacityEstimate:
     """Ergodic capacity bounds with noisy relay-selection metrics.
 
-    Noise draws come from a dedicated substream, so sigma2 = 0 reproduces
-    the noiseless estimate bit for bit.
+    rho and sigma2 broadcast: scalars give float fields, arrays give arrays.
+    Each chunk is drawn once for the whole grid (with sigma2 on the leading
+    axis, each noise level too) and each cell is reduced in chunk order, so
+    its value does not depend on the grid.  Noise draws come from a
+    dedicated substream, so sigma2 = 0 reproduces the noiseless estimate
+    bit for bit.
     """
-    worker = _capacity_worker(scheme, means, activity, rho, t_c, seed,
-                              d1, d2, sigma2)
-    mean, se, n_done = parallel_chunk_stats(worker, n, chunk, threads)
+    mean, se = _grid_stats(
+        *_bound_cells(scheme, means, activity, rho, t_c, seed, d1, d2, sigma2),
+        n, chunk, threads)
     return CapacityEstimate(
-        upper_mean=float(mean[0]),
-        upper_se=float(se[0]),
-        lower_mean=float(mean[1]),
-        lower_se=float(se[1]),
-        n_trials=n_done,
+        upper_mean=_out(mean[..., 0]),
+        upper_se=_out(se[..., 0]),
+        lower_mean=_out(mean[..., 1]),
+        lower_se=_out(se[..., 1]),
+        n_trials=n,
     )
 
 
 def ergodic_capacity(scheme: Scheme, means: MeanGains,
-                     activity: ActivityModel, rho: float, t_c: float,
+                     activity: ActivityModel, rho, t_c: float,
                      n: int, seed: int, d1: int = 1, d2: int = 1,
                      threads: int = 1,
                      chunk: int | None = None) -> CapacityEstimate:
-    """Ergodic capacity bounds with perfect metric knowledge."""
+    """Ergodic capacity bounds with perfect metric knowledge; rho may be an
+    array, as in imperfect_capacity."""
     return imperfect_capacity(scheme, means, activity, rho, t_c, n, seed,
                               sigma2=0.0, d1=d1, d2=d2, threads=threads,
                               chunk=chunk)
@@ -281,9 +324,10 @@ def outage_capacity(scheme: Scheme, means: MeanGains,
 
 
 def relative_capacity_loss(base: CapacityEstimate,
-                           degraded: CapacityEstimate) -> float:
-    """Relative drop of the upper-bound mean caused by estimation noise."""
-    if base.upper_mean <= 0:
+                           degraded: CapacityEstimate):
+    """Relative drop of the upper-bound mean caused by estimation noise;
+    array fields broadcast."""
+    if np.any(np.asarray(base.upper_mean) <= 0):
         raise ValueError("relative_capacity_loss: base estimate must be positive")
     return (base.upper_mean - degraded.upper_mean) / base.upper_mean
 
@@ -293,15 +337,14 @@ def relative_capacity_loss(base: CapacityEstimate,
 # ---------------------------------------------------------------------------
 
 
-def _phase1_draw(cfg: ProtocolConfig, means: MeanGains, seed: int, idx: int,
-                 size: int):
-    """Selection metrics and sampled first-phase outcomes of one chunk:
-    (metrics, transmitter side detected, receiver side detected)."""
+def _phase1_draw(cfgs, means: MeanGains, seed: int, idx: int, size: int):
+    """Selection metrics of one chunk, and per cfg its sampled first-phase
+    outcomes (transmitter side detected, receiver side detected)."""
     ch = draw_pair_chunk(means, seed, idx, size)
     u = substream(seed, TAG_STATUS, idx).random((size, 2))
-    t_ok = u[:, 0] < 1.0 - phase1_failure(cfg, ch.g_pt)
-    r_ok = u[:, 1] < 1.0 - phase1_failure(cfg, ch.g_pr)
-    return compute_metrics(ch), t_ok, r_ok
+    return compute_metrics(ch), ((u[:, 0] < 1.0 - phase1_failure(cfg, ch.g_pt),
+                                  u[:, 1] < 1.0 - phase1_failure(cfg, ch.g_pr))
+                                 for cfg in cfgs)
 
 
 def wrong_relay_bound(sigma2: float, means: MeanGains) -> float:
@@ -322,33 +365,34 @@ def wrong_relay_bound(sigma2: float, means: MeanGains) -> float:
     ) / 3.0
 
 
-def wrong_relay_probability_mc(sigma2: float, means: MeanGains, rho: float,
+def wrong_relay_probability_mc(sigma2, means: MeanGains, rho,
                                n: int, seed: int, d1: int = 1, d2: int = 1,
                                threads: int = 1,
-                               chunk: int | None = None) -> tuple[float, float]:
+                               chunk: int | None = None) -> tuple:
     """Monte Carlo probability that metric noise changes the relay choice
     in a status where the choice affects the outcome.
 
     The outcome-relevant statuses are those with exactly one successful
     secondary node: with both successful nothing remains to recover, and
     with both failed the primary transmits regardless.  Returns (estimate,
-    standard error).
+    standard error).  sigma2 and rho broadcast as in imperfect_capacity,
+    whose draw-once rules hold here too.
     """
-    if sigma2 < 0:
+    shape, (s2s, rhos) = _grid(sigma2, rho)
+    if min(s2s) < 0:
         raise ValueError("wrong_relay_probability_mc: sigma2 must be nonnegative")
-    cfg = ProtocolConfig(rho=rho, d1=d1, d2=d2)
+    cfgs = [ProtocolConfig(rho=r, d1=d1, d2=d2) for r in rhos]
 
-    def worker(idx: int, start: int, size: int) -> np.ndarray:
-        metrics, t_ok, r_ok = _phase1_draw(cfg, means, seed, idx, size)
-        sel_true = ocsa_select_relay(metrics, t_ok, r_ok)
-        noise_rng = substream(seed, TAG_METRIC_NOISE, idx)
-        noisy = perturb_metrics(metrics, sigma2, noise_rng)
-        sel_noisy = ocsa_select_relay(noisy, t_ok, r_ok)
-        event = (sel_true != sel_noisy) & (t_ok != r_ok)
-        return event.astype(float)
+    def worker(idx: int, start: int, size: int):
+        metrics, outcomes = _phase1_draw(cfgs, means, seed, idx, size)
+        noise = _noise_cells(s2s, metrics, seed, idx)
+        for (t_ok, r_ok), noisy in zip(outcomes, noise):
+            sel_true = ocsa_select_relay(metrics, t_ok, r_ok)
+            sel_noisy = ocsa_select_relay(noisy, t_ok, r_ok)
+            yield ((sel_true != sel_noisy) & (t_ok != r_ok)).astype(float)
 
-    mean, se, _ = parallel_chunk_stats(worker, n, chunk, threads)
-    return float(mean), float(se)
+    mean, se = _grid_stats(shape, worker, n, chunk, threads)
+    return _out(mean), _out(se)
 
 
 # ---------------------------------------------------------------------------
@@ -418,24 +462,28 @@ def throughput_loss_bound(ov: OverheadParams) -> float:
     return w1 / (1.0 + w1) + (1.0 + w1) * math.expm1(w2 / (1.0 + w1))
 
 
-def throughput_loss_mc(ov: OverheadParams, means: MeanGains, rho: float,
+def throughput_loss_mc(ov, means: MeanGains, rho: float,
                        n: int, seed: int, d1: int = 1, d2: int = 1,
                        threads: int = 1,
-                       chunk: int | None = None) -> tuple[float, float]:
+                       chunk: int | None = None) -> tuple:
     """Monte Carlo mean of the per-frame relative throughput loss.
 
     Each trial samples channel gains and first-phase outcomes, runs the
     relay selection, and charges the beaconing overhead against the
-    selected relay's metric.  Returns (estimate, standard error).
+    selected relay's metric.  Returns (estimate, standard error), as floats
+    for one OverheadParams ov and as arrays for an array-like of them, whose
+    cells share each chunk's draws and relay selection.
     """
+    ovs = np.asarray(ov, dtype=object)
+    cells = ovs.ravel().tolist()
     cfg = ProtocolConfig(rho=rho, d1=d1, d2=d2)
 
-    def worker(idx: int, start: int, size: int) -> np.ndarray:
-        metrics, t_ok, r_ok = _phase1_draw(cfg, means, seed, idx, size)
-        sel = ocsa_select_relay(metrics, t_ok, r_ok)
+    def worker(idx: int, start: int, size: int):
+        metrics, outcomes = _phase1_draw([cfg], means, seed, idx, size)
+        sel = ocsa_select_relay(metrics, *next(outcomes))
         t_i = np.where(sel == 1, metrics.t_t,
                        np.where(sel == 2, metrics.t_r, metrics.t_p))
-        return 1.0 - _frame_share(ov, t_i)
+        return (1.0 - _frame_share(o, t_i) for o in cells)
 
-    mean, se, _ = parallel_chunk_stats(worker, n, chunk, threads)
-    return float(mean), float(se)
+    mean, se = _grid_stats(ovs.shape, worker, n, chunk, threads)
+    return _out(mean), _out(se)

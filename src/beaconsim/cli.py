@@ -27,6 +27,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .analysis import (
 )
 from .capacity import (
     ActivityModel,
+    CapacityEstimate,
     OverheadParams,
     ergodic_capacity,
     imperfect_capacity,
@@ -63,15 +65,6 @@ class ConfigError(Exception):
 # Configuration loading
 # ---------------------------------------------------------------------------
 
-SECTION_KEYS = {
-    "run": ("seed", "n_trials", "chunk"),
-    "channel": ("pt", "pr", "tr"),
-    "protocol": ("scheme", "d", "alpha", "d1", "d2"),
-    "sweep": ("rho_db", "mode", "side"),
-    "multiuser": ("m_pairs", "primary", "inter", "user", "pair"),
-    "capacity": ("p_theta_t", "p_theta_joint", "t_c", "epsilons", "sigma2"),
-    "throughput": ("t_cr", "w1", "w2"),
-}
 # Keys with a fixed set of values, checked for every kind that accepts the
 # section, including kinds that ignore the key.
 _KEY_VALUES = {
@@ -117,14 +110,20 @@ def apply_overrides(data: dict, overrides: list[str]) -> None:
 
 
 def check_schema(kind: str, data: dict) -> None:
-    sections = KINDS[kind][1]
-    for (section, key), value in data.items():
-        if section not in sections:
-            raise ConfigError(f"unknown section [{section}] for kind {kind}")
-        if key not in SECTION_KEYS[section]:
+    reads = KINDS[kind][1]
+    scheme = data.get(("protocol", "scheme"))
+    if "channel" in reads and "multiuser" in reads and scheme in list(Scheme):
+        # mucsa reads [multiuser], every pair scheme [channel]: refuse the
+        # other section rather than accept keys that are never checked
+        unread = "channel" if scheme == "mucsa" else "multiuser"
+        if any(section == unread for section, _key in data):
             raise ConfigError(
-                f"unknown key {section}.{key} for kind {kind}"
-            )
+                f"section [{unread}] is not read by scheme {scheme}")
+    for (section, key), value in data.items():
+        if section not in reads:
+            raise ConfigError(f"unknown section [{section}] for kind {kind}")
+        if key not in reads[section]:
+            raise ConfigError(f"{section}.{key} is not read by kind {kind}")
         allowed = _KEY_VALUES.get((section, key))
         if allowed and value not in allowed:
             raise ConfigError(f"{section}.{key} must be "
@@ -140,52 +139,42 @@ class Conf:
     def has(self, section: str, key: str) -> bool:
         return (section, key) in self.data
 
-    def _get(self, section, key, default, required):
-        if (section, key) in self.data:
-            return self.data[(section, key)]
-        if required:
-            raise ConfigError(f"missing required key {section}.{key}")
-        return default
+    def _get(self, section, key, default, required, valid, what):
+        """The value (checked by valid), or default when the key is absent."""
+        if (section, key) not in self.data:
+            if required:
+                raise ConfigError(f"missing required key {section}.{key}")
+            return default
+        v = self.data[(section, key)]
+        if not valid(v):
+            raise ConfigError(f"{section}.{key} must be {what}, got {v!r}")
+        return v
 
     def get_int(self, section, key, default=None, required=False):
-        v = self._get(section, key, default, required)
-        if v is None:
-            return None
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigError(f"{section}.{key} must be an integer, got {v!r}")
-        return v
+        return self._get(section, key, default, required,
+                         lambda v: _is_number(v) and isinstance(v, int),
+                         "an integer")
 
     def get_float(self, section, key, default=None, required=False):
-        v = self._get(section, key, default, required)
-        if v is None:
-            return None
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{section}.{key} must be a number, got {v!r}")
-        return float(v)
+        v = self._get(section, key, default, required, _is_number, "a number")
+        return None if v is None else float(v)
 
     def get_str(self, section, key, default=None, required=False):
-        v = self._get(section, key, default, required)
-        if v is None:
-            return None
-        if not isinstance(v, str):
-            raise ConfigError(f"{section}.{key} must be a string, got {v!r}")
-        return v
+        return self._get(section, key, default, required,
+                         lambda v: isinstance(v, str), "a string")
 
     def get_numlist(self, section, key, default=None, required=False):
-        v = self._get(section, key, default, required)
+        v = self._get(section, key, default, required, lambda v: _is_number(v)
+                      or (isinstance(v, (list, tuple)) and v
+                          and all(map(_is_number, v))),
+                      "a number or a nonempty list of numbers")
         if v is None:
             return None
-        if isinstance(v, bool):
-            raise ConfigError(f"{section}.{key} must be numeric, got {v!r}")
-        if isinstance(v, (int, float)):
-            return [float(v)]
-        if isinstance(v, (list, tuple)) and v and all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in v
-        ):
-            return [float(x) for x in v]
-        raise ConfigError(
-            f"{section}.{key} must be a number or a nonempty list of numbers"
-        )
+        return [float(x) for x in (v if isinstance(v, (list, tuple)) else [v])]
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _build(factory, *args, **kwargs):
@@ -225,27 +214,6 @@ def resolve_scheme(conf: Conf, default=None) -> Scheme:
     return _build(Scheme, raw)
 
 
-def build_pair_means(conf: Conf) -> MeanGains:
-    return _build(
-        MeanGains,
-        conf.get_float("channel", "pt", required=True),
-        conf.get_float("channel", "pr", required=True),
-        conf.get_float("channel", "tr", required=True),
-    )
-
-
-def build_multiuser_means(conf: Conf) -> MultiuserMeans:
-    m_pairs = conf.get_int("multiuser", "m_pairs", required=True)
-    if m_pairs > MAX_PAIRS:
-        raise ConfigError(f"multiuser.m_pairs must be <= {MAX_PAIRS}")
-    return _build(
-        MultiuserMeans.uniform,
-        m_pairs,
-        conf.get_float("multiuser", "primary", required=True),
-        conf.get_float("multiuser", "inter", required=True),
-    )
-
-
 def run_params(conf: Conf) -> tuple[int, int, int | None]:
     """The [run] section as (seed, n_trials, chunk); chunk may be None."""
     seed = conf.get_int("run", "seed", required=True)
@@ -262,16 +230,23 @@ def run_params(conf: Conf) -> tuple[int, int, int | None]:
 
 def build_sweep_spec(conf: Conf, scheme: Scheme, threads: int,
                      mode_default="channel") -> SweepSpec:
-    # mucsa reads [multiuser], every pair scheme [channel]: refuse the other
-    # section rather than accept keys that are never checked
-    unread = "channel" if scheme is Scheme.MUCSA else "multiuser"
-    if any(section == unread for section, _key in conf.data):
-        raise ConfigError(
-            f"section [{unread}] is not read by scheme {scheme.value}")
     if scheme is Scheme.MUCSA:
-        means = build_multiuser_means(conf)
+        m_pairs = conf.get_int("multiuser", "m_pairs", required=True)
+        if m_pairs > MAX_PAIRS:
+            raise ConfigError(f"multiuser.m_pairs must be <= {MAX_PAIRS}")
+        means = _build(
+            MultiuserMeans.uniform,
+            m_pairs,
+            conf.get_float("multiuser", "primary", required=True),
+            conf.get_float("multiuser", "inter", required=True),
+        )
     else:
-        means = build_pair_means(conf)
+        means = _build(
+            MeanGains,
+            conf.get_float("channel", "pt", required=True),
+            conf.get_float("channel", "pr", required=True),
+            conf.get_float("channel", "tr", required=True),
+        )
     d1, d2 = resolve_split(conf)
     seed, n_trials, chunk = run_params(conf)
     return _build(
@@ -294,11 +269,7 @@ def get_side(conf: Conf) -> str:
 
 
 def get_index(conf: Conf, key: str, count: int) -> int:
-    """multiuser.<key> (default 0), checked to lie in [0, count); a kind
-    reads "user" or "pair", never both, so the other key is refused."""
-    other = "pair" if key == "user" else "user"
-    if conf.has("multiuser", other):
-        raise ConfigError(f"multiuser.{other} is not read by this kind")
+    """multiuser.<key> (default 0), checked to lie in [0, count)."""
     value = conf.get_int("multiuser", key, default=0)
     if not 0 <= value < count:
         raise ConfigError(f"multiuser.{key} must lie in [0, {count - 1}]")
@@ -310,9 +281,10 @@ def get_index(conf: Conf, key: str, count: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _curve_rows(res) -> list[dict]:
-    return [{"rho_db": r, "estimate": e, "std_error": se}
-            for r, e, se in zip(res.rho_db, res.estimate, res.std_error)]
+def _rows(**columns) -> list[dict]:
+    """One row per cell of the broadcast columns, in C order."""
+    cols = np.broadcast_arrays(*columns.values())
+    return [dict(zip(columns, cell)) for cell in zip(*(c.ravel() for c in cols))]
 
 
 def _miss_curve(conf: Conf, threads: int, scheme: Scheme, side: str = "t"):
@@ -322,7 +294,9 @@ def _miss_curve(conf: Conf, threads: int, scheme: Scheme, side: str = "t"):
     if scheme is Scheme.MUCSA:
         user = get_index(conf, "user", spec.means.n_users)
     res = estimate_miss_curve(spec, side=side, user=user)
-    return _curve_rows(res), {"scheme": scheme.value, "mode": spec.mode}, user
+    rows = _rows(rho_db=res.rho_db, estimate=res.estimate,
+                 std_error=res.std_error)
+    return rows, {"scheme": scheme.value, "mode": spec.mode}, user
 
 
 def run_miss_sweep(conf: Conf, threads: int):
@@ -340,7 +314,9 @@ def run_joint_sweep(conf: Conf, threads: int):
     if scheme is Scheme.MUCSA:
         pair = get_index(conf, "pair", spec.means.n_users // 2)
     res = estimate_joint_success_curve(spec, pair=pair)
-    return _curve_rows(res), {"scheme": scheme.value, "mode": spec.mode}
+    rows = _rows(rho_db=res.rho_db, estimate=res.estimate,
+                 std_error=res.std_error)
+    return rows, {"scheme": scheme.value, "mode": spec.mode}
 
 
 def run_diversity(conf: Conf, threads: int):
@@ -350,22 +326,22 @@ def run_diversity(conf: Conf, threads: int):
     if scheme is Scheme.MUCSA:
         user = get_index(conf, "user", spec.means.n_users)
     fit = estimate_diversity(spec, side=get_side(conf), user=user)
-    rows = [{
-        "scheme": scheme.value,
-        "mode": spec.mode,
-        "order": fit.order,
-        "residual": fit.residual,
-        "n_points": len(spec.rho_db),
-    }]
+    rows = _rows(scheme=scheme.value, mode=spec.mode, order=fit.order,
+                 residual=fit.residual, n_points=len(spec.rho_db))
     return rows, {"scheme": scheme.value, "mode": spec.mode}
 
 
+def _mc_args(spec: SweepSpec) -> dict:
+    return dict(n=spec.n_trials, seed=spec.seed, d1=spec.d1, d2=spec.d2,
+                threads=spec.threads, chunk=spec.chunk)
+
+
 def _capacity_setup(conf: Conf, threads: int):
+    """The shared sections as a SweepSpec, and the estimators' kwargs."""
     scheme = resolve_scheme(conf)
     if scheme is Scheme.MUCSA:
         raise ConfigError("capacity kinds support nc, csa and ocsa only")
-    means = build_pair_means(conf)
-    d1, d2 = resolve_split(conf)
+    spec = build_sweep_spec(conf, scheme, threads)
     activity = _build(
         ActivityModel,
         conf.get_float("capacity", "p_theta_t", required=True),
@@ -374,137 +350,115 @@ def _capacity_setup(conf: Conf, threads: int):
     t_c = conf.get_float("capacity", "t_c", required=True)
     if t_c <= 0:
         raise ConfigError("capacity.t_c must be positive")
-    seed, n, chunk = run_params(conf)
-    common = dict(
-        means=means,
-        activity=activity,
-        t_c=t_c,
-        n=n,
-        seed=seed,
-        d1=d1,
-        d2=d2,
-        threads=threads,
-        chunk=chunk,
-    )
-    rho_db = conf.get_numlist("sweep", "rho_db", required=True)
-    return scheme, common, rho_db
+    if min(conf.get_numlist("capacity", "sigma2", default=[0.0])) < 0:
+        raise ConfigError("capacity.sigma2 must be nonnegative")
+    rho = np.array([db_to_linear(r) for r in spec.rho_db])
+    return spec, dict(means=spec.means, activity=activity, t_c=t_c, rho=rho,
+                      **_mc_args(spec))
 
 
 def run_capacity_ergodic(conf: Conf, threads: int):
-    scheme, common, rho_db = _capacity_setup(conf, threads)
-    rows = []
-    for rdb in rho_db:
-        est = ergodic_capacity(scheme, rho=db_to_linear(rdb), **common)
-        rows.append({
-            "rho_db": rdb,
-            "upper_mean": est.upper_mean, "upper_se": est.upper_se,
-            "lower_mean": est.lower_mean, "lower_se": est.lower_se,
-        })
-    return rows, {"scheme": scheme.value}
+    spec, common = _capacity_setup(conf, threads)
+    est = ergodic_capacity(spec.scheme, **common)
+    return _rows(rho_db=spec.rho_db,
+                 upper_mean=est.upper_mean, upper_se=est.upper_se,
+                 lower_mean=est.lower_mean, lower_se=est.lower_se), \
+        {"scheme": spec.scheme.value}
 
 
 def run_capacity_outage(conf: Conf, threads: int):
-    scheme, common, rho_db = _capacity_setup(conf, threads)
+    spec, common = _capacity_setup(conf, threads)
     epsilons = conf.get_numlist("capacity", "epsilons", required=True)
     for e in epsilons:
         if not 0.0 < e < 1.0:
             raise ConfigError("capacity.epsilons entries must lie in (0, 1)")
     sigma2 = conf.get_float("capacity", "sigma2", default=0.0)
     rows = []
-    for rdb in rho_db:
-        res = outage_capacity(scheme, rho=db_to_linear(rdb),
-                              epsilons=epsilons, sigma2=sigma2, **common)
-        for i, eps in enumerate(res.epsilons):
-            rows.append({
-                "rho_db": rdb,
-                "epsilon": eps,
-                "upper": res.upper[i],
-                "lower": res.lower[i],
-            })
-    return rows, {"scheme": scheme.value}
+    # one rho at a time: the outage order statistic holds all n draws
+    for rdb, rho in zip(spec.rho_db, common.pop("rho")):
+        res = outage_capacity(spec.scheme, rho=rho, epsilons=epsilons,
+                              sigma2=sigma2, **common)
+        rows += _rows(rho_db=rdb, epsilon=res.epsilons, upper=res.upper,
+                      lower=res.lower)
+    return rows, {"scheme": spec.scheme.value}
 
 
 def run_imperfect(conf: Conf, threads: int):
-    scheme, common, rho_db = _capacity_setup(conf, threads)
+    spec, common = _capacity_setup(conf, threads)
     sigma2s = conf.get_numlist("capacity", "sigma2", required=True)
-    for s2 in sigma2s:
-        if s2 < 0:
-            raise ConfigError("capacity.sigma2 entries must be nonnegative")
-    means = common["means"]
-    mc_kw = {k: common[k]
-             for k in ("means", "n", "seed", "d1", "d2", "threads", "chunk")}
-    rows = []
-    for rdb in rho_db:
-        rho = db_to_linear(rdb)
-        base = ergodic_capacity(scheme, rho=rho, **common)
-        for s2 in sigma2s:
-            est = (base if s2 == 0 else
-                   imperfect_capacity(scheme, rho=rho, sigma2=s2, **common))
-            mc, se = wrong_relay_probability_mc(s2, rho=rho, **mc_kw)
-            rows.append({
-                "rho_db": rdb,
-                "sigma2": s2,
-                "upper_mean": est.upper_mean, "upper_se": est.upper_se,
-                "lower_mean": est.lower_mean, "lower_se": est.lower_se,
-                "relative_upper_loss": relative_capacity_loss(base, est),
-                "wrong_relay_mc": mc,
-                "wrong_relay_se": se,
-                "wrong_relay_bound": wrong_relay_bound(s2, means),
-            })
-    return rows, {"scheme": scheme.value}
+    # one noise-level x rho grid, levels leading so each is drawn once per
+    # chunk; level 0, the noiseless baseline of the relative loss, is first
+    levels = np.unique([0.0, *sigma2s])
+    grid = imperfect_capacity(spec.scheme, sigma2=levels[:, None], **common)
+    base, est = (
+        CapacityEstimate(grid.upper_mean[c].T, grid.upper_se[c].T,
+                         grid.lower_mean[c].T, grid.lower_se[c].T, grid.n_trials)
+        for c in ([0], np.searchsorted(levels, sigma2s)))
+    mc, se = wrong_relay_probability_mc(np.array(sigma2s)[:, None],
+                                        rho=common["rho"], means=spec.means,
+                                        **_mc_args(spec))
+    rows = _rows(
+        rho_db=np.array(spec.rho_db)[:, None], sigma2=sigma2s,
+        upper_mean=est.upper_mean, upper_se=est.upper_se,
+        lower_mean=est.lower_mean, lower_se=est.lower_se,
+        relative_upper_loss=relative_capacity_loss(base, est),
+        wrong_relay_mc=mc.T, wrong_relay_se=se.T,
+        wrong_relay_bound=[wrong_relay_bound(s2, spec.means)
+                           for s2 in sigma2s])
+    return rows, {"scheme": spec.scheme.value}
 
 
 def run_throughput(conf: Conf, threads: int):
-    means = build_pair_means(conf)
-    d1, d2 = resolve_split(conf)
-    rho_db = conf.get_numlist("sweep", "rho_db", required=True)
-    if len(rho_db) != 1:
+    if resolve_scheme(conf, default="ocsa") is not Scheme.OCSA:
+        raise ConfigError("throughput supports protocol.scheme = 'ocsa' only")
+    spec = build_sweep_spec(conf, Scheme.OCSA, threads)
+    if len(spec.rho_db) != 1:
         raise ConfigError("throughput expects a single sweep.rho_db value")
-    rho = db_to_linear(rho_db[0])
     t_cr = conf.get_float("throughput", "t_cr", default=1.0)
     w1s = conf.get_numlist("throughput", "w1", required=True)
     w2s = conf.get_numlist("throughput", "w2", required=True)
-    seed, n, chunk = run_params(conf)
-    rows = []
-    for w1 in w1s:
-        for w2 in w2s:
-            ov = _build(OverheadParams, t_cr=t_cr, t_fb=w1 * t_cr,
-                        beta=w2 * t_cr * means.pt, lambda_pt=means.pt)
-            mc, se = throughput_loss_mc(ov, means, rho, n, seed,
-                                        d1=d1, d2=d2, threads=threads,
-                                        chunk=chunk)
-            rows.append({
-                "w1": ov.w1,
-                "w2": ov.w2,
-                "loss_mc": mc,
-                "loss_se": se,
-                "loss_bound": throughput_loss_bound(ov),
-            })
-    return rows, {"rho_db": rho_db[0]}
+    ovs = [_build(OverheadParams, t_cr=t_cr, t_fb=w1 * t_cr,
+                  beta=w2 * t_cr * spec.means.pt, lambda_pt=spec.means.pt)
+           for w1 in w1s for w2 in w2s]
+    mc, se = throughput_loss_mc(ovs, spec.means, db_to_linear(spec.rho_db[0]),
+                                **_mc_args(spec))
+    rows = _rows(w1=[ov.w1 for ov in ovs], w2=[ov.w2 for ov in ovs],
+                 loss_mc=mc, loss_se=se,
+                 loss_bound=[throughput_loss_bound(ov) for ov in ovs])
+    return rows, {"rho_db": spec.rho_db[0]}
 
 
 def run_multiuser(conf: Conf, threads: int):
-    if conf.has("protocol", "scheme"):
-        if resolve_scheme(conf) is not Scheme.MUCSA:
-            raise ConfigError("the multiuser kind requires scheme 'mucsa'")
+    if resolve_scheme(conf, default="mucsa") is not Scheme.MUCSA:
+        raise ConfigError("the multiuser kind requires scheme 'mucsa'")
     rows, meta, user = _miss_curve(conf, threads, Scheme.MUCSA)
     return rows, {**meta, "user": user}
 
 
-_SWEEP_SECTIONS = ("run", "channel", "protocol", "sweep", "multiuser")
-_CAPACITY_SECTIONS = ("run", "channel", "protocol", "sweep", "capacity")
+_COMMON = {
+    "run": ("seed", "n_trials", "chunk"),
+    "protocol": ("scheme", "d", "alpha", "d1", "d2"),
+    "sweep": ("rho_db", "mode", "side"),  # see _KEY_VALUES
+}
+_PAIR = {**_COMMON, "channel": ("pt", "pr", "tr")}
+_GAINS = ("m_pairs", "primary", "inter")
+_CAPACITY = ("p_theta_t", "p_theta_joint", "t_c")
 
-# kind -> (runner, config sections the kind accepts)
+# kind -> (runner, {section: keys the kind reads}); any other section or
+# key is a configuration error
 KINDS = {
-    "miss-sweep": (run_miss_sweep, _SWEEP_SECTIONS),
-    "joint-sweep": (run_joint_sweep, _SWEEP_SECTIONS),
-    "diversity": (run_diversity, _SWEEP_SECTIONS),
-    "capacity-ergodic": (run_capacity_ergodic, _CAPACITY_SECTIONS),
-    "capacity-outage": (run_capacity_outage, _CAPACITY_SECTIONS),
-    "imperfect": (run_imperfect, _CAPACITY_SECTIONS),
+    "miss-sweep": (run_miss_sweep, {**_PAIR, "multiuser": (*_GAINS, "user")}),
+    "joint-sweep": (run_joint_sweep, {**_PAIR, "multiuser": (*_GAINS, "pair")}),
+    "diversity": (run_diversity, {**_PAIR, "multiuser": (*_GAINS, "user")}),
+    "capacity-ergodic": (run_capacity_ergodic,
+                         {**_PAIR, "capacity": _CAPACITY}),
+    "capacity-outage": (run_capacity_outage,
+                        {**_PAIR, "capacity": (*_CAPACITY, "epsilons",
+                                               "sigma2")}),
+    "imperfect": (run_imperfect, {**_PAIR, "capacity": (*_CAPACITY, "sigma2")}),
     "throughput": (run_throughput,
-                   ("run", "channel", "protocol", "sweep", "throughput")),
-    "multiuser": (run_multiuser, ("run", "multiuser", "protocol", "sweep")),
+                   {**_PAIR, "throughput": ("t_cr", "w1", "w2")}),
+    "multiuser": (run_multiuser, {**_COMMON, "multiuser": (*_GAINS, "user")}),
 }
 
 
@@ -547,14 +501,8 @@ def run_selfcheck() -> tuple[str, bool]:
           abs(res.estimate[0] - want) < 5 * res.std_error[0] + 1e-9)
 
     res2 = estimate_miss_curve(spec)
-    spec4 = SweepSpec(scheme=Scheme.NC, means=means, rho_db=(10.0,),
-                      n_trials=20_000, seed=_SELFCHECK_SEED, mode="tail",
-                      threads=4, chunk=5_000)
-    res4 = estimate_miss_curve(spec4)
-    spec1 = SweepSpec(scheme=Scheme.NC, means=means, rho_db=(10.0,),
-                      n_trials=20_000, seed=_SELFCHECK_SEED, mode="tail",
-                      threads=1, chunk=5_000)
-    res1 = estimate_miss_curve(spec1)
+    res4, res1 = (estimate_miss_curve(replace(spec, threads=t, chunk=5_000))
+                  for t in (4, 1))
     check("deterministic reruns",
           res.estimate[0] == res2.estimate[0]
           and res1.estimate[0] == res4.estimate[0])

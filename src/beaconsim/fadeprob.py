@@ -46,13 +46,14 @@ def _int_exp(beta: float, upper: np.ndarray, p0) -> np.ndarray:
     """
     upper = np.maximum(upper, 0.0)
     p0 = np.asarray(p0, dtype=float)
+    e0 = np.exp(-p0)
     if beta == 0.0:
-        return np.exp(-p0) * upper
+        return e0 * upper
     bu = beta * upper
     small = np.abs(bu) < 1.0
     with np.errstate(over="ignore"):
-        direct = (np.exp(-p0) - np.exp(-p0 - bu)) / beta
-    via_expm1 = np.exp(-p0) * -np.expm1(-np.where(small, bu, 0.0)) / beta
+        direct = (e0 - np.exp(-p0 - bu)) / beta
+    via_expm1 = e0 * -np.expm1(-np.where(small, bu, 0.0)) / beta
     return np.where(small, via_expm1, direct)
 
 
@@ -128,16 +129,18 @@ def ocsa_fade_regions(x1, x2, x3, d1: int, d2: int,
     gam1 = r1 + r3
     gam2 = r1 - r3 * d1 / d2
 
+    off3 = r3 * x2 / d2
     u = np.minimum(c1, x2 / d)
-    p1 = r1 * (_int_exp(alpha, u, 0.0) - _int_exp(beta, u, r3 * x2 / d2))
-    p3 = -np.expm1(-r1 * np.maximum(u, 0.0)) - r1 * _int_exp(alpha, u, 0.0)
+    # the term p1 and p3 share, then the one p2 and p4 share (one live array)
+    shared = _int_exp(alpha, u, 0.0)
+    p1 = r1 * (shared - _int_exp(beta, u, off3))
+    p3 = -np.expm1(-r1 * np.maximum(u, 0.0)) - r1 * shared
 
     w = np.minimum(u, c3)
-    p2 = r1 * (_int_exp(alpha, w, 0.0)
-               - _int_exp(gam1, w, r2 * c3)
-               - _int_exp(beta, w, r3 * x2 / d2)
-               + _int_exp(gam2, w, r2 * c3 + r3 * x2 / d2))
-    p4 = r1 * (_int_exp(alpha, w, 0.0) - _int_exp(gam1, w, r2 * c3))
+    shared = _int_exp(alpha, w, 0.0) - _int_exp(gam1, w, r2 * c3)
+    p2 = r1 * (shared - _int_exp(beta, w, off3)
+               + _int_exp(gam2, w, r2 * c3 + off3))
+    p4 = r1 * shared
     clip = lambda p: np.clip(p, 0.0, 1.0)
     return clip(p1), clip(p2), clip(p3), clip(p4)
 

@@ -60,6 +60,13 @@ def _run_chunks(worker: Callable, ranges: Sequence[tuple[int, int, int]],
         return [f.result() for f in futures]
 
 
+def _fsum_chunks(sums) -> np.ndarray:
+    """Exact sum over chunks of per-chunk sums of shape () or (width,)."""
+    a = np.array(sums)
+    cols = a.reshape(len(a), -1).T
+    return np.array([math.fsum(col) for col in cols]).reshape(a.shape[1:])
+
+
 def parallel_grid_stats(worker: Callable[[int, int, int], Iterable], n: int,
                         chunk: int | None = None, threads: int = 1) -> list:
     """Mean and standard error of per-trial values at each grid point.
@@ -85,13 +92,7 @@ def parallel_grid_stats(worker: Callable[[int, int, int], Iterable], n: int,
 
     results = []
     for parts in zip(*_run_chunks(stats, ranges, threads), strict=True):
-        width = np.ndim(parts[0][0]) and len(parts[0][0])
-        if width:
-            total = np.array([math.fsum(p[0][j] for p in parts) for j in range(width)])
-            total_sq = np.array([math.fsum(p[1][j] for p in parts) for j in range(width)])
-        else:
-            total = math.fsum(float(p[0]) for p in parts)
-            total_sq = math.fsum(float(p[1]) for p in parts)
+        total, total_sq = (_fsum_chunks(sums) for sums in zip(*parts))
         mean = total / n
         var = np.maximum(total_sq / n - mean * mean, 0.0)
         results.append((mean, np.sqrt(var / n), n))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beaconsim import capacity, channel
 from beaconsim.channel import MeanGains
 from beaconsim.capacity import (
     ActivityModel,
@@ -30,6 +31,7 @@ from beaconsim.capacity import (
     wrong_relay_probability_mc,
 )
 from beaconsim.fadeprob import abs_diff_q_mean
+from beaconsim.mc import TAG_GAINS, TAG_METRIC_NOISE, TAG_STATUS
 from beaconsim.protocols import Scheme
 
 MEANS = MeanGains(pt=1.0, pr=2.0, tr=3.0)
@@ -325,3 +327,91 @@ class TestThroughput:
         b = throughput_loss_mc(ov, MEANS, rho=1.0, n=30_000, seed=43,
                                chunk=9_000, threads=3)
         assert a == b
+
+
+# ---------------------------------------------------------------------------
+# Grids: each chunk drawn once, each cell equal to its one-cell call
+# ---------------------------------------------------------------------------
+
+
+class TestGrid:
+    RHOS = np.array([0.5, 1.0, 4.0])
+    KW = dict(means=MEANS, n=400, seed=5, chunk=100)  # four chunks
+    OVS = [[OverheadParams(t_cr=1.0, t_fb=w1, beta=w2) for w2 in (0.1, 0.3)]
+           for w1 in (0.0, 0.2)]
+
+    @staticmethod
+    def opened(monkeypatch):
+        """Chunk indices of the substreams opened, by purpose tag."""
+        keys = []
+        for module in (channel, capacity):
+            def counted(*key, _orig=module.substream):
+                keys.append(key[1:])
+                return _orig(*key)
+
+            monkeypatch.setattr(module, "substream", counted)
+        return lambda tag: sorted(idx for t, idx in keys if t == tag)
+
+    def test_ergodic_draws_gains_once(self, monkeypatch):
+        opened = self.opened(monkeypatch)
+        est = ergodic_capacity(Scheme.OCSA, activity=ACT, rho=self.RHOS,
+                               t_c=10.0, **self.KW)
+        assert est.upper_mean.shape == est.lower_se.shape == (3,)
+        assert opened(TAG_GAINS) == [0, 1, 2, 3]  # 12 with one call per rho
+        assert opened(TAG_METRIC_NOISE) == opened(TAG_STATUS) == []
+
+    def test_imperfect_draws_each_noise_level_once(self, monkeypatch):
+        opened = self.opened(monkeypatch)
+        est = imperfect_capacity(Scheme.OCSA, activity=ACT, rho=self.RHOS,
+                                 t_c=10.0, sigma2=[[0.0], [0.1], [0.2]],
+                                 **self.KW)
+        assert est.upper_mean.shape == (3, 3)
+        assert opened(TAG_GAINS) == [0, 1, 2, 3]
+        # two noisy levels; sigma2 = 0 draws no noise
+        assert opened(TAG_METRIC_NOISE) == [0, 0, 1, 1, 2, 2, 3, 3]
+
+    def test_wrong_relay_draws_once(self, monkeypatch):
+        opened = self.opened(monkeypatch)
+        mc, se = wrong_relay_probability_mc([[0.1], [0.2]], rho=self.RHOS,
+                                            **self.KW)
+        assert mc.shape == se.shape == (2, 3)
+        assert opened(TAG_GAINS) == opened(TAG_STATUS) == [0, 1, 2, 3]
+        assert opened(TAG_METRIC_NOISE) == [0, 0, 1, 1, 2, 2, 3, 3]
+
+    def test_throughput_draws_once(self, monkeypatch):
+        opened = self.opened(monkeypatch)
+        mc, se = throughput_loss_mc(self.OVS, rho=1.0, **self.KW)
+        assert mc.shape == se.shape == (2, 2)
+        # 16 and 16 with one call per overhead cell
+        assert opened(TAG_GAINS) == opened(TAG_STATUS) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("scheme", [Scheme.NC, Scheme.CSA, Scheme.OCSA])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_bound_cells_equal_one_cell_calls(self, scheme, threads):
+        s2 = np.array([[0.1], [0.0]])
+        grid = imperfect_capacity(scheme, activity=ACT, rho=self.RHOS,
+                                  t_c=10.0, sigma2=s2, threads=threads,
+                                  **self.KW)
+        for (i, j), sigma2 in np.ndenumerate(np.broadcast_to(s2, (2, 3))):
+            one = imperfect_capacity(scheme, activity=ACT, rho=self.RHOS[j],
+                                     t_c=10.0, sigma2=sigma2, **self.KW)
+            assert isinstance(one.upper_mean, float)
+            assert one == CapacityEstimate(
+                grid.upper_mean[i, j], grid.upper_se[i, j],
+                grid.lower_mean[i, j], grid.lower_se[i, j], grid.n_trials)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_mc_cells_equal_one_cell_calls(self, threads):
+        s2 = np.array([[0.0], [0.3]])
+        grid = wrong_relay_probability_mc(s2, rho=self.RHOS, threads=threads,
+                                          **self.KW)
+        for (i, j), sigma2 in np.ndenumerate(np.broadcast_to(s2, (2, 3))):
+            one = wrong_relay_probability_mc(sigma2, rho=self.RHOS[j],
+                                             **self.KW)
+            assert one == (grid[0][i, j], grid[1][i, j])
+        grid = throughput_loss_mc(self.OVS, rho=1.0, threads=threads,
+                                  **self.KW)
+        for (i, j), ov in np.ndenumerate(np.array(self.OVS, dtype=object)):
+            one = throughput_loss_mc(ov, rho=1.0, **self.KW)
+            assert isinstance(one[0], float)
+            assert one == (grid[0][i, j], grid[1][i, j])

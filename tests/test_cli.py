@@ -277,6 +277,39 @@ t_c = 10.0
         assert proc.returncode == 2, proc.stderr
         assert f"multiuser.{key} is not read".encode() in proc.stderr
 
+    @pytest.mark.parametrize("kind, key, value, cfg", [
+        ("capacity-ergodic", "sigma2", "0.5", BASE_CONFIG + _CAPACITY),
+        ("capacity-ergodic", "epsilons", "[0.1]", BASE_CONFIG + _CAPACITY),
+        ("imperfect", "epsilons", "[0.1]",
+         BASE_CONFIG + _CAPACITY + "sigma2 = [0.0]\n"),
+    ], ids=["ergodic-sigma2", "ergodic-epsilons", "imperfect-epsilons"])
+    def test_capacity_key_the_kind_never_reads(self, tmp_path, kind, key,
+                                               value, cfg):
+        proc = run_cli(kind, "--set", f"capacity.{key}={value}",
+                       config_text=cfg, tmp_path=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert f"capacity.{key} is not read by kind {kind}".encode() \
+            in proc.stderr
+
+    @pytest.mark.parametrize("kind, cfg", [
+        ("capacity-outage", BASE_CONFIG + _CAPACITY + "epsilons = [0.1]\n"),
+        ("imperfect", BASE_CONFIG + _CAPACITY + "sigma2 = [0.0]\n"),
+    ], ids=["outage", "imperfect"])
+    def test_negative_sigma2_is_config_error(self, tmp_path, kind, cfg):
+        # outage exited 3 (numeric error) for the value imperfect refused
+        proc = run_cli(kind, "--set", "capacity.sigma2=-1.0",
+                       config_text=cfg, tmp_path=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert b"capacity.sigma2 must be nonnegative" in proc.stderr
+
+    @pytest.mark.parametrize("scheme", ["nc", "csa", "mucsa"])
+    def test_throughput_is_ocsa_only(self, tmp_path, scheme):
+        proc = run_cli("throughput", "--set", f"protocol.scheme={scheme!r}",
+                       config_text=_THROUGHPUT_CONFIG, tmp_path=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert b"throughput supports protocol.scheme = 'ocsa' only" \
+            in proc.stderr
+
     def test_out_of_memory(self, tmp_path, monkeypatch, capsys):
         # the runner raises instead of allocating, so nothing is exhausted
         def exhausted(conf, threads):
@@ -373,6 +406,7 @@ sigma2 = [0.0, 1.0]
 
     def test_throughput(self, tmp_path):
         cfg = BASE_CONFIG.replace("rho_db = [0.0, 10.0]", "rho_db = 0.0")
+        cfg = cfg.replace('scheme = "csa"', 'scheme = "ocsa"')
         cfg += """
 [throughput]
 w1 = [0.0, 0.15]
@@ -389,6 +423,15 @@ w2 = [0.0, 0.3]
         for row in rows:
             assert float(row["loss_mc"]) <= float(row["loss_bound"]) + 3 * float(
                 row["loss_se"])
+
+    def test_throughput_scheme_optional(self, tmp_path):
+        cfg = _THROUGHPUT_CONFIG.replace('scheme = "csa"', 'scheme = "ocsa"')
+        with_scheme = run_cli("throughput", config_text=cfg,
+                              tmp_path=tmp_path)
+        cfg = cfg.replace('scheme = "ocsa"\n', "")
+        without = run_cli("throughput", config_text=cfg, tmp_path=tmp_path)
+        assert with_scheme.returncode == without.returncode == 0
+        assert with_scheme.stdout == without.stdout
 
     def test_multiuser(self, tmp_path):
         cfg = """

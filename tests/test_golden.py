@@ -1,16 +1,18 @@
 """Golden CLI outputs: every kind, byte for byte.
 
 Each case runs ``beaconsim.cli.main`` in-process with ``--format json`` (full
-float precision) at one thread and compares the output file with the stored
-copy under ``tests/golden/``.  The trial count (30000) is not a multiple of
+float precision) at one and at two threads and compares the output file with
+the stored copy under ``tests/golden/``; only the meta ``threads`` field may
+differ.  The trial count (30000) is not a multiple of
 the chunk size (7000), so the last chunk is a short one.  The files pin the
 stream layout and every estimator, so a refactor that is meant to keep the
 results must leave them unchanged.
 
 The stored files were produced with numpy 2.4.6 and scipy 1.17.1 on
 Python 3.11.7.  Other library versions may change the last bits of some
-values; regenerate with ``python tests/test_golden.py`` only when a change
-is meant to move the numbers, and say so in the change log.
+values; regenerate with ``python tests/test_golden.py [NAME...]`` (no name:
+every case) only when a change is meant to move the numbers, and say so in
+the change log.
 """
 
 from __future__ import annotations
@@ -75,11 +77,21 @@ def _cases():
             "imperfect",
             _RUN + _PAIR + _proto(scheme) + _CAP
             + "sigma2 = [0.0, 0.05]\n" + _sweep([0.0, 6.0]))
+    # no sigma2 = 0 row, unsorted: every row is a noisy cell of the grid
+    cases["imperfect-ocsa-sigma-grid"] = (
+        "imperfect",
+        _RUN + _PAIR + _proto("ocsa") + _CAP
+        + "sigma2 = [0.1, 0.01]\n" + _sweep([0.0, 3.0, 6.0]))
     cases["throughput-d1d2"] = (
         "throughput",
         _RUN + _PAIR + '[protocol]\nscheme = "ocsa"\nd1 = 2\nd2 = 1\n'
         + "[throughput]\nt_cr = 1.0\nw1 = [0.0, 0.2]\nw2 = [0.0, 0.3]\n"
         + _sweep([6.0]))
+    cases["throughput-3x2"] = (
+        "throughput",
+        _RUN + _PAIR + _proto("ocsa")
+        + "[throughput]\nt_cr = 2.0\nw1 = [0.0, 0.1, 0.25]\nw2 = [0.3, 0.05]\n"
+        + _sweep([3.0]))
     for mode in ("channel", "tail"):
         cases[f"multiuser-{mode}"] = (
             "multiuser",
@@ -95,13 +107,13 @@ def _cases():
 CASES = _cases()
 
 
-def _render(name: str, tmp_dir: pathlib.Path) -> bytes:
+def _render(name: str, tmp_dir: pathlib.Path, threads: int = 1) -> bytes:
     kind, config = CASES[name]
     cfg = tmp_dir / f"{name}.ini"
     cfg.write_text(config)
     out = tmp_dir / f"{name}.json"
     code = main([kind, "--config", str(cfg), "--format", "json",
-                 "--threads", "1", "--out", str(out)])
+                 "--threads", str(threads), "--out", str(out)])
     assert code == 0, f"{name}: exit {code}"
     return out.read_bytes()
 
@@ -110,13 +122,21 @@ def _render(name: str, tmp_dir: pathlib.Path) -> bytes:
 def test_golden_output(name, tmp_path):
     want = (GOLDEN / f"{name}.json").read_bytes()
     assert _render(name, tmp_path) == want
+    # five chunks, so two threads really split the work
+    assert want.count(b'"threads": 1') == 1
+    assert (_render(name, tmp_path, threads=2)
+            == want.replace(b'"threads": 1', b'"threads": 2'))
 
 
 if __name__ == "__main__":
     import tempfile
 
+    names = sys.argv[1:] or sorted(CASES)
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown case(s): {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for case in sorted(CASES):
+        for case in names:
             (GOLDEN / f"{case}.json").write_bytes(_render(case, pathlib.Path(tmp)))
             print(case, file=sys.stderr)
