@@ -82,15 +82,17 @@ def _parse_value(raw: str):
 
 def load_config(path: str) -> dict:
     """Read an INI file into a {(section, key): value} mapping."""
-    text = open(path, "r", encoding="utf-8").read()
+    # no header names the empty section, so [DEFAULT] is an ordinary section
+    # instead of keys copied into every other one
     parser = configparser.ConfigParser(
-        interpolation=None, inline_comment_prefixes=("#",)
+        interpolation=None, inline_comment_prefixes=("#",), default_section=""
     )
     parser.optionxform = str
-    try:
-        parser.read_string(text, source=path)
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            parser.read_file(fh, source=path)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot parse {path}: {exc}") from exc
     data = {}
     for section in parser.sections():
         for key, raw in parser.items(section):
@@ -229,7 +231,11 @@ def run_params(conf: Conf) -> tuple[int, int, int | None]:
 
 
 def build_sweep_spec(conf: Conf, scheme: Scheme, threads: int,
-                     mode_default="channel") -> SweepSpec:
+                     index: str = "user",
+                     mode_default="channel") -> tuple[SweepSpec, int]:
+    """The shared sections as a SweepSpec, and the index of the mucsa
+    multiuser.<index> key, checked against the 2M users (index "user") or
+    the M pairs (index "pair"); 0 for the pair schemes."""
     if scheme is Scheme.MUCSA:
         m_pairs = conf.get_int("multiuser", "m_pairs", required=True)
         if m_pairs > MAX_PAIRS:
@@ -249,7 +255,7 @@ def build_sweep_spec(conf: Conf, scheme: Scheme, threads: int,
         )
     d1, d2 = resolve_split(conf)
     seed, n_trials, chunk = run_params(conf)
-    return _build(
+    spec = _build(
         SweepSpec,
         scheme=scheme,
         means=means,
@@ -262,18 +268,13 @@ def build_sweep_spec(conf: Conf, scheme: Scheme, threads: int,
         threads=threads,
         chunk=chunk,
     )
-
-
-def get_side(conf: Conf) -> str:
-    return conf.get_str("sweep", "side", default="t")
-
-
-def get_index(conf: Conf, key: str, count: int) -> int:
-    """multiuser.<key> (default 0), checked to lie in [0, count)."""
-    value = conf.get_int("multiuser", key, default=0)
+    if scheme is not Scheme.MUCSA:
+        return spec, 0
+    count = spec.means.n_users // (1 if index == "user" else 2)
+    value = conf.get_int("multiuser", index, default=0)
     if not 0 <= value < count:
-        raise ConfigError(f"multiuser.{key} must lie in [0, {count - 1}]")
-    return value
+        raise ConfigError(f"multiuser.{index} must lie in [0, {count - 1}]")
+    return spec, value
 
 
 # ---------------------------------------------------------------------------
@@ -284,15 +285,13 @@ def get_index(conf: Conf, key: str, count: int) -> int:
 def _rows(**columns) -> list[dict]:
     """One row per cell of the broadcast columns, in C order."""
     cols = np.broadcast_arrays(*columns.values())
-    return [dict(zip(columns, cell)) for cell in zip(*(c.ravel() for c in cols))]
+    return [dict(zip(columns, cell))
+            for cell in zip(*(c.ravel().tolist() for c in cols))]
 
 
 def _miss_curve(conf: Conf, threads: int, scheme: Scheme, side: str = "t"):
     """Miss-curve rows and meta, plus the user a mucsa curve is for."""
-    spec = build_sweep_spec(conf, scheme, threads)
-    user = 0
-    if scheme is Scheme.MUCSA:
-        user = get_index(conf, "user", spec.means.n_users)
+    spec, user = build_sweep_spec(conf, scheme, threads)
     res = estimate_miss_curve(spec, side=side, user=user)
     rows = _rows(rho_db=res.rho_db, estimate=res.estimate,
                  std_error=res.std_error)
@@ -301,18 +300,15 @@ def _miss_curve(conf: Conf, threads: int, scheme: Scheme, side: str = "t"):
 
 def run_miss_sweep(conf: Conf, threads: int):
     rows, meta, _user = _miss_curve(conf, threads, resolve_scheme(conf),
-                                    get_side(conf))
+                                    conf.get_str("sweep", "side", default="t"))
     return rows, meta
 
 
 def run_joint_sweep(conf: Conf, threads: int):
     scheme = resolve_scheme(conf)
-    spec = build_sweep_spec(conf, scheme, threads)
+    spec, pair = build_sweep_spec(conf, scheme, threads, index="pair")
     if spec.mode != "channel":
         raise ConfigError("joint-sweep supports sweep.mode = 'channel' only")
-    pair = 0
-    if scheme is Scheme.MUCSA:
-        pair = get_index(conf, "pair", spec.means.n_users // 2)
     res = estimate_joint_success_curve(spec, pair=pair)
     rows = _rows(rho_db=res.rho_db, estimate=res.estimate,
                  std_error=res.std_error)
@@ -321,11 +317,9 @@ def run_joint_sweep(conf: Conf, threads: int):
 
 def run_diversity(conf: Conf, threads: int):
     scheme = resolve_scheme(conf)
-    spec = build_sweep_spec(conf, scheme, threads, mode_default="tail")
-    user = 0
-    if scheme is Scheme.MUCSA:
-        user = get_index(conf, "user", spec.means.n_users)
-    fit = estimate_diversity(spec, side=get_side(conf), user=user)
+    spec, user = build_sweep_spec(conf, scheme, threads, mode_default="tail")
+    fit = estimate_diversity(
+        spec, side=conf.get_str("sweep", "side", default="t"), user=user)
     rows = _rows(scheme=scheme.value, mode=spec.mode, order=fit.order,
                  residual=fit.residual, n_points=len(spec.rho_db))
     return rows, {"scheme": scheme.value, "mode": spec.mode}
@@ -341,7 +335,7 @@ def _capacity_setup(conf: Conf, threads: int):
     scheme = resolve_scheme(conf)
     if scheme is Scheme.MUCSA:
         raise ConfigError("capacity kinds support nc, csa and ocsa only")
-    spec = build_sweep_spec(conf, scheme, threads)
+    spec, _index = build_sweep_spec(conf, scheme, threads)
     activity = _build(
         ActivityModel,
         conf.get_float("capacity", "p_theta_t", required=True),
@@ -411,7 +405,7 @@ def run_imperfect(conf: Conf, threads: int):
 def run_throughput(conf: Conf, threads: int):
     if resolve_scheme(conf, default="ocsa") is not Scheme.OCSA:
         raise ConfigError("throughput supports protocol.scheme = 'ocsa' only")
-    spec = build_sweep_spec(conf, Scheme.OCSA, threads)
+    spec, _index = build_sweep_spec(conf, Scheme.OCSA, threads)
     if len(spec.rho_db) != 1:
         raise ConfigError("throughput expects a single sweep.rho_db value")
     t_cr = conf.get_float("throughput", "t_cr", default=1.0)
@@ -541,14 +535,6 @@ def render_output(rows, meta, fmt: str) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _json_ready(v):
-    if isinstance(v, (list, tuple)):
-        return [_json_ready(x) for x in v]
-    if isinstance(v, np.generic):
-        return v.item()
-    return v
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="beaconsim",
@@ -574,52 +560,37 @@ def main(argv=None) -> int:
             raise ConfigError(f"kind {args.kind} requires --config")
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
-        try:
-            data = load_config(args.config)
-        except OSError as exc:
-            print(f"beaconsim: i/o error: {exc}", file=sys.stderr)
-            return 4
+        data = load_config(args.config)
         apply_overrides(data, args.overrides)
         check_schema(args.kind, data)
-        conf = Conf(data)
-        seed, _n_trials, _chunk = run_params(conf)
+        rows, extra = KINDS[args.kind][0](Conf(data), args.threads)
+        # every kind has checked run.seed by now; config values are literals,
+        # which json writes as is
+        meta = {
+            "kind": args.kind,
+            "seed": data[("run", "seed")],
+            "threads": args.threads,
+            "config": {f"{s}.{k}": v for (s, k), v in sorted(data.items())},
+            **extra,
+        }
+        text = render_output(rows, meta, args.format)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except ConfigError as exc:
         print(f"beaconsim: config error: {exc}", file=sys.stderr)
         return 2
-
-    try:
-        rows, extra = KINDS[args.kind][0](conf, args.threads)
-    except ConfigError as exc:
-        print(f"beaconsim: config error: {exc}", file=sys.stderr)
-        return 2
+    except OSError as exc:
+        print(f"beaconsim: i/o error: {exc}", file=sys.stderr)
+        return 4
     except (ValueError, ArithmeticError) as exc:
         print(f"beaconsim: numeric error: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:
         print(f"beaconsim: out of memory: {exc}", file=sys.stderr)
         return 3
-
-    meta = {
-        "kind": args.kind,
-        "seed": seed,
-        "threads": args.threads,
-        "config": {
-            f"{s}.{k}": _json_ready(v) for (s, k), v in sorted(data.items())
-        },
-    }
-    meta.update(extra)
-    rows = [{k: _json_ready(v) for k, v in row.items()} for row in rows]
-    text = render_output(rows, meta, args.format)
-
-    try:
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    except OSError as exc:
-        print(f"beaconsim: i/o error: {exc}", file=sys.stderr)
-        return 4
     return 0
 
 

@@ -13,7 +13,6 @@ import math
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import erfc
 
 __all__ = [
@@ -66,6 +65,10 @@ def deep_fade_integral(rho: float, ks: Sequence[float]) -> float:
         for k in ks:
             acc *= -math.expm1(-k * v * v / rho)
         return acc
+
+    # imported here: scipy.integrate loads scipy.optimize and
+    # scipy.sparse.linalg, which no CLI kind needs at startup
+    from scipy.integrate import quad
 
     # the density kills everything past ~40 sigma; relative tolerance drives
     # accuracy because values reach 1e-18 scale at large rho

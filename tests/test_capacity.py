@@ -385,6 +385,25 @@ class TestGrid:
         # 16 and 16 with one call per overhead cell
         assert opened(TAG_GAINS) == opened(TAG_STATUS) == [0, 1, 2, 3]
 
+    def test_metric_free_scheme_evaluates_each_rho_once(self, monkeypatch):
+        calls = []
+
+        def counted(cfg, *args, _orig=capacity.csa_conditional_miss):
+            calls.append(cfg.rho)
+            return _orig(cfg, *args)
+
+        monkeypatch.setattr(capacity, "csa_conditional_miss", counted)
+        est = imperfect_capacity(Scheme.CSA, activity=ACT, rho=self.RHOS,
+                                 t_c=10.0, sigma2=[[0.0], [0.1], [0.2]],
+                                 **self.KW)
+        assert est.upper_mean.shape == est.lower_se.shape == (3, 3)
+        # one call per chunk and rho; 36 with one per noise level too
+        assert sorted(calls) == sorted([*self.RHOS] * 4)
+        assert np.all(est.upper_mean == est.upper_mean[0])
+        with pytest.raises(ValueError, match="sigma2 must be nonnegative"):
+            imperfect_capacity(Scheme.CSA, activity=ACT, rho=self.RHOS,
+                               t_c=10.0, sigma2=[0.0, -0.1, 0.0], **self.KW)
+
     @pytest.mark.parametrize("scheme", [Scheme.NC, Scheme.CSA, Scheme.OCSA])
     @pytest.mark.parametrize("threads", [1, 2])
     def test_bound_cells_equal_one_cell_calls(self, scheme, threads):

@@ -8,10 +8,12 @@ repeated runs must be byte-identical.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -333,6 +335,32 @@ t_c = 10.0
                        str(tmp_path / "no_dir" / "res.csv"),
                        config_text=BASE_CONFIG, tmp_path=tmp_path)
         assert proc.returncode == 4
+
+
+class TestLoadConfig:
+    def test_file_closed(self, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(BASE_CONFIG)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cli.load_config(str(cfg))
+            gc.collect()
+        assert not [w for w in caught if w.category is ResourceWarning]
+
+    def test_not_utf8_is_config_error(self, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_bytes(b"\xff\xfe[run]\nseed = 1\n")
+        proc = run_cli("miss-sweep", "--config", str(cfg))
+        assert proc.returncode == 2, proc.stderr
+        assert f"config error: cannot parse {cfg}".encode() in proc.stderr
+
+    def test_default_section_is_ordinary(self, tmp_path):
+        # configparser would copy these keys into every other section
+        proc = run_cli("miss-sweep",
+                       config_text=BASE_CONFIG + "\n[DEFAULT]\nseed = 5\n",
+                       tmp_path=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert b"unknown section [DEFAULT] for kind miss-sweep" in proc.stderr
 
 
 class TestOtherKinds:

@@ -22,7 +22,7 @@ import sys
 
 import pytest
 
-from beaconsim.cli import main
+from beaconsim.cli import KINDS, Conf, main
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 
@@ -126,6 +126,26 @@ def test_golden_output(name, tmp_path):
     assert want.count(b'"threads": 1') == 1
     assert (_render(name, tmp_path, threads=2)
             == want.replace(b'"threads": 1', b'"threads": 2'))
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_declared_keys_are_read(kind, tmp_path, monkeypatch):
+    # every key the kind accepts is looked up by one of its golden configs,
+    # so none is accepted unchecked; sweep.mode and sweep.side are instead
+    # value-checked for every kind
+    asked = set()
+    for getter in ("has", "get_int", "get_float", "get_str", "get_numlist"):
+        def recorded(self, section, key, *args, _orig=getattr(Conf, getter),
+                     **kwargs):
+            asked.add(f"{section}.{key}")
+            return _orig(self, section, key, *args, **kwargs)
+
+        monkeypatch.setattr(Conf, getter, recorded)
+    for name, (case_kind, _config) in sorted(CASES.items()):
+        if case_kind == kind:
+            _render(name, tmp_path)
+    declared = {f"{s}.{k}" for s, keys in KINDS[kind][1].items() for k in keys}
+    assert declared - asked - {"sweep.mode", "sweep.side"} == set()
 
 
 if __name__ == "__main__":

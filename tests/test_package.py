@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import importlib
+import subprocess
+import sys
 
 import beaconsim
 
@@ -48,3 +50,10 @@ def test_root_names_are_module_objects():
 def test_readme_quick_start_import():
     from beaconsim import (MeanGains, Scheme, SweepSpec,  # noqa: F401
                            estimate_diversity, estimate_miss_curve)
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # only numerics.deep_fade_integral needs it, and no CLI kind calls that
+    code = ("import sys, beaconsim.cli; "
+            "sys.exit('scipy.integrate' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
