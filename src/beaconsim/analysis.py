@@ -23,6 +23,7 @@ and evaluated at every grid point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -106,6 +107,10 @@ class SweepSpec:
             raise ValueError("SweepSpec: chunk must be positive")
         if self.d1 < 1 or self.d2 < 1:
             raise ValueError("SweepSpec: d1 and d2 must be positive")
+        cls = MultiuserMeans if self.scheme is Scheme.MUCSA else MeanGains
+        if not isinstance(self.means, cls):
+            raise TypeError(f"{self.scheme.value}: SweepSpec.means must be "
+                            f"a {cls.__name__} instance")
 
     def config(self, rho: float) -> ProtocolConfig:
         return ProtocolConfig(rho=rho, d1=self.d1, d2=self.d2)
@@ -132,14 +137,12 @@ class DiversityFit:
     result: SweepResult
 
 
-def _require_means(spec: SweepSpec):
-    """spec.means, checked against the model the scheme needs."""
-    cls = MultiuserMeans if spec.scheme is Scheme.MUCSA else MeanGains
-    if not isinstance(spec.means, cls):
-        raise TypeError(
-            f"{spec.scheme.value}: spec.means must be a {cls.__name__} instance"
-        )
-    return spec.means
+def _check_user(means: MultiuserMeans, user: int) -> int:
+    """The checked user count of means, once user is checked to index one."""
+    nu = check_user_count(means.n_users)
+    if not 0 <= user < nu:
+        raise ValueError("user index out of range")
+    return nu
 
 
 def _pair_lams(means: MeanGains, side: str) -> tuple[float, float, float]:
@@ -168,48 +171,43 @@ def _tail_draw(spec: SweepSpec, k: int):
     return draw
 
 
-def _gain_draw(spec: SweepSpec):
-    """Per-chunk draw of the channel gains of the scheme's model."""
-    means = _require_means(spec)
-    if spec.scheme is Scheme.MUCSA:
-        return lambda idx, size: draw_multiuser_chunk(means, spec.seed, idx, size)
-    return lambda idx, size: draw_pair_chunk(means, spec.seed, idx, size)
-
-
-def _miss_values_channel(spec: SweepSpec, side: str, user: int):
-    means = _require_means(spec)
-    if spec.scheme is Scheme.MUCSA:
-        if not 0 <= user < means.n_users:
-            raise ValueError("user index out of range")
-    else:
-        _pair_lams(means, side)  # validates side
+def _channel_values(spec: SweepSpec, kernel):
+    """Per-chunk draw of the gains of the scheme's model, and an evaluator
+    that applies kernel(cfg, ch) at each rho."""
+    draw = partial(draw_multiuser_chunk if spec.scheme is Scheme.MUCSA
+                   else draw_pair_chunk, spec.means, spec.seed)
 
     def evaluator(rho):
         cfg = spec.config(rho)
+        return lambda ch: kernel(cfg, ch)
 
-        def values(ch):
-            if spec.scheme is Scheme.MUCSA:
-                return mucsa_conditional_miss(cfg, ch, user)
-            own, peer = (ch.g_pt, ch.g_pr) if side == "t" else (ch.g_pr, ch.g_pt)
-            if spec.scheme is Scheme.NC:
-                return nc_conditional_miss(cfg, own)
-            if spec.scheme is Scheme.CSA:
-                return csa_conditional_miss(cfg, own, peer, ch.g_tr)
-            return ocsa_conditional_miss(cfg, own, peer, ch.g_tr)
+    return draw, evaluator
 
-        return values
 
-    return _gain_draw(spec), evaluator
+def _miss_values_channel(spec: SweepSpec, side: str, user: int):
+    if spec.scheme is Scheme.MUCSA:
+        _check_user(spec.means, user)
+        return _channel_values(
+            spec, lambda cfg, ch: mucsa_conditional_miss(cfg, ch, user))
+    _pair_lams(spec.means, side)  # validates side
+
+    def kernel(cfg, ch):
+        own, peer = (ch.g_pt, ch.g_pr) if side == "t" else (ch.g_pr, ch.g_pt)
+        if spec.scheme is Scheme.NC:
+            return nc_conditional_miss(cfg, own)
+        if spec.scheme is Scheme.CSA:
+            return csa_conditional_miss(cfg, own, peer, ch.g_tr)
+        return ocsa_conditional_miss(cfg, own, peer, ch.g_tr)
+
+    return _channel_values(spec, kernel)
 
 
 def _miss_values_tail(spec: SweepSpec, side: str, user: int):
     d1, d2 = spec.d1, spec.d2
     d = d1 + d2
-    means = _require_means(spec)
+    means = spec.means
     if spec.scheme is Scheme.MUCSA:
-        nu = check_user_count(means.n_users)
-        if not 0 <= user < nu:
-            raise ValueError("user index out of range")
+        nu = _check_user(means, user)
         m_pairs = nu // 2
         off = ~np.eye(nu, dtype=bool)
         inter_vals = np.unique(means.inter[off])
@@ -299,21 +297,16 @@ def _miss_values_tail(spec: SweepSpec, side: str, user: int):
 
 
 def _joint_values_channel(spec: SweepSpec, pair: int):
-    def evaluator(rho):
-        cfg = spec.config(rho)
+    def kernel(cfg, ch):
+        if spec.scheme is Scheme.MUCSA:
+            return mucsa_pair_joint_success(cfg, ch, pair)
+        if spec.scheme is Scheme.NC:
+            return nc_joint_success(cfg, ch.g_pt, ch.g_pr)
+        if spec.scheme is Scheme.CSA:
+            return csa_joint_success(cfg, ch.g_pt, ch.g_pr, ch.g_tr)
+        return ocsa_joint_success(cfg, ch.g_pt, ch.g_pr, ch.g_tr)
 
-        def values(ch):
-            if spec.scheme is Scheme.MUCSA:
-                return mucsa_pair_joint_success(cfg, ch, pair)
-            if spec.scheme is Scheme.NC:
-                return nc_joint_success(cfg, ch.g_pt, ch.g_pr)
-            if spec.scheme is Scheme.CSA:
-                return csa_joint_success(cfg, ch.g_pt, ch.g_pr, ch.g_tr)
-            return ocsa_joint_success(cfg, ch.g_pt, ch.g_pr, ch.g_tr)
-
-        return values
-
-    return _gain_draw(spec), evaluator
+    return _channel_values(spec, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +366,8 @@ def estimate_diversity(spec: SweepSpec, side: str = "t",
     The fit is a least-squares line in log-log space over spec.rho_db; use
     tail mode so the relative error stays uniform across the grid.
     """
-    if len(spec.rho_db) < 2:
-        raise ValueError("estimate_diversity: need at least two grid points")
+    if len(set(spec.rho_db)) < 2:
+        raise ValueError("estimate_diversity: need two distinct grid points")
     result = estimate_miss_curve(spec, side=side, user=user)
     rho = db_to_linear(np.asarray(spec.rho_db))
     order, residual = fit_diversity_slope(rho, result.estimate)

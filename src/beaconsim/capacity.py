@@ -268,16 +268,9 @@ def imperfect_capacity(scheme: Scheme, means: MeanGains,
     dedicated substream, so sigma2 = 0 reproduces the noiseless estimate
     bit for bit.
     """
-    shape = np.broadcast_shapes(np.shape(rho), np.shape(sigma2))
-    if Scheme(scheme) is not Scheme.OCSA:
-        # only ocsa reads the metrics, so the other schemes' bounds are the
-        # same at every sigma2: evaluate each rho once (at the least sigma2,
-        # still checked) and broadcast across sigma2
-        sigma2 = np.min(sigma2)
     mean, se = _grid_stats(
         *_bound_cells(scheme, means, activity, rho, t_c, seed, d1, d2, sigma2),
         n, chunk, threads)
-    mean, se = (np.broadcast_to(a, shape + (2,)).copy() for a in (mean, se))
     return CapacityEstimate(
         upper_mean=_out(mean[..., 0]),
         upper_se=_out(se[..., 0]),

@@ -26,6 +26,7 @@ import configparser
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -176,7 +177,9 @@ class Conf:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    # ints are exact, so only a float can be non-finite (1e400 reads as inf)
+    return (isinstance(v, int) and not isinstance(v, bool)
+            or isinstance(v, float) and math.isfinite(v))
 
 
 def _build(factory, *args, **kwargs):
@@ -210,10 +213,15 @@ def resolve_split(conf: Conf) -> tuple[int, int]:
     return _build(split_channel_uses, d, alpha)
 
 
-def resolve_scheme(conf: Conf, default=None) -> Scheme:
-    raw = conf.get_str("protocol", "scheme",
-                       default=default, required=default is None)
-    return _build(Scheme, raw)
+def resolve_scheme(conf: Conf, kind: str = "", only=None) -> Scheme:
+    """protocol.scheme; for a kind that runs only one scheme, the key may be
+    left out and any other value is refused."""
+    scheme = _build(Scheme, conf.get_str("protocol", "scheme", default=only,
+                                         required=only is None))
+    if only is not None and scheme is not only:
+        raise ConfigError(f"{kind} supports protocol.scheme = "
+                          f"'{only.value}' only")
+    return scheme
 
 
 def run_params(conf: Conf) -> tuple[int, int, int | None]:
@@ -318,6 +326,8 @@ def run_joint_sweep(conf: Conf, threads: int):
 def run_diversity(conf: Conf, threads: int):
     scheme = resolve_scheme(conf)
     spec, user = build_sweep_spec(conf, scheme, threads, mode_default="tail")
+    if len(set(spec.rho_db)) < 2:
+        raise ConfigError("diversity needs two distinct sweep.rho_db values")
     fit = estimate_diversity(
         spec, side=conf.get_str("sweep", "side", default="t"), user=user)
     rows = _rows(scheme=scheme.value, mode=spec.mode, order=fit.order,
@@ -330,9 +340,8 @@ def _mc_args(spec: SweepSpec) -> dict:
                 threads=spec.threads, chunk=spec.chunk)
 
 
-def _capacity_setup(conf: Conf, threads: int):
+def _capacity_setup(conf: Conf, threads: int, scheme: Scheme):
     """The shared sections as a SweepSpec, and the estimators' kwargs."""
-    scheme = resolve_scheme(conf)
     if scheme is Scheme.MUCSA:
         raise ConfigError("capacity kinds support nc, csa and ocsa only")
     spec, _index = build_sweep_spec(conf, scheme, threads)
@@ -352,7 +361,7 @@ def _capacity_setup(conf: Conf, threads: int):
 
 
 def run_capacity_ergodic(conf: Conf, threads: int):
-    spec, common = _capacity_setup(conf, threads)
+    spec, common = _capacity_setup(conf, threads, resolve_scheme(conf))
     est = ergodic_capacity(spec.scheme, **common)
     return _rows(rho_db=spec.rho_db,
                  upper_mean=est.upper_mean, upper_se=est.upper_se,
@@ -361,7 +370,7 @@ def run_capacity_ergodic(conf: Conf, threads: int):
 
 
 def run_capacity_outage(conf: Conf, threads: int):
-    spec, common = _capacity_setup(conf, threads)
+    spec, common = _capacity_setup(conf, threads, resolve_scheme(conf))
     epsilons = conf.get_numlist("capacity", "epsilons", required=True)
     for e in epsilons:
         if not 0.0 < e < 1.0:
@@ -378,7 +387,8 @@ def run_capacity_outage(conf: Conf, threads: int):
 
 
 def run_imperfect(conf: Conf, threads: int):
-    spec, common = _capacity_setup(conf, threads)
+    spec, common = _capacity_setup(
+        conf, threads, resolve_scheme(conf, "imperfect", Scheme.OCSA))
     sigma2s = conf.get_numlist("capacity", "sigma2", required=True)
     # one noise-level x rho grid, levels leading so each is drawn once per
     # chunk; level 0, the noiseless baseline of the relative loss, is first
@@ -403,9 +413,8 @@ def run_imperfect(conf: Conf, threads: int):
 
 
 def run_throughput(conf: Conf, threads: int):
-    if resolve_scheme(conf, default="ocsa") is not Scheme.OCSA:
-        raise ConfigError("throughput supports protocol.scheme = 'ocsa' only")
-    spec, _index = build_sweep_spec(conf, Scheme.OCSA, threads)
+    spec, _index = build_sweep_spec(
+        conf, resolve_scheme(conf, "throughput", Scheme.OCSA), threads)
     if len(spec.rho_db) != 1:
         raise ConfigError("throughput expects a single sweep.rho_db value")
     t_cr = conf.get_float("throughput", "t_cr", default=1.0)
@@ -423,9 +432,8 @@ def run_throughput(conf: Conf, threads: int):
 
 
 def run_multiuser(conf: Conf, threads: int):
-    if resolve_scheme(conf, default="mucsa") is not Scheme.MUCSA:
-        raise ConfigError("the multiuser kind requires scheme 'mucsa'")
-    rows, meta, user = _miss_curve(conf, threads, Scheme.MUCSA)
+    rows, meta, user = _miss_curve(
+        conf, threads, resolve_scheme(conf, "multiuser", Scheme.MUCSA))
     return rows, {**meta, "user": user}
 
 
@@ -532,7 +540,7 @@ def render_output(rows, meta, fmt: str) -> str:
             writer.writerow([_csv_cell(row[k]) for k in header])
         return buf.getvalue()
     doc = {"meta": meta, "rows": rows}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def main(argv=None) -> int:
@@ -564,6 +572,9 @@ def main(argv=None) -> int:
         apply_overrides(data, args.overrides)
         check_schema(args.kind, data)
         rows, extra = KINDS[args.kind][0](Conf(data), args.threads)
+        for key, v in (cell for row in rows for cell in row.items()):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"{key} = {v} is not finite")
         # every kind has checked run.seed by now; config values are literals,
         # which json writes as is
         meta = {

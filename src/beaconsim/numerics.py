@@ -106,6 +106,8 @@ def fit_diversity_slope(rho: Iterable[float], p: Iterable[float]) -> tuple[float
     if (rho <= 0).any() or (p <= 0).any():
         raise ValueError("fit_diversity_slope: rho and p must be positive")
     x = np.log(rho)
+    if x.min() == x.max():
+        raise ValueError("fit_diversity_slope: log rho has zero spread")
     y = np.log(p)
     xc = x - x.mean()
     slope = float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))

@@ -60,15 +60,14 @@ class TestSpecValidation:
                       n_trials=10, seed=1, threads=0)
 
     def test_wrong_means_type(self):
+        # refused when the spec is built, before any estimator runs
         mu = MultiuserMeans.uniform(2, 1.0, 1.0)
-        with pytest.raises(TypeError):
-            spec = SweepSpec(scheme=Scheme.NC, means=mu, rho_db=(0.0,),
-                             n_trials=10, seed=1)
-            estimate_miss_curve(spec)
-        with pytest.raises(TypeError):
-            spec = SweepSpec(scheme=Scheme.MUCSA, means=MEANS, rho_db=(0.0,),
-                             n_trials=10, seed=1)
-            estimate_miss_curve(spec)
+        with pytest.raises(TypeError, match="MeanGains"):
+            SweepSpec(scheme=Scheme.NC, means=mu, rho_db=(0.0,),
+                      n_trials=10, seed=1)
+        with pytest.raises(TypeError, match="MultiuserMeans"):
+            SweepSpec(scheme=Scheme.MUCSA, means=MEANS, rho_db=(0.0,),
+                      n_trials=10, seed=1)
 
     def test_bad_side(self):
         spec = SweepSpec(scheme=Scheme.NC, means=MEANS, rho_db=(0.0,),
@@ -217,6 +216,12 @@ class TestDiversity:
         assert isinstance(fit.result, SweepResult)
         assert fit.result.estimate.shape == (3,)
         assert np.all(np.diff(fit.result.estimate) < 0)
+
+    def test_needs_two_distinct_points(self):
+        spec = SweepSpec(scheme=Scheme.NC, means=MEANS, rho_db=(20.0, 20.0),
+                         n_trials=10, seed=23, mode="tail")
+        with pytest.raises(ValueError, match="two distinct grid points"):
+            estimate_diversity(spec)
 
 
 class TestMultiuserTailCost:

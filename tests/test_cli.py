@@ -49,6 +49,8 @@ _THROUGHPUT = "\n[throughput]\nw1 = [0.0]\nw2 = [0.1]\n"
 _MUCSA_PAIR = "\n[multiuser]\nm_pairs = 2\nprimary = 1.0\ninter = 1.0\npair = 2\n"
 _THROUGHPUT_CONFIG = BASE_CONFIG.replace("rho_db = [0.0, 10.0]",
                                         "rho_db = 6.0") + _THROUGHPUT
+_IMPERFECT_CONFIG = (BASE_CONFIG.replace('scheme = "csa"', 'scheme = "ocsa"')
+                     + _CAPACITY + "sigma2 = [0.0]\n")
 _MULTIUSER_CONFIG = """\
 [run]
 seed = 7
@@ -208,6 +210,8 @@ t_c = 10.0
             cfg = cfg.replace('mode = "tail"', 'mode = "channel"')
         if kind == "throughput":
             cfg = cfg.replace("rho_db = [0.0, 10.0]", "rho_db = [6.0]")
+        if kind == "imperfect":
+            cfg = cfg.replace('scheme = "csa"', 'scheme = "ocsa"')
         proc = run_cli(kind, config_text=cfg, tmp_path=tmp_path)
         assert proc.returncode == 2, proc.stderr
         assert b"config error" in proc.stderr
@@ -240,7 +244,7 @@ t_c = 10.0
         ("capacity-ergodic", "side", BASE_CONFIG + _CAPACITY),
         ("capacity-outage", "side",
          BASE_CONFIG + _CAPACITY + "epsilons = [0.1]\n"),
-        ("imperfect", "side", BASE_CONFIG + _CAPACITY + "sigma2 = [0.0]\n"),
+        ("imperfect", "side", _IMPERFECT_CONFIG),
         ("throughput", "mode", _THROUGHPUT_CONFIG),
         ("throughput", "side", _THROUGHPUT_CONFIG),
         ("joint-sweep", "side",
@@ -282,8 +286,7 @@ t_c = 10.0
     @pytest.mark.parametrize("kind, key, value, cfg", [
         ("capacity-ergodic", "sigma2", "0.5", BASE_CONFIG + _CAPACITY),
         ("capacity-ergodic", "epsilons", "[0.1]", BASE_CONFIG + _CAPACITY),
-        ("imperfect", "epsilons", "[0.1]",
-         BASE_CONFIG + _CAPACITY + "sigma2 = [0.0]\n"),
+        ("imperfect", "epsilons", "[0.1]", _IMPERFECT_CONFIG),
     ], ids=["ergodic-sigma2", "ergodic-epsilons", "imperfect-epsilons"])
     def test_capacity_key_the_kind_never_reads(self, tmp_path, kind, key,
                                                value, cfg):
@@ -295,7 +298,7 @@ t_c = 10.0
 
     @pytest.mark.parametrize("kind, cfg", [
         ("capacity-outage", BASE_CONFIG + _CAPACITY + "epsilons = [0.1]\n"),
-        ("imperfect", BASE_CONFIG + _CAPACITY + "sigma2 = [0.0]\n"),
+        ("imperfect", _IMPERFECT_CONFIG),
     ], ids=["outage", "imperfect"])
     def test_negative_sigma2_is_config_error(self, tmp_path, kind, cfg):
         # outage exited 3 (numeric error) for the value imperfect refused
@@ -310,6 +313,52 @@ t_c = 10.0
                        config_text=_THROUGHPUT_CONFIG, tmp_path=tmp_path)
         assert proc.returncode == 2, proc.stderr
         assert b"throughput supports protocol.scheme = 'ocsa' only" \
+            in proc.stderr
+
+    @pytest.mark.parametrize("scheme", ["nc", "csa", "mucsa"])
+    def test_imperfect_is_ocsa_only(self, tmp_path, scheme):
+        proc = run_cli("imperfect", "--set", f"protocol.scheme={scheme!r}",
+                       config_text=_IMPERFECT_CONFIG, tmp_path=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert b"imperfect supports protocol.scheme = 'ocsa' only" \
+            in proc.stderr
+
+    def test_multiuser_is_mucsa_only(self, tmp_path):
+        proc = run_cli("multiuser", "--set", "protocol.scheme='csa'",
+                       config_text=_MULTIUSER_CONFIG, tmp_path=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert b"multiuser supports protocol.scheme = 'mucsa' only" \
+            in proc.stderr
+
+    @pytest.mark.parametrize("key", ["sweep.rho_db", "capacity.sigma2"])
+    def test_non_finite_value_is_config_error(self, tmp_path, key):
+        # 1e400 parses as inf
+        proc = run_cli("imperfect", "--set", f"{key}=[1e400]",
+                       config_text=_IMPERFECT_CONFIG, tmp_path=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert f"{key} must be a number".encode() in proc.stderr
+
+    def test_huge_seed_is_valid(self, tmp_path):
+        proc = run_cli("miss-sweep", "--set", f"run.seed={10 ** 400}",
+                       config_text=BASE_CONFIG, tmp_path=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_result_is_numeric_error(self, tmp_path, fmt):
+        # the lower bound's 1/t_c penalty overflows its standard error
+        proc = run_cli("capacity-ergodic", "--format", fmt,
+                       "--set", "capacity.t_c=1e-300",
+                       config_text=BASE_CONFIG + _CAPACITY, tmp_path=tmp_path)
+        assert proc.returncode == 3, proc.stderr
+        assert b"numeric error: lower_se = nan is not finite" in proc.stderr
+        assert proc.stdout == b""
+
+    @pytest.mark.parametrize("rho_db", ["[10.0]", "[10.0, 10.0]"])
+    def test_diversity_needs_two_distinct_rho(self, tmp_path, rho_db):
+        proc = run_cli("diversity", "--set", f"sweep.rho_db={rho_db}",
+                       config_text=BASE_CONFIG, tmp_path=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert b"diversity needs two distinct sweep.rho_db values" \
             in proc.stderr
 
     def test_out_of_memory(self, tmp_path, monkeypatch, capsys):

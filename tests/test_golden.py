@@ -73,10 +73,10 @@ def _cases():
             "capacity-outage",
             _RUN + _PAIR + _proto(scheme) + _CAP
             + "epsilons = [0.01, 0.1]\nsigma2 = 0.05\n" + _sweep([0.0, 6.0]))
-        cases[f"imperfect-{scheme}"] = (
-            "imperfect",
-            _RUN + _PAIR + _proto(scheme) + _CAP
-            + "sigma2 = [0.0, 0.05]\n" + _sweep([0.0, 6.0]))
+    cases["imperfect-ocsa"] = (
+        "imperfect",
+        _RUN + _PAIR + _proto("ocsa") + _CAP
+        + "sigma2 = [0.0, 0.05]\n" + _sweep([0.0, 6.0]))
     # no sigma2 = 0 row, unsorted: every row is a noisy cell of the grid
     cases["imperfect-ocsa-sigma-grid"] = (
         "imperfect",
