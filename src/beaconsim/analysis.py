@@ -97,6 +97,11 @@ class SweepSpec:
         object.__setattr__(self, "rho_db", tuple(float(r) for r in self.rho_db))
         if not self.rho_db:
             raise ValueError("SweepSpec: rho_db grid must be nonempty")
+        with np.errstate(over="ignore"):
+            rho = db_to_linear(self.rho_db)
+        if not np.all((rho > 0) & np.isfinite(rho)):
+            raise ValueError("SweepSpec: every rho_db must give a positive "
+                             "finite linear SNR 10^(rho_db/10)")
         if self.n_trials < 1:
             raise ValueError("SweepSpec: n_trials must be positive")
         if self.threads < 1:
@@ -217,8 +222,6 @@ def _miss_values_tail(spec: SweepSpec, side: str, user: int):
                 "(helper sums are integrated as a gamma variate)"
             )
         lam_uu = float(inter_vals[0])
-        others = [j for j in range(nu) if j != user]
-        k_others = len(others)
         a_mean = d1 * float(means.primary[user])
         b_mean = (d2 / (2.0 * m_pairs)) * lam_uu
 
@@ -226,31 +229,26 @@ def _miss_values_tail(spec: SweepSpec, side: str, user: int):
             q_bar = np.array(
                 [exp_q_mean(d1 * rho, lam) for lam in means.primary]
             )
-            # Per-subset deterministic weights: failed own detection is part
-            # of the dualized box term, so the weight covers only the other
-            # users.
-            weights, sizes = [], []
-            for mask in range(1, 1 << k_others):
-                w = 1.0
-                bits = 0
-                for pos, j in enumerate(others):
-                    if mask >> pos & 1:
-                        w *= 1.0 - q_bar[j]
-                        bits += 1
-                    else:
-                        w *= q_bar[j]
-                weights.append(w)
-                sizes.append(bits)
+            # weights[k]: probability that exactly k of the other users
+            # succeed in phase one (failed own detection is part of the
+            # dualized box term).  The Poisson-binomial recursion adds only
+            # nonnegative terms, so it never divides by a q_bar that is 0.
+            weights = np.zeros(nu)
+            weights[0] = 1.0
+            for q in np.delete(q_bar, user):
+                weights[1:] = weights[1:] * q + weights[:-1] * (1.0 - q)
+                weights[0] *= q
             all_fail = float(np.prod(q_bar))
 
             def values(zz):
                 x_own, x_rec = zz / (2.0 * rho)
-                # the box depends on the subset only through its size
-                boxes = {kk: exp_erlang_box_prob(x_rec, x_own, a_mean, b_mean, kk)
-                         for kk in range(1, k_others + 1)}
                 total = np.full(len(x_own), all_fail)
-                for w, kk in zip(weights, sizes):
-                    total += 0.25 * w * boxes[kk]
+                # the box depends on the helper subset only through its
+                # size; scaled in place, so no second chunk-size temporary
+                for kk in range(1, nu):
+                    box = exp_erlang_box_prob(x_rec, x_own, a_mean, b_mean, kk)
+                    box *= 0.25 * weights[kk]
+                    total += box
                 return total
 
             return values

@@ -50,10 +50,6 @@ class ChannelSet:
     g_pr: np.ndarray
     g_tr: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return len(self.g_pt)
-
 
 @dataclass(frozen=True)
 class MetricTriple:
@@ -159,10 +155,6 @@ class MultiuserChannelSet:
     @property
     def n_users(self) -> int:
         return self.g_p.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.g_p.shape[1]
 
 
 def draw_multiuser_chunk(means: MultiuserMeans, seed: int, idx: int,

@@ -44,8 +44,9 @@ __all__ = [
     "MAX_PAIRS",
 ]
 
-#: Largest supported number of secondary pairs in the multiuser scheme; the
-#: per-user formula enumerates all helper subsets, which grows as 2**(2M-1).
+#: Largest supported number of secondary pairs in the multiuser scheme.
+#: Channel mode enumerates all 2**(2M-1) helper subsets; tail mode takes one
+#: Erlang box per subset size, and those lose accuracy at large sizes.
 MAX_PAIRS = 6
 
 
@@ -299,8 +300,9 @@ def check_user_count(nu: int) -> int:
         raise ValueError("multiuser: need an even number of users (2M)")
     if nu // 2 > MAX_PAIRS:
         raise ValueError(
-            f"multiuser: at most {MAX_PAIRS} pairs supported "
-            "(helper-subset enumeration grows exponentially)"
+            f"multiuser: at most {MAX_PAIRS} pairs supported (channel mode "
+            "enumerates helper subsets; tail-mode Erlang boxes lose accuracy "
+            "at large sizes)"
         )
     return nu
 

@@ -9,14 +9,15 @@ non-cooperative scheme pin both modes in absolute terms.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from beaconsim import analysis, channel
+from beaconsim import analysis, channel, mc
 from beaconsim.channel import MeanGains, MultiuserMeans
-from beaconsim.fadeprob import exp_q_mean
+from beaconsim.fadeprob import exp_erlang_box_prob, exp_q_mean
 from beaconsim.analysis import (
     DiversityFit,
     SweepResult,
@@ -58,6 +59,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SweepSpec(scheme=Scheme.NC, means=MEANS, rho_db=(0.0,),
                       n_trials=10, seed=1, threads=0)
+
+    @pytest.mark.parametrize("rho_db", [4000.0, -4000.0, math.nan])
+    def test_rho_outside_float_range(self, rho_db):
+        # 10^(rho_db/10) overflows or rounds to 0: refused when built
+        with pytest.raises(ValueError, match="positive finite linear SNR"):
+            SweepSpec(scheme=Scheme.NC, means=MEANS, rho_db=(10.0, rho_db),
+                      n_trials=10, seed=1)
 
     def test_wrong_means_type(self):
         # refused when the spec is built, before any estimator runs
@@ -243,6 +251,41 @@ class TestMultiuserTailCost:
                          chunk=100)
         estimate_miss_curve(spec)
         assert len(calls) == 2 * (2 * m_pairs - 1)
+
+
+class TestMultiuserTailOracle:
+    @pytest.mark.parametrize("m_pairs", [2, 3, 4])
+    def test_unequal_primary_means(self, m_pairs):
+        # every q_bar differs, so a weight attached to the wrong subset or
+        # size shows; the reference enumerates the helper subsets one by one
+        # over the thresholds the estimator draws (one chunk)
+        nu, n, seed = 2 * m_pairs, 3000, 17
+        primary = np.linspace(0.6, 2.9, nu)
+        inter = np.full((nu, nu), 1.3)
+        np.fill_diagonal(inter, 0.0)
+        rho_db = (20.0, 40.0)
+        z = mc.substream(seed, mc.TAG_THRESHOLDS, 0).standard_normal((n, 2))
+        z *= z
+        for user in (0, nu - 1):
+            spec = SweepSpec(scheme=Scheme.MUCSA,
+                             means=MultiuserMeans(primary, inter),
+                             rho_db=rho_db, n_trials=n, seed=seed,
+                             mode="tail", chunk=n)
+            got = estimate_miss_curve(spec, user=user).estimate
+            others = [j for j in range(nu) if j != user]
+            for i, r in enumerate(rho_db):
+                rho = 10.0 ** (r / 10.0)
+                q_bar = [exp_q_mean(rho, lam) for lam in primary]
+                x_own, x_rec = z[:, 0] / (2 * rho), z[:, 1] / (2 * rho)
+                total = np.full(n, math.prod(q_bar))
+                for size in range(1, nu):
+                    box = exp_erlang_box_prob(x_rec, x_own, primary[user],
+                                              1.3 / nu, size)
+                    for helpers in itertools.combinations(others, size):
+                        w = math.prod(1.0 - q_bar[j] if j in helpers
+                                      else q_bar[j] for j in others)
+                        total += 0.25 * w * box
+                assert got[i] == pytest.approx(total.mean(), rel=1e-12, abs=0)
 
 
 class TestChunkOuterSweep:

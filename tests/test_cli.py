@@ -338,6 +338,21 @@ t_c = 10.0
         assert proc.returncode == 2, proc.stderr
         assert f"{key} must be a number".encode() in proc.stderr
 
+    @pytest.mark.parametrize("rho_db", ["4000.0", "-4000.0"])
+    @pytest.mark.parametrize("kind, mode, extra", [
+        ("miss-sweep", "tail", ""),
+        ("miss-sweep", "channel", ""),
+        ("capacity-ergodic", "channel", _CAPACITY),
+    ], ids=["miss-tail", "miss-channel", "ergodic"])
+    def test_rho_outside_float_range_is_config_error(self, tmp_path, kind,
+                                                      mode, extra, rho_db):
+        # 10^(rho_db/10) overflows at 4000 dB and rounds to 0 at -4000 dB
+        proc = run_cli(kind, "--set", f"sweep.rho_db=[{rho_db}]",
+                       "--set", f"sweep.mode={mode!r}",
+                       config_text=BASE_CONFIG + extra, tmp_path=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert b"positive finite linear SNR" in proc.stderr
+
     def test_huge_seed_is_valid(self, tmp_path):
         proc = run_cli("miss-sweep", "--set", f"run.seed={10 ** 400}",
                        config_text=BASE_CONFIG, tmp_path=tmp_path)

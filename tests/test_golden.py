@@ -8,16 +8,18 @@ the chunk size (7000), so the last chunk is a short one.  The files pin the
 stream layout and every estimator, so a refactor that is meant to keep the
 results must leave them unchanged.
 
-The stored files were produced with numpy 2.4.6 and scipy 1.17.1 on
-Python 3.11.7.  Other library versions may change the last bits of some
-values; regenerate with ``python tests/test_golden.py [NAME...]`` (no name:
-every case) only when a change is meant to move the numbers, and say so in
-the change log.
+The stored files were produced with the numpy and scipy versions in
+``VERSIONS``, on Python 3.11.7.  Other library versions may change the last
+bits of some values, so regeneration with
+``python tests/test_golden.py [NAME...]`` (no name: every case) refuses to
+run under any other versions.  Regenerate only when a change is meant to
+move the numbers, and say so in the change log.
 """
 
 from __future__ import annotations
 
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -25,6 +27,7 @@ import pytest
 from beaconsim.cli import KINDS, Conf, main
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
+VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
 
 _RUN = "[run]\nseed = 2024\nn_trials = 30000\nchunk = 7000\n"
 _PAIR = "[channel]\npt = 1.0\npr = 2.0\ntr = 3.0\n"
@@ -148,9 +151,28 @@ def test_declared_keys_are_read(kind, tmp_path, monkeypatch):
     assert declared - asked - {"sweep.mode", "sweep.side"} == set()
 
 
+def test_regeneration_refuses_other_versions():
+    # the version check runs before the case names are read, so the unknown
+    # name guarantees that nothing is written even if the check is broken
+    code = ("import runpy, sys, numpy; numpy.__version__ = '0.0'; "
+            "sys.argv = ['test_golden.py', 'no-such-case']; "
+            f"runpy.run_path({str(pathlib.Path(__file__))!r}, "
+            "run_name='__main__')")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode != 0
+    assert "goldens need" in proc.stderr and "'0.0'" in proc.stderr
+
+
 if __name__ == "__main__":
     import tempfile
 
+    import numpy
+    import scipy
+
+    installed = {"numpy": numpy.__version__, "scipy": scipy.__version__}
+    if installed != VERSIONS:
+        sys.exit(f"goldens need {VERSIONS}, installed {installed}")
     names = sys.argv[1:] or sorted(CASES)
     unknown = sorted(set(names) - set(CASES))
     if unknown:
