@@ -50,7 +50,6 @@ from .protocols import (
     csa_conditional_miss,
     csa_joint_success,
     mucsa_conditional_miss,
-    mucsa_pair_joint_success,
     nc_conditional_miss,
     nc_joint_success,
     ocsa_conditional_miss,
@@ -294,10 +293,8 @@ def _miss_values_tail(spec: SweepSpec, side: str, user: int):
     return _tail_draw(spec, 3), evaluator
 
 
-def _joint_values_channel(spec: SweepSpec, pair: int):
+def _joint_values_channel(spec: SweepSpec):
     def kernel(cfg, ch):
-        if spec.scheme is Scheme.MUCSA:
-            return mucsa_pair_joint_success(cfg, ch, pair)
         if spec.scheme is Scheme.NC:
             return nc_joint_success(cfg, ch.g_pt, ch.g_pr)
         if spec.scheme is Scheme.CSA:
@@ -343,18 +340,16 @@ def estimate_miss_curve(spec: SweepSpec, side: str = "t",
     return _run_sweep(spec, *factory(spec, side, user))
 
 
-def estimate_joint_success_curve(spec: SweepSpec, pair: int = 0) -> SweepResult:
+def estimate_joint_success_curve(spec: SweepSpec) -> SweepResult:
     """Estimate the probability that both nodes of a pair detect.
 
-    Channel-realization averaging only: joint success tends to one, so the
-    deep-tail reformulation is unnecessary.  ``pair`` selects the pair for
-    the multiuser scheme.
+    Channel-realization averaging of the pair schemes only: joint success
+    tends to one, so the deep-tail reformulation is unnecessary.
     """
-    if spec.mode != "channel":
-        raise ValueError(
-            "estimate_joint_success_curve supports channel mode only"
-        )
-    return _run_sweep(spec, *_joint_values_channel(spec, pair))
+    if spec.mode != "channel" or spec.scheme is Scheme.MUCSA:
+        raise ValueError("estimate_joint_success_curve supports nc, csa and "
+                         "ocsa in channel mode only")
+    return _run_sweep(spec, *_joint_values_channel(spec))
 
 
 def estimate_diversity(spec: SweepSpec, side: str = "t",
@@ -367,6 +362,12 @@ def estimate_diversity(spec: SweepSpec, side: str = "t",
     if len(set(spec.rho_db)) < 2:
         raise ValueError("estimate_diversity: need two distinct grid points")
     result = estimate_miss_curve(spec, side=side, user=user)
+    zero = np.flatnonzero(result.estimate == 0)
+    if zero.size:
+        raise ValueError(
+            "estimate_diversity: the miss estimate at rho_db = "
+            f"{spec.rho_db[zero[0]]:g} is exactly 0, so no slope can be "
+            "fitted; use tail mode")
     rho = db_to_linear(np.asarray(spec.rho_db))
     order, residual = fit_diversity_slope(rho, result.estimate)
     return DiversityFit(order=order, residual=residual, result=result)

@@ -213,14 +213,17 @@ def resolve_split(conf: Conf) -> tuple[int, int]:
     return _build(split_channel_uses, d, alpha)
 
 
-def resolve_scheme(conf: Conf, kind: str = "", only=None) -> Scheme:
-    """protocol.scheme; for a kind that runs only one scheme, the key may be
-    left out and any other value is refused."""
+def resolve_scheme(conf: Conf, kind: str) -> Scheme:
+    """protocol.scheme, one of the schemes the kind runs; for a kind that
+    runs only one scheme, the key may be left out."""
+    schemes = KINDS[kind][2]
+    only = schemes[0] if len(schemes) == 1 else None
     scheme = _build(Scheme, conf.get_str("protocol", "scheme", default=only,
                                          required=only is None))
-    if only is not None and scheme is not only:
-        raise ConfigError(f"{kind} supports protocol.scheme = "
-                          f"'{only.value}' only")
+    if scheme not in schemes:
+        *head, last = (f"'{s.value}'" for s in schemes)
+        listed = f"{', '.join(head)} or {last}" if head else last
+        raise ConfigError(f"{kind} supports protocol.scheme = {listed} only")
     return scheme
 
 
@@ -239,11 +242,9 @@ def run_params(conf: Conf) -> tuple[int, int, int | None]:
 
 
 def build_sweep_spec(conf: Conf, scheme: Scheme, threads: int,
-                     index: str = "user",
                      mode_default="channel") -> tuple[SweepSpec, int]:
-    """The shared sections as a SweepSpec, and the index of the mucsa
-    multiuser.<index> key, checked against the 2M users (index "user") or
-    the M pairs (index "pair"); 0 for the pair schemes."""
+    """The shared sections as a SweepSpec, and the mucsa multiuser.user
+    index, checked against the 2M users; 0 for the pair schemes."""
     if scheme is Scheme.MUCSA:
         m_pairs = conf.get_int("multiuser", "m_pairs", required=True)
         if m_pairs > MAX_PAIRS:
@@ -276,17 +277,17 @@ def build_sweep_spec(conf: Conf, scheme: Scheme, threads: int,
         threads=threads,
         chunk=chunk,
     )
-    if scheme is not Scheme.MUCSA:
-        return spec, 0
-    count = spec.means.n_users // (1 if index == "user" else 2)
-    value = conf.get_int("multiuser", index, default=0)
-    if not 0 <= value < count:
-        raise ConfigError(f"multiuser.{index} must lie in [0, {count - 1}]")
-    return spec, value
+    # a pair scheme never gets here with a [multiuser] section
+    user = conf.get_int("multiuser", "user", default=0)
+    if scheme is Scheme.MUCSA and not 0 <= user < spec.means.n_users:
+        raise ConfigError("multiuser.user must lie in "
+                          f"[0, {spec.means.n_users - 1}]")
+    return spec, user
 
 
 # ---------------------------------------------------------------------------
-# Kind runners: each returns (rows, extra_meta)
+# Kind runners: each takes (conf, scheme, threads) and returns
+# (rows, extra_meta)
 # ---------------------------------------------------------------------------
 
 
@@ -297,7 +298,7 @@ def _rows(**columns) -> list[dict]:
             for cell in zip(*(c.ravel().tolist() for c in cols))]
 
 
-def _miss_curve(conf: Conf, threads: int, scheme: Scheme, side: str = "t"):
+def _miss_curve(conf: Conf, scheme: Scheme, threads: int, side: str = "t"):
     """Miss-curve rows and meta, plus the user a mucsa curve is for."""
     spec, user = build_sweep_spec(conf, scheme, threads)
     res = estimate_miss_curve(spec, side=side, user=user)
@@ -306,25 +307,23 @@ def _miss_curve(conf: Conf, threads: int, scheme: Scheme, side: str = "t"):
     return rows, {"scheme": scheme.value, "mode": spec.mode}, user
 
 
-def run_miss_sweep(conf: Conf, threads: int):
-    rows, meta, _user = _miss_curve(conf, threads, resolve_scheme(conf),
+def run_miss_sweep(conf: Conf, scheme: Scheme, threads: int):
+    rows, meta, _user = _miss_curve(conf, scheme, threads,
                                     conf.get_str("sweep", "side", default="t"))
     return rows, meta
 
 
-def run_joint_sweep(conf: Conf, threads: int):
-    scheme = resolve_scheme(conf)
-    spec, pair = build_sweep_spec(conf, scheme, threads, index="pair")
+def run_joint_sweep(conf: Conf, scheme: Scheme, threads: int):
+    spec, _user = build_sweep_spec(conf, scheme, threads)
     if spec.mode != "channel":
         raise ConfigError("joint-sweep supports sweep.mode = 'channel' only")
-    res = estimate_joint_success_curve(spec, pair=pair)
+    res = estimate_joint_success_curve(spec)
     rows = _rows(rho_db=res.rho_db, estimate=res.estimate,
                  std_error=res.std_error)
     return rows, {"scheme": scheme.value, "mode": spec.mode}
 
 
-def run_diversity(conf: Conf, threads: int):
-    scheme = resolve_scheme(conf)
+def run_diversity(conf: Conf, scheme: Scheme, threads: int):
     spec, user = build_sweep_spec(conf, scheme, threads, mode_default="tail")
     if len(set(spec.rho_db)) < 2:
         raise ConfigError("diversity needs two distinct sweep.rho_db values")
@@ -340,11 +339,9 @@ def _mc_args(spec: SweepSpec) -> dict:
                 threads=spec.threads, chunk=spec.chunk)
 
 
-def _capacity_setup(conf: Conf, threads: int, scheme: Scheme):
+def _capacity_setup(conf: Conf, scheme: Scheme, threads: int):
     """The shared sections as a SweepSpec, and the estimators' kwargs."""
-    if scheme is Scheme.MUCSA:
-        raise ConfigError("capacity kinds support nc, csa and ocsa only")
-    spec, _index = build_sweep_spec(conf, scheme, threads)
+    spec, _user = build_sweep_spec(conf, scheme, threads)
     activity = _build(
         ActivityModel,
         conf.get_float("capacity", "p_theta_t", required=True),
@@ -360,8 +357,8 @@ def _capacity_setup(conf: Conf, threads: int, scheme: Scheme):
                       **_mc_args(spec))
 
 
-def run_capacity_ergodic(conf: Conf, threads: int):
-    spec, common = _capacity_setup(conf, threads, resolve_scheme(conf))
+def run_capacity_ergodic(conf: Conf, scheme: Scheme, threads: int):
+    spec, common = _capacity_setup(conf, scheme, threads)
     est = ergodic_capacity(spec.scheme, **common)
     return _rows(rho_db=spec.rho_db,
                  upper_mean=est.upper_mean, upper_se=est.upper_se,
@@ -369,8 +366,8 @@ def run_capacity_ergodic(conf: Conf, threads: int):
         {"scheme": spec.scheme.value}
 
 
-def run_capacity_outage(conf: Conf, threads: int):
-    spec, common = _capacity_setup(conf, threads, resolve_scheme(conf))
+def run_capacity_outage(conf: Conf, scheme: Scheme, threads: int):
+    spec, common = _capacity_setup(conf, scheme, threads)
     epsilons = conf.get_numlist("capacity", "epsilons", required=True)
     for e in epsilons:
         if not 0.0 < e < 1.0:
@@ -386,9 +383,8 @@ def run_capacity_outage(conf: Conf, threads: int):
     return rows, {"scheme": spec.scheme.value}
 
 
-def run_imperfect(conf: Conf, threads: int):
-    spec, common = _capacity_setup(
-        conf, threads, resolve_scheme(conf, "imperfect", Scheme.OCSA))
+def run_imperfect(conf: Conf, scheme: Scheme, threads: int):
+    spec, common = _capacity_setup(conf, scheme, threads)
     sigma2s = conf.get_numlist("capacity", "sigma2", required=True)
     # one noise-level x rho grid, levels leading so each is drawn once per
     # chunk; level 0, the noiseless baseline of the relative loss, is first
@@ -412,9 +408,8 @@ def run_imperfect(conf: Conf, threads: int):
     return rows, {"scheme": spec.scheme.value}
 
 
-def run_throughput(conf: Conf, threads: int):
-    spec, _index = build_sweep_spec(
-        conf, resolve_scheme(conf, "throughput", Scheme.OCSA), threads)
+def run_throughput(conf: Conf, scheme: Scheme, threads: int):
+    spec, _user = build_sweep_spec(conf, scheme, threads)
     if len(spec.rho_db) != 1:
         raise ConfigError("throughput expects a single sweep.rho_db value")
     t_cr = conf.get_float("throughput", "t_cr", default=1.0)
@@ -431,9 +426,8 @@ def run_throughput(conf: Conf, threads: int):
     return rows, {"rho_db": spec.rho_db[0]}
 
 
-def run_multiuser(conf: Conf, threads: int):
-    rows, meta, user = _miss_curve(
-        conf, threads, resolve_scheme(conf, "multiuser", Scheme.MUCSA))
+def run_multiuser(conf: Conf, scheme: Scheme, threads: int):
+    rows, meta, user = _miss_curve(conf, scheme, threads)
     return rows, {**meta, "user": user}
 
 
@@ -443,24 +437,28 @@ _COMMON = {
     "sweep": ("rho_db", "mode", "side"),  # see _KEY_VALUES
 }
 _PAIR = {**_COMMON, "channel": ("pt", "pr", "tr")}
-_GAINS = ("m_pairs", "primary", "inter")
+_MULTI = ("m_pairs", "primary", "inter", "user")
+_SWEEP = {**_PAIR, "multiuser": _MULTI}
 _CAPACITY = ("p_theta_t", "p_theta_joint", "t_c")
+_PAIR_SCHEMES, _OCSA = (Scheme.NC, Scheme.CSA, Scheme.OCSA), (Scheme.OCSA,)
 
-# kind -> (runner, {section: keys the kind reads}); any other section or
-# key is a configuration error
+# kind -> (runner, {section: keys the kind reads}, schemes it runs); any
+# other section, key or scheme is a configuration error
 KINDS = {
-    "miss-sweep": (run_miss_sweep, {**_PAIR, "multiuser": (*_GAINS, "user")}),
-    "joint-sweep": (run_joint_sweep, {**_PAIR, "multiuser": (*_GAINS, "pair")}),
-    "diversity": (run_diversity, {**_PAIR, "multiuser": (*_GAINS, "user")}),
+    "miss-sweep": (run_miss_sweep, _SWEEP, tuple(Scheme)),
+    "joint-sweep": (run_joint_sweep, _PAIR, _PAIR_SCHEMES),
+    "diversity": (run_diversity, _SWEEP, tuple(Scheme)),
     "capacity-ergodic": (run_capacity_ergodic,
-                         {**_PAIR, "capacity": _CAPACITY}),
+                         {**_PAIR, "capacity": _CAPACITY}, _PAIR_SCHEMES),
     "capacity-outage": (run_capacity_outage,
                         {**_PAIR, "capacity": (*_CAPACITY, "epsilons",
-                                               "sigma2")}),
-    "imperfect": (run_imperfect, {**_PAIR, "capacity": (*_CAPACITY, "sigma2")}),
+                                               "sigma2")}, _PAIR_SCHEMES),
+    "imperfect": (run_imperfect, {**_PAIR, "capacity": (*_CAPACITY, "sigma2")},
+                  _OCSA),
     "throughput": (run_throughput,
-                   {**_PAIR, "throughput": ("t_cr", "w1", "w2")}),
-    "multiuser": (run_multiuser, {**_COMMON, "multiuser": (*_GAINS, "user")}),
+                   {**_PAIR, "throughput": ("t_cr", "w1", "w2")}, _OCSA),
+    "multiuser": (run_multiuser, {**_COMMON, "multiuser": _MULTI},
+                  (Scheme.MUCSA,)),
 }
 
 
@@ -570,8 +568,10 @@ def main(argv=None) -> int:
             raise ConfigError("--threads must be >= 1")
         data = load_config(args.config)
         apply_overrides(data, args.overrides)
+        conf = Conf(data)
+        scheme = resolve_scheme(conf, args.kind)
         check_schema(args.kind, data)
-        rows, extra = KINDS[args.kind][0](Conf(data), args.threads)
+        rows, extra = KINDS[args.kind][0](conf, scheme, args.threads)
         for key, v in (cell for row in rows for cell in row.items()):
             if isinstance(v, float) and not math.isfinite(v):
                 raise ValueError(f"{key} = {v} is not finite")

@@ -40,7 +40,6 @@ __all__ = [
     "ocsa_conditional_miss",
     "ocsa_joint_success",
     "mucsa_conditional_miss",
-    "mucsa_pair_joint_success",
     "MAX_PAIRS",
 ]
 
@@ -351,22 +350,3 @@ def mucsa_conditional_miss(cfg: ProtocolConfig, mch: MultiuserChannelSet,
         total += prob * miss
     total += np.prod(fail, axis=0)
     return np.clip(total, 0.0, 1.0)
-
-
-def mucsa_pair_joint_success(cfg: ProtocolConfig, mch: MultiuserChannelSet,
-                             pair: int) -> np.ndarray:
-    """Joint detection probability of one secondary pair.
-
-    Users 0..M-1 are the pair transmitters and users M..2M-1 the matching
-    receivers; pair m consists of users (m, m + M).  The two per-user
-    recovery events are driven by disjoint helper links, so the pair
-    probability is the product of the per-user success probabilities.
-    """
-    nu = check_user_count(mch.n_users)
-    m_pairs = nu // 2
-    pair = int(pair)
-    if not 0 <= pair < m_pairs:
-        raise ValueError("mucsa_pair_joint_success: pair index out of range")
-    miss_tx = mucsa_conditional_miss(cfg, mch, pair)
-    miss_rx = mucsa_conditional_miss(cfg, mch, pair + m_pairs)
-    return (1.0 - miss_tx) * (1.0 - miss_rx)

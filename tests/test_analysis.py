@@ -193,11 +193,14 @@ class TestJointSuccess:
         assert ocsa.estimate[0] >= csa.estimate[0]
 
     def test_multiuser_pair(self):
+        # a pair's two recoveries share the phase-1 outcomes of the other
+        # users, so the product of the per-user successes is not the joint
+        # success, and no mucsa joint estimator is offered
         mu = MultiuserMeans.uniform(2, 1.0, 1.0)
         spec = SweepSpec(scheme=Scheme.MUCSA, means=mu, rho_db=(0.0,),
-                         n_trials=50_000, seed=9)
-        res = estimate_joint_success_curve(spec, pair=1)
-        assert 0.0 < res.estimate[0] < 1.0
+                         n_trials=1000, seed=9)
+        with pytest.raises(ValueError, match="nc, csa and ocsa"):
+            estimate_joint_success_curve(spec)
 
 
 class TestDiversity:
@@ -296,9 +299,8 @@ class TestChunkOuterSweep:
         ("channel", Scheme.CSA, estimate_miss_curve),
         ("channel", Scheme.MUCSA, estimate_miss_curve),
         ("channel", Scheme.OCSA, estimate_joint_success_curve),
-        ("channel", Scheme.MUCSA, estimate_joint_success_curve),
     ], ids=["tail-nc", "tail-ocsa", "tail-mucsa", "channel-csa",
-            "channel-mucsa", "joint-ocsa", "joint-mucsa"])
+            "channel-mucsa", "joint-ocsa"])
     def test_one_substream_per_chunk(self, monkeypatch, mode, scheme,
                                      estimator):
         # P grid points over C chunks open C threshold or gain substreams,

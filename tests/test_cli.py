@@ -46,9 +46,26 @@ mode = "tail"
 _CHANNEL = "[channel]\npt = 1.0\npr = 2.0\ntr = 3.0\n\n"
 _CAPACITY = "\n[capacity]\np_theta_t = 0.85\np_theta_joint = 0.7\nt_c = 10.0\n"
 _THROUGHPUT = "\n[throughput]\nw1 = [0.0]\nw2 = [0.1]\n"
-_MUCSA_PAIR = "\n[multiuser]\nm_pairs = 2\nprimary = 1.0\ninter = 1.0\npair = 2\n"
-_THROUGHPUT_CONFIG = BASE_CONFIG.replace("rho_db = [0.0, 10.0]",
-                                        "rho_db = 6.0") + _THROUGHPUT
+_MUCSA_USER = "\n[multiuser]\nm_pairs = 2\nprimary = 1.0\ninter = 1.0\nuser = 4\n"
+# the sections each kind reads besides the shared and the gain ones
+_KIND_SECTIONS = {
+    "capacity-ergodic": _CAPACITY,
+    "capacity-outage": _CAPACITY + "epsilons = [0.1]\n",
+    "imperfect": _CAPACITY + "sigma2 = [0.0]\n",
+    "throughput": _THROUGHPUT,
+}
+# the schemes named when a kind refuses one
+_KIND_SCHEMES = {
+    "joint-sweep": "'nc', 'csa' or 'ocsa'",
+    "capacity-ergodic": "'nc', 'csa' or 'ocsa'",
+    "capacity-outage": "'nc', 'csa' or 'ocsa'",
+    "imperfect": "'ocsa'",
+    "throughput": "'ocsa'",
+    "multiuser": "'mucsa'",
+}
+_THROUGHPUT_CONFIG = (
+    BASE_CONFIG.replace("rho_db = [0.0, 10.0]", "rho_db = 6.0")
+    .replace('scheme = "csa"', 'scheme = "ocsa"') + _THROUGHPUT)
 _IMPERFECT_CONFIG = (BASE_CONFIG.replace('scheme = "csa"', 'scheme = "ocsa"')
                      + _CAPACITY + "sigma2 = [0.0]\n")
 _MULTIUSER_CONFIG = """\
@@ -186,57 +203,91 @@ t_c = 10.0
         proc = run_cli("capacity-ergodic", config_text=cfg, tmp_path=tmp_path)
         assert proc.returncode == 3
 
-    @pytest.mark.parametrize("kind, old, new, extra", [
-        ("miss-sweep", "seed = 123", "seed = -1", ""),
-        ("capacity-ergodic", "seed = 123", "seed = -5", _CAPACITY),
-        ("capacity-ergodic", "n_trials = 20000", "n_trials = 0", _CAPACITY),
+    @pytest.mark.parametrize("kind, old, new, extra, msg", [
+        ("miss-sweep", "seed = 123", "seed = -1", "", "run.seed"),
+        ("capacity-ergodic", "seed = 123", "seed = -5", _CAPACITY, "run.seed"),
+        ("capacity-ergodic", "n_trials = 20000", "n_trials = 0", _CAPACITY,
+         "run.n_trials"),
         ("capacity-outage", "n_trials = 20000", "n_trials = -3",
-         _CAPACITY + "epsilons = [0.1]\n"),
+         _CAPACITY + "epsilons = [0.1]\n", "run.n_trials"),
         ("imperfect", "n_trials = 20000", "n_trials = 20000\nchunk = 0",
-         _CAPACITY + "sigma2 = [0.0]\n"),
-        ("throughput", "n_trials = 20000", "n_trials = 0", _THROUGHPUT),
+         _CAPACITY + "sigma2 = [0.0]\n", "run.chunk"),
+        ("throughput", "n_trials = 20000", "n_trials = 0", _THROUGHPUT,
+         "run.n_trials"),
         ("throughput", "n_trials = 20000", "n_trials = 20000\nchunk = -1",
-         _THROUGHPUT),
-        ("joint-sweep", _CHANNEL + '[protocol]\nscheme = "csa"',
-         '[protocol]\nscheme = "mucsa"', _MUCSA_PAIR),
+         _THROUGHPUT, "run.chunk"),
+        # 2M = 4 users, so user 4 is one past the last
+        ("miss-sweep", _CHANNEL + '[protocol]\nscheme = "csa"',
+         '[protocol]\nscheme = "mucsa"', _MUCSA_USER,
+         "multiuser.user must lie in [0, 3]"),
     ], ids=["negative-seed-sweep", "negative-seed-capacity",
             "zero-trials-capacity", "negative-trials-outage",
             "zero-chunk-imperfect", "zero-trials-throughput",
-            "negative-chunk-throughput", "pair-out-of-range"])
+            "negative-chunk-throughput", "user-out-of-range"])
     def test_bad_run_or_pair_is_config_error(self, tmp_path, kind, old, new,
-                                              extra):
+                                              extra, msg):
         cfg = BASE_CONFIG.replace(old, new) + extra
-        if kind == "joint-sweep":
-            cfg = cfg.replace('mode = "tail"', 'mode = "channel"')
         if kind == "throughput":
             cfg = cfg.replace("rho_db = [0.0, 10.0]", "rho_db = [6.0]")
-        if kind == "imperfect":
+        if kind in ("imperfect", "throughput"):
             cfg = cfg.replace('scheme = "csa"', 'scheme = "ocsa"')
         proc = run_cli(kind, config_text=cfg, tmp_path=tmp_path)
         assert proc.returncode == 2, proc.stderr
-        assert b"config error" in proc.stderr
+        assert f"config error: {msg}".encode() in proc.stderr
 
     @pytest.mark.parametrize("kind, scheme, section, cfg", [
         ("miss-sweep", "csa", "multiuser", BASE_CONFIG
          + "\n[multiuser]\nm_pairs = \"x\"\npair = -5\n"),
-        ("joint-sweep", "ocsa", "multiuser",
-         BASE_CONFIG.replace('mode = "tail"', 'mode = "channel"')
-         + "\n[multiuser]\nm_pairs = 2\n"),
-        ("diversity", "nc", "multiuser", BASE_CONFIG + _MUCSA_PAIR),
+        ("diversity", "nc", "multiuser", BASE_CONFIG + _MUCSA_USER),
         ("miss-sweep", "mucsa", "channel",
          _MULTIUSER_CONFIG + "\n[channel]\npt = \"bogus\"\npr = -2.0\n"),
-        ("joint-sweep", "mucsa", "channel",
-         _MULTIUSER_CONFIG.replace('mode = "tail"', 'mode = "channel"')
-         + "\n" + _CHANNEL),
-    ], ids=["miss-csa-multiuser", "joint-ocsa-multiuser",
-            "diversity-nc-multiuser", "miss-mucsa-channel",
-            "joint-mucsa-channel"])
+    ], ids=["miss-csa-multiuser", "diversity-nc-multiuser",
+            "miss-mucsa-channel"])
     def test_section_the_scheme_never_reads(self, tmp_path, kind, scheme,
                                             section, cfg):
         proc = run_cli(kind, "--set", f"protocol.scheme={scheme!r}",
                        config_text=cfg, tmp_path=tmp_path)
         assert proc.returncode == 2, proc.stderr
         msg = f"section [{section}] is not read by scheme {scheme}"
+        assert msg.encode() in proc.stderr
+
+    def test_joint_sweep_reads_no_multiuser_section(self, tmp_path):
+        cfg = (BASE_CONFIG.replace('mode = "tail"', 'mode = "channel"')
+               + "\n[multiuser]\nm_pairs = 2\n")
+        proc = run_cli("joint-sweep", config_text=cfg, tmp_path=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert b"unknown section [multiuser] for kind joint-sweep" \
+            in proc.stderr
+
+    @pytest.mark.parametrize("kind, scheme", [
+        (kind, scheme.value) for kind, (_run, _reads, schemes)
+        in cli.KINDS.items() for scheme in Scheme if scheme not in schemes])
+    def test_scheme_the_kind_does_not_run(self, tmp_path, kind, scheme):
+        # checked before the section rules, so the config can carry the gain
+        # section its scheme reads ([multiuser] or [channel]) and still get
+        # the scheme message
+        cfg = ((_MULTIUSER_CONFIG if scheme == "mucsa" else BASE_CONFIG)
+               + _KIND_SECTIONS.get(kind, ""))
+        proc = run_cli(kind, "--set", f"protocol.scheme={scheme!r}",
+                       config_text=cfg, tmp_path=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        msg = f"{kind} supports protocol.scheme = {_KIND_SCHEMES[kind]} only"
+        assert msg.encode() in proc.stderr
+
+    @pytest.mark.parametrize("args, extra", [
+        (("--set", "multiuser.user=0"), ""),
+        ((), "\n" + _CHANNEL),
+    ], ids=["user-key", "channel-section"])
+    def test_joint_sweep_refuses_mucsa_first(self, tmp_path, args, extra):
+        # a mucsa config that also sets a key or a section joint-sweep would
+        # refuse gets the scheme message, not the key or section one
+        cfg = (_MULTIUSER_CONFIG.replace('mode = "tail"', 'mode = "channel"')
+               + extra)
+        proc = run_cli("joint-sweep", "--set", "protocol.scheme='mucsa'",
+                       *args, config_text=cfg, tmp_path=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        msg = ("joint-sweep supports protocol.scheme = "
+               f"{_KIND_SCHEMES['joint-sweep']} only")
         assert msg.encode() in proc.stderr
 
     @pytest.mark.parametrize("kind, key, cfg", [
@@ -272,11 +323,9 @@ t_c = 10.0
         ("multiuser", "pair", _MULTIUSER_CONFIG),
         ("miss-sweep", "pair", _MULTIUSER_CONFIG),
         ("diversity", "pair", _MULTIUSER_CONFIG),
-        ("joint-sweep", "user",
-         _MULTIUSER_CONFIG.replace('mode = "tail"', 'mode = "channel"')),
-    ], ids=["multiuser-pair", "miss-mucsa-pair", "diversity-mucsa-pair",
-            "joint-mucsa-user"])
+    ], ids=["multiuser-pair", "miss-mucsa-pair", "diversity-mucsa-pair"])
     def test_index_key_the_kind_never_reads(self, tmp_path, kind, key, cfg):
+        # no kind reads multiuser.pair, so a config that still sets it fails
         proc = run_cli(kind, "--set", "protocol.scheme='mucsa'",
                        "--set", f"multiuser.{key}=0",
                        config_text=cfg, tmp_path=tmp_path)
@@ -306,29 +355,6 @@ t_c = 10.0
                        config_text=cfg, tmp_path=tmp_path)
         assert proc.returncode == 2, proc.stderr
         assert b"capacity.sigma2 must be nonnegative" in proc.stderr
-
-    @pytest.mark.parametrize("scheme", ["nc", "csa", "mucsa"])
-    def test_throughput_is_ocsa_only(self, tmp_path, scheme):
-        proc = run_cli("throughput", "--set", f"protocol.scheme={scheme!r}",
-                       config_text=_THROUGHPUT_CONFIG, tmp_path=tmp_path)
-        assert proc.returncode == 2, proc.stderr
-        assert b"throughput supports protocol.scheme = 'ocsa' only" \
-            in proc.stderr
-
-    @pytest.mark.parametrize("scheme", ["nc", "csa", "mucsa"])
-    def test_imperfect_is_ocsa_only(self, tmp_path, scheme):
-        proc = run_cli("imperfect", "--set", f"protocol.scheme={scheme!r}",
-                       config_text=_IMPERFECT_CONFIG, tmp_path=tmp_path)
-        assert proc.returncode == 2, proc.stderr
-        assert b"imperfect supports protocol.scheme = 'ocsa' only" \
-            in proc.stderr
-
-    def test_multiuser_is_mucsa_only(self, tmp_path):
-        proc = run_cli("multiuser", "--set", "protocol.scheme='csa'",
-                       config_text=_MULTIUSER_CONFIG, tmp_path=tmp_path)
-        assert proc.returncode == 2, proc.stderr
-        assert b"multiuser supports protocol.scheme = 'mucsa' only" \
-            in proc.stderr
 
     @pytest.mark.parametrize("key", ["sweep.rho_db", "capacity.sigma2"])
     def test_non_finite_value_is_config_error(self, tmp_path, key):
@@ -376,13 +402,22 @@ t_c = 10.0
         assert b"diversity needs two distinct sweep.rho_db values" \
             in proc.stderr
 
+    def test_diversity_zero_estimate_is_numeric_error(self, tmp_path):
+        # channel mode never sees a csa miss this deep, so both points read 0
+        proc = run_cli("diversity", "--set", "sweep.mode='channel'",
+                       "--set", "sweep.rho_db=[60.0, 80.0]",
+                       config_text=BASE_CONFIG, tmp_path=tmp_path)
+        assert proc.returncode == 3, proc.stderr
+        assert (b"the miss estimate at rho_db = 60 is exactly 0, so no slope "
+                b"can be fitted; use tail mode") in proc.stderr
+
     def test_out_of_memory(self, tmp_path, monkeypatch, capsys):
         # the runner raises instead of allocating, so nothing is exhausted
-        def exhausted(conf, threads):
+        def exhausted(conf, scheme, threads):
             raise MemoryError("cannot allocate 8 EiB")
 
         monkeypatch.setitem(cli.KINDS, "miss-sweep",
-                            (exhausted, cli.KINDS["miss-sweep"][1]))
+                            (exhausted, *cli.KINDS["miss-sweep"][1:]))
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(BASE_CONFIG)
         assert cli.main(["miss-sweep", "--config", str(cfg)]) == 3
@@ -517,10 +552,9 @@ w2 = [0.0, 0.3]
                 row["loss_se"])
 
     def test_throughput_scheme_optional(self, tmp_path):
-        cfg = _THROUGHPUT_CONFIG.replace('scheme = "csa"', 'scheme = "ocsa"')
-        with_scheme = run_cli("throughput", config_text=cfg,
+        with_scheme = run_cli("throughput", config_text=_THROUGHPUT_CONFIG,
                               tmp_path=tmp_path)
-        cfg = cfg.replace('scheme = "ocsa"\n', "")
+        cfg = _THROUGHPUT_CONFIG.replace('scheme = "ocsa"\n', "")
         without = run_cli("throughput", config_text=cfg, tmp_path=tmp_path)
         assert with_scheme.returncode == without.returncode == 0
         assert with_scheme.stdout == without.stdout

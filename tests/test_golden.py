@@ -19,6 +19,7 @@ move the numbers, and say so in the change log.
 from __future__ import annotations
 
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -59,9 +60,10 @@ def _cases():
         cases[f"joint-{scheme}"] = (
             "joint-sweep",
             _RUN + _PAIR + _proto(scheme) + _sweep([0.0, 10.0]))
-    cases["joint-mucsa-pair1"] = (
-        "joint-sweep",
-        _RUN + _MULTI + "pair = 1\n" + _proto("mucsa") + _sweep([0.0, 10.0]))
+    for scheme in ("nc", "csa"):
+        cases[f"diversity-{scheme}"] = (
+            "diversity",
+            _RUN + _PAIR + _proto(scheme) + _sweep([20.0, 30.0, 40.0], "tail"))
     cases["diversity-ocsa-r"] = (
         "diversity",
         _RUN + _PAIR + _proto("ocsa") + _sweep([20.0, 30.0, 40.0], "tail", "r"))
@@ -129,6 +131,18 @@ def test_golden_output(name, tmp_path):
     assert want.count(b'"threads": 1') == 1
     assert (_render(name, tmp_path, threads=2)
             == want.replace(b'"threads": 1', b'"threads": 2'))
+
+
+def test_every_scheme_of_every_kind_has_a_case():
+    # a case runs its protocol.scheme, or the scheme of a one-scheme kind
+    have = set()
+    for kind, config in CASES.values():
+        named = re.search(r'^scheme = "(\w+)"', config, re.M)
+        have.add((kind, named[1] if named else KINDS[kind][2][0].value))
+    want = {(kind, scheme.value)
+            for kind, (_run, _reads, schemes) in KINDS.items()
+            for scheme in schemes}
+    assert want - have == set()
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))

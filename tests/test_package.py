@@ -19,7 +19,7 @@ ROOT_NAMES = [
     "ergodic_capacity", "estimate_diversity", "estimate_joint_success_curve",
     "estimate_miss_curve", "exp_erlang_box_prob", "exp_q_mean",
     "exp_sum_box_prob", "fit_diversity_slope", "gaussian_q",
-    "imperfect_capacity", "mucsa_conditional_miss", "mucsa_pair_joint_success",
+    "imperfect_capacity", "mucsa_conditional_miss",
     "nc_conditional_miss", "nc_joint_success", "ocsa_conditional_miss",
     "ocsa_fade_regions", "ocsa_joint_success", "ocsa_select_relay",
     "outage_capacity", "perturb_metrics", "phase1_failure",

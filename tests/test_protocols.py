@@ -23,7 +23,6 @@ from beaconsim.protocols import (
     csa_conditional_miss,
     csa_joint_success,
     mucsa_conditional_miss,
-    mucsa_pair_joint_success,
     nc_conditional_miss,
     nc_joint_success,
     ocsa_conditional_miss,
@@ -515,22 +514,6 @@ class TestMultiuser:
             cfg = ProtocolConfig(rho=1.0)
             got = mucsa_conditional_miss(cfg, mch, 0)
             assert got[0] == pytest.approx(want, abs=1e-15)
-
-    def test_pair_joint_success(self):
-        rng = np.random.default_rng(41)
-        n_users = 4
-        g_p = rng.exponential(1.0, (n_users, 3))
-        raw = rng.exponential(1.0, (n_users, n_users, 3))
-        g_uu = (raw + np.swapaxes(raw, 0, 1)) / 2.0
-        for i in range(n_users):
-            g_uu[i, i] = 0.0
-        mch = MultiuserChannelSet(g_p=g_p, g_uu=g_uu)
-        cfg = ProtocolConfig(rho=2.0)
-        got = mucsa_pair_joint_success(cfg, mch, pair=1)
-        want = (1.0 - mucsa_conditional_miss(cfg, mch, 1)) * (
-            1.0 - mucsa_conditional_miss(cfg, mch, 3)
-        )
-        np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_pair_count_guard(self):
         n_users = 16
