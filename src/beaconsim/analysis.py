@@ -33,12 +33,9 @@ from .channel import (
     draw_multiuser_chunk,
     draw_pair_chunk,
 )
-from .fadeprob import (
-    exp_erlang_box_prob,
-    exp_q_mean,
-    exp_sum_box_prob,
-    ocsa_fade_regions,
-)
+# exp_sum_box_prob is unused but stays bound: perfbench hooks it here
+from .fadeprob import (exp_erlang_box_prob, exp_q_mean,  # noqa: F401
+                       exp_sum_box_prob, ocsa_fade_regions)
 # parallel_chunk_stats is unused but stays bound: perfbench hooks it here
 from .mc import (TAG_THRESHOLDS, parallel_chunk_stats,  # noqa: F401
                  parallel_grid_stats, substream)
@@ -206,13 +203,48 @@ def _miss_values_channel(spec: SweepSpec, side: str, user: int):
     return _channel_values(spec, kernel)
 
 
+def _helper_count_tail(spec: SweepSpec, primary, user: int, b_mean: float):
+    """Tail-mode miss of one user whose peers that detect in phase one each
+    add a relay term of mean b_mean; primary holds every user's primary-link
+    mean.  csa is the one-peer case.  The helper sum is an Erlang variate, so
+    the box depends on the helper subset only through its size."""
+    d1 = spec.d1
+    a_mean = d1 * float(primary[user])
+
+    def evaluator(rho):
+        q_bar = np.array([exp_q_mean(d1 * rho, lam) for lam in primary])
+        # weights[k]: probability that exactly k of the other users succeed
+        # in phase one (failed own detection is part of the dualized box
+        # term).  The Poisson-binomial recursion adds only nonnegative
+        # terms, so it never divides by a q_bar that is 0.
+        weights = np.zeros(len(q_bar))
+        weights[0] = 1.0
+        for q in np.delete(q_bar, user):
+            weights[1:] = weights[1:] * q + weights[:-1] * (1.0 - q)
+            weights[0] *= q
+        all_fail = float(np.prod(q_bar))
+
+        def values(zz):
+            x_own, x_rec = zz / (2.0 * rho)
+            total = np.full(len(x_own), all_fail)
+            # scaled in place, so no second chunk-size temporary
+            for kk in range(1, len(q_bar)):
+                box = exp_erlang_box_prob(x_rec, x_own, a_mean, b_mean, kk)
+                box *= 0.25 * weights[kk]
+                total += box
+            return total
+
+        return values
+
+    return _tail_draw(spec, 2), evaluator
+
+
 def _miss_values_tail(spec: SweepSpec, side: str, user: int):
     d1, d2 = spec.d1, spec.d2
     d = d1 + d2
     means = spec.means
     if spec.scheme is Scheme.MUCSA:
         nu = _check_user(means, user)
-        m_pairs = nu // 2
         off = ~np.eye(nu, dtype=bool)
         inter_vals = np.unique(means.inter[off])
         if inter_vals.size != 1:
@@ -220,41 +252,14 @@ def _miss_values_tail(spec: SweepSpec, side: str, user: int):
                 "tail mode requires identical inter-user mean gains "
                 "(helper sums are integrated as a gamma variate)"
             )
-        lam_uu = float(inter_vals[0])
-        a_mean = d1 * float(means.primary[user])
-        b_mean = (d2 / (2.0 * m_pairs)) * lam_uu
-
-        def evaluator(rho):
-            q_bar = np.array(
-                [exp_q_mean(d1 * rho, lam) for lam in means.primary]
-            )
-            # weights[k]: probability that exactly k of the other users
-            # succeed in phase one (failed own detection is part of the
-            # dualized box term).  The Poisson-binomial recursion adds only
-            # nonnegative terms, so it never divides by a q_bar that is 0.
-            weights = np.zeros(nu)
-            weights[0] = 1.0
-            for q in np.delete(q_bar, user):
-                weights[1:] = weights[1:] * q + weights[:-1] * (1.0 - q)
-                weights[0] *= q
-            all_fail = float(np.prod(q_bar))
-
-            def values(zz):
-                x_own, x_rec = zz / (2.0 * rho)
-                total = np.full(len(x_own), all_fail)
-                # the box depends on the helper subset only through its
-                # size; scaled in place, so no second chunk-size temporary
-                for kk in range(1, nu):
-                    box = exp_erlang_box_prob(x_rec, x_own, a_mean, b_mean, kk)
-                    box *= 0.25 * weights[kk]
-                    total += box
-                return total
-
-            return values
-
-        return _tail_draw(spec, 2), evaluator
+        # each helper relays at rho / (2M), so one helper term has mean
+        # (d2 / 2M) lam_uu
+        b_mean = (d2 / nu) * float(inter_vals[0])
+        return _helper_count_tail(spec, means.primary, user, b_mean)
 
     lam_own, lam_peer, lam_tr = _pair_lams(means, side)
+    if spec.scheme is Scheme.CSA:
+        return _helper_count_tail(spec, (lam_own, lam_peer), 0, d2 * lam_tr)
     if spec.scheme is Scheme.NC:
 
         def evaluator(rho):
@@ -265,20 +270,6 @@ def _miss_values_tail(spec: SweepSpec, side: str, user: int):
             return values
 
         return _tail_draw(spec, 1), evaluator
-    if spec.scheme is Scheme.CSA:
-
-        def evaluator(rho):
-            q_own = exp_q_mean(d1 * rho, lam_own)
-            q_peer = exp_q_mean(d1 * rho, lam_peer)
-
-            def values(zz):
-                x_own, x_rec = zz / (2.0 * rho)
-                box = exp_sum_box_prob(x_rec, x_own, d1 * lam_own, d2 * lam_tr)
-                return 0.25 * box * (1.0 - q_peer) + q_own * q_peer
-
-            return values
-
-        return _tail_draw(spec, 2), evaluator
 
     lams = (lam_own, lam_peer, lam_tr)
 
@@ -343,8 +334,9 @@ def estimate_miss_curve(spec: SweepSpec, side: str = "t",
 def estimate_joint_success_curve(spec: SweepSpec) -> SweepResult:
     """Estimate the probability that both nodes of a pair detect.
 
-    Channel-realization averaging of the pair schemes only: joint success
-    tends to one, so the deep-tail reformulation is unnecessary.
+    Channel-realization averaging of the pair schemes only.  Joint success
+    tends to one, and plain sampling cannot resolve a joint failure below
+    about 1/n_trials: deep in the tail the estimate rounds to 1.
     """
     if spec.mode != "channel" or spec.scheme is Scheme.MUCSA:
         raise ValueError("estimate_joint_success_curve supports nc, csa and "

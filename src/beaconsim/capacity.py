@@ -39,6 +39,7 @@ from .mc import (  # noqa: F401
 )
 from .protocols import (
     ProtocolConfig,
+    RelayIdentity,
     Scheme,
     csa_conditional_miss,
     csa_joint_success,
@@ -481,8 +482,9 @@ def throughput_loss_mc(ov, means: MeanGains, rho: float,
     def worker(idx: int, start: int, size: int):
         metrics, outcomes = _phase1_draw([cfg], means, seed, idx, size)
         sel = ocsa_select_relay(metrics, *next(outcomes))
-        t_i = np.where(sel == 1, metrics.t_t,
-                       np.where(sel == 2, metrics.t_r, metrics.t_p))
+        t_i = np.where(sel == RelayIdentity.SECONDARY_TX, metrics.t_t,
+                       np.where(sel == RelayIdentity.SECONDARY_RX,
+                                metrics.t_r, metrics.t_p))
         return (1.0 - _frame_share(o, t_i) for o in cells)
 
     mean, se = _grid_stats(ovs.shape, worker, n, chunk, threads)

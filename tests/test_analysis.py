@@ -236,10 +236,15 @@ class TestDiversity:
 
 
 class TestMultiuserTailCost:
-    @pytest.mark.parametrize("m_pairs", [3, 4])
-    def test_one_box_per_subset_size(self, monkeypatch, m_pairs):
+    @pytest.mark.parametrize("means", [
+        pytest.param(MultiuserMeans.uniform(3, 1.0, 1.5), id="3"),
+        pytest.param(MultiuserMeans.uniform(4, 1.0, 1.5), id="4"),
+        pytest.param(MEANS, id="csa"),
+    ])
+    def test_one_box_per_subset_size(self, monkeypatch, means):
         # 2M - 1 helpers give subset sizes 1..2M-1; each chunk needs one box
-        # per size, not one per subset (2^(2M-1) - 1 of them)
+        # per size, not one per subset (2^(2M-1) - 1 of them).  csa is the
+        # one-pair case: one helper, so one box per chunk
         calls = []
         box = analysis.exp_erlang_box_prob
 
@@ -248,12 +253,51 @@ class TestMultiuserTailCost:
             return box(*args, **kwargs)
 
         monkeypatch.setattr(analysis, "exp_erlang_box_prob", counted)
-        spec = SweepSpec(scheme=Scheme.MUCSA,
-                         means=MultiuserMeans.uniform(m_pairs, 1.0, 1.5),
-                         rho_db=(10.0,), n_trials=200, seed=3, mode="tail",
-                         chunk=100)
+        pair = isinstance(means, MeanGains)
+        spec = SweepSpec(scheme=Scheme.CSA if pair else Scheme.MUCSA,
+                         means=means, rho_db=(10.0,), n_trials=200, seed=3,
+                         mode="tail", chunk=100)
         estimate_miss_curve(spec)
-        assert len(calls) == 2 * (2 * m_pairs - 1)
+        helpers = 1 if pair else means.n_users - 1
+        assert calls == 2 * list(range(1, helpers + 1))
+
+
+def _one_pair_multiuser(means: MeanGains, side: str) -> MultiuserMeans:
+    """The M = 1 multiuser means whose user 0 is the csa node on side:
+    the helper link's mean 2 tr offsets the relay power rho / (2M)."""
+    own, peer = (means.pt, means.pr) if side == "t" else (means.pr, means.pt)
+    inter = 2.0 * means.tr
+    return MultiuserMeans([own, peer], [[0.0, inter], [inter, 0.0]])
+
+
+class TestCsaIsOnePairMultiuser:
+    @pytest.mark.parametrize("side", ["t", "r"])
+    @pytest.mark.parametrize("d1, d2", [(1, 1), (1, 2), (2, 3)])
+    @pytest.mark.parametrize("means", [MEANS, MeanGains(0.7, 1.3, 0.2)],
+                             ids=["1-2-3", "0.7-1.3-0.2"])
+    def test_tail_bit_equal(self, means, d1, d2, side):
+        kw = dict(rho_db=(0.0, 20.0, 40.0, 60.0), n_trials=3000, seed=29,
+                  d1=d1, d2=d2, mode="tail", chunk=1000)
+        csa = estimate_miss_curve(
+            SweepSpec(scheme=Scheme.CSA, means=means, **kw), side=side)
+        mucsa = estimate_miss_curve(
+            SweepSpec(scheme=Scheme.MUCSA,
+                      means=_one_pair_multiuser(means, side), **kw), user=0)
+        np.testing.assert_array_equal(csa.estimate, mucsa.estimate)
+        np.testing.assert_array_equal(csa.std_error, mucsa.std_error)
+
+    def test_channel_model_agrees(self):
+        # the channel-mode kernels share no code with fadeprob, so this
+        # checks the model equivalence itself; independent seeds
+        kw = dict(rho_db=(0.0, 5.0, 10.0), n_trials=200_000)
+        csa = estimate_miss_curve(
+            SweepSpec(scheme=Scheme.CSA, means=MEANS, seed=31, **kw))
+        mucsa = estimate_miss_curve(
+            SweepSpec(scheme=Scheme.MUCSA, seed=37,
+                      means=_one_pair_multiuser(MEANS, "t"), **kw))
+        for i in range(len(kw["rho_db"])):
+            assert (abs(csa.estimate[i] - mucsa.estimate[i])
+                    <= combined_tol(csa, mucsa, i, nsig=4.0))
 
 
 class TestMultiuserTailOracle:

@@ -6,6 +6,7 @@ exponential gains with a fixed seed, plus exact limiting values.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,6 +44,22 @@ class TestExpQMean:
     def test_limits(self):
         assert exp_q_mean(1e12, 1.0) < 1e-6
         assert exp_q_mean(1e-12, 1.0) == pytest.approx(0.5, abs=1e-6)
+        # no division by c lam: zero and subnormal products give 1/2
+        assert exp_q_mean(0.0, 1.0) == 0.5
+        assert exp_q_mean(1e-320, 0.5) == 0.5
+
+    @pytest.mark.parametrize("lam", [0.3, 1.0, 7.0])
+    def test_relative_accuracy_against_mpmath(self, lam):
+        # c lam = 10^(dB/10) up to 200 dB, where the value is ~2.5e-21; the
+        # difference form 1 - (1 + 1/(c lam))^(-1/2) cancels there
+        with mpmath.workdps(50):
+            for db in range(-40, 201):
+                s = 10.0 ** (db / 10.0)
+                c = s / lam
+                x = mpmath.mpf(c) * mpmath.mpf(lam)
+                want = (1 - 1 / mpmath.sqrt(1 + 1 / x)) / 2
+                got = exp_q_mean(c, lam)
+                assert abs(got / want - 1) <= 1e-14, (db, got, want)
 
 
 class TestExpSumBox:
