@@ -227,9 +227,11 @@ def _helper_count_tail(spec: SweepSpec, primary, user: int, b_mean: float):
         def values(zz):
             x_own, x_rec = zz / (2.0 * rho)
             total = np.full(len(x_own), all_fail)
+            # one call gives the box for every helper count; each row is
             # scaled in place, so no second chunk-size temporary
-            for kk in range(1, len(q_bar)):
-                box = exp_erlang_box_prob(x_rec, x_own, a_mean, b_mean, kk)
+            boxes = exp_erlang_box_prob(x_rec, x_own, a_mean, b_mean,
+                                        len(q_bar) - 1)
+            for kk, box in enumerate(boxes, start=1):
                 box *= 0.25 * weights[kk]
                 total += box
             return total

@@ -44,7 +44,9 @@ def _int_exp(beta: float, upper: np.ndarray, p0) -> np.ndarray:
 
     Callers guarantee p0 >= 0 and p0 + beta*U >= 0, so both boundary
     exponents are nonpositive and no overflow can occur for either sign of
-    beta.
+    beta.  upper is an array.  The expm1 form serves |beta U| < 1; the
+    difference form (e^(-p0) - e^(-p0 - beta U)) / beta is evaluated only
+    where |beta U| >= 1 (or is NaN).
     """
     upper = np.maximum(upper, 0.0)
     p0 = np.asarray(p0, dtype=float)
@@ -53,17 +55,24 @@ def _int_exp(beta: float, upper: np.ndarray, p0) -> np.ndarray:
         return e0 * upper
     bu = beta * upper
     small = np.abs(bu) < 1.0
-    with np.errstate(over="ignore"):
-        direct = (e0 - np.exp(-p0 - bu)) / beta
-    via_expm1 = e0 * -np.expm1(-np.where(small, bu, 0.0)) / beta
-    return np.where(small, via_expm1, direct)
+    out = e0 * -np.expm1(-np.where(small, bu, 0.0)) / beta
+    large = ~small
+    if large.any():
+        e0 = np.broadcast_to(e0, out.shape)[large]
+        p0 = np.broadcast_to(p0, out.shape)[large]
+        with np.errstate(over="ignore"):
+            out[large] = (e0 - np.exp(-p0 - bu[large])) / beta
+    return out
 
 
 def exp_erlang_box_prob(x1, x2, a: float, b: float, k: int) -> np.ndarray:
-    """P(u + T <= x1, u <= x2) for u ~ Exp(mean a), T ~ Erlang(k, scale b).
+    """P(u + T_j <= x1, u <= x2) for u ~ Exp(mean a), T_j ~ Erlang(j, scale b),
+    for every j = 1..k at once: row j-1 of the (k, *shape) result is the box
+    for Erlang(j).
 
-    x1 and x2 are arrays of per-trial thresholds. The Erlang sum models k
+    x1 and x2 are arrays of per-trial thresholds. The Erlang sum models j
     independent equal-mean relay links entering one combined detection.
+    One recurrence serves every size: box_j is box_(j-1) less one more term.
     """
     if a <= 0 or b <= 0:
         raise ValueError("exp_erlang_box_prob: scales must be positive")
@@ -74,6 +83,7 @@ def exp_erlang_box_prob(x1, x2, a: float, b: float, k: int) -> np.ndarray:
     m = np.maximum(np.minimum(x1, x2), 0.0)
     x1p = np.maximum(x1, 0.0)
     out = -np.expm1(-m / a)
+    boxes = np.empty((k,) + out.shape)
 
     # remaining terms integrate the Erlang tail against the u density:
     #   sum_j (1/(j! b^j a)) int_{x1-m}^{x1} s^j exp(c s - x1/a) ds,
@@ -83,26 +93,32 @@ def exp_erlang_box_prob(x1, x2, a: float, b: float, k: int) -> np.ndarray:
     lo = x1p - m
     hi = x1p
     width = hi - lo
-    if abs(c) * float(np.max(width, initial=0.0)) < 1e-8:
+    near_equal = abs(c) * float(np.max(width, initial=0.0)) < 1e-8
+    if near_equal:
         mid_exp = np.exp(c * 0.5 * (lo + hi) - x1p / a)
-        js = [mid_exp * (hi ** (j + 1) - lo ** (j + 1)) / (j + 1) for j in range(k)]
     else:
         e_lo = np.exp(c * lo - x1p / a)
         e_hi = np.exp(c * hi - x1p / a)
-        js = [(e_hi - e_lo) / c]
-        for j in range(1, k):
-            js.append((hi ** j * e_hi - lo ** j * e_lo) / c - (j / c) * js[j - 1])
     fact = 1.0
     for j in range(k):
+        # integral = int_{x1-m}^{x1} s^j exp(c s - x1/a) ds
+        if near_equal:
+            integral = mid_exp * (hi ** (j + 1) - lo ** (j + 1)) / (j + 1)
+        elif j == 0:
+            integral = (e_hi - e_lo) / c
+        else:
+            integral = ((hi ** j * e_hi - lo ** j * e_lo) / c
+                        - (j / c) * integral)
         if j > 0:
             fact *= j
-        out = out - js[j] / (fact * b ** j * a)
-    return np.maximum(out, 0.0)
+        out = out - integral / (fact * b ** j * a)
+        np.maximum(out, 0.0, out=boxes[j])
+    return boxes
 
 
 def exp_sum_box_prob(x1, x2, mu_u: float, mu_w: float) -> np.ndarray:
     """P(u + w <= x1, u <= x2) for independent u ~ Exp(mu_u), w ~ Exp(mu_w)."""
-    return exp_erlang_box_prob(x1, x2, mu_u, mu_w, 1)
+    return exp_erlang_box_prob(x1, x2, mu_u, mu_w, 1)[0]
 
 
 def ocsa_fade_regions(x1, x2, x3, d1: int, d2: int,
@@ -121,9 +137,9 @@ def ocsa_fade_regions(x1, x2, x3, d1: int, d2: int,
     """
     r1, r2, r3 = (1.0 / l for l in lams)
     d = d1 + d2
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    x3 = np.asarray(x3, dtype=float)
+    # at least 1-d, so every intermediate is an array that can be written
+    x1, x2, x3 = np.atleast_1d(*(np.asarray(x, dtype=float)
+                                 for x in (x1, x2, x3)))
     c1 = x1 / d1
     c3 = x3 / d1
     alpha = r1 + r2 + r3
@@ -143,8 +159,10 @@ def ocsa_fade_regions(x1, x2, x3, d1: int, d2: int,
     p2 = r1 * (shared - _int_exp(beta, w, off3)
                + _int_exp(gam2, w, r2 * c3 + off3))
     p4 = r1 * shared
-    clip = lambda p: np.clip(p, 0.0, 1.0)
-    return clip(p1), clip(p2), clip(p3), clip(p4)
+    # each p is a fresh array: clip in place (NaN passes through)
+    for p in (p1, p2, p3, p4):
+        np.clip(p, 0.0, 1.0, out=p)
+    return p1, p2, p3, p4
 
 
 def abs_diff_q_mean(s: float, mu1: float, mu2: float) -> float:

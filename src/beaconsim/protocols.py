@@ -44,8 +44,9 @@ __all__ = [
 ]
 
 #: Largest supported number of secondary pairs in the multiuser scheme.
-#: Channel mode enumerates all 2**(2M-1) helper subsets; tail mode takes one
-#: Erlang box per subset size, and those lose accuracy at large sizes.
+#: Channel mode enumerates all 2**(2M-1) helper subsets; tail mode evaluates
+#: the Erlang boxes of all 2M-1 subset sizes in one recurrence, and those
+#: lose accuracy at large sizes.
 MAX_PAIRS = 6
 
 
@@ -300,8 +301,8 @@ def check_user_count(nu: int) -> int:
     if nu // 2 > MAX_PAIRS:
         raise ValueError(
             f"multiuser: at most {MAX_PAIRS} pairs supported (channel mode "
-            "enumerates helper subsets; tail-mode Erlang boxes lose accuracy "
-            "at large sizes)"
+            "enumerates helper subsets; tail mode evaluates all 2M-1 sizes in "
+            "one Erlang recurrence, whose boxes lose accuracy at large sizes)"
         )
     return nu
 

@@ -243,8 +243,9 @@ class TestMultiuserTailCost:
     ])
     def test_one_box_per_subset_size(self, monkeypatch, means):
         # 2M - 1 helpers give subset sizes 1..2M-1; each chunk needs one box
-        # per size, not one per subset (2^(2M-1) - 1 of them).  csa is the
-        # one-pair case: one helper, so one box per chunk
+        # per size, not one per subset (2^(2M-1) - 1 of them), and one call
+        # of size 2M - 1 returns them all.  csa is the one-pair case: one
+        # helper, so one size-1 call per chunk
         calls = []
         box = analysis.exp_erlang_box_prob
 
@@ -259,7 +260,7 @@ class TestMultiuserTailCost:
                          mode="tail", chunk=100)
         estimate_miss_curve(spec)
         helpers = 1 if pair else means.n_users - 1
-        assert calls == 2 * list(range(1, helpers + 1))
+        assert calls == [helpers] * 2
 
 
 def _one_pair_multiuser(means: MeanGains, side: str) -> MultiuserMeans:
@@ -327,7 +328,7 @@ class TestMultiuserTailOracle:
                 total = np.full(n, math.prod(q_bar))
                 for size in range(1, nu):
                     box = exp_erlang_box_prob(x_rec, x_own, primary[user],
-                                              1.3 / nu, size)
+                                              1.3 / nu, size)[size - 1]
                     for helpers in itertools.combinations(others, size):
                         w = math.prod(1.0 - q_bar[j] if j in helpers
                                       else q_bar[j] for j in others)

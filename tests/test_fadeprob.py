@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beaconsim.fadeprob import (
+    _int_exp,
     abs_diff_q_mean,
     exp_erlang_box_prob,
     exp_q_mean,
@@ -114,20 +115,77 @@ class TestExpErlangBox:
         u = rng.exponential(a, n)
         t = rng.exponential(b, (k, n)).sum(axis=0)
         est = float(np.mean((u + t <= x1) & (u <= x2)))
-        got = float(exp_erlang_box_prob(np.array([x1]), np.array([x2]), a, b, k)[0])
+        got = float(exp_erlang_box_prob(np.array([x1]), np.array([x2]), a, b, k)[k - 1, 0])
         assert got == pytest.approx(est, abs=mc_tol(est, n))
 
     def test_k_one_matches_sum_box(self):
         x1 = np.array([0.9, 2.0, 0.1])
         x2 = np.array([0.5, 4.0, 0.4])
-        lhs = exp_erlang_box_prob(x1, x2, 1.3, 0.6, 1)
+        lhs = exp_erlang_box_prob(x1, x2, 1.3, 0.6, 1)[0]
         rhs = exp_sum_box_prob(x1, x2, 1.3, 0.6)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
 
     def test_limits(self):
         big = np.array([1e9])
-        assert exp_erlang_box_prob(big, big, 1.0, 0.5, 3)[0] == pytest.approx(1.0, rel=1e-9)
-        assert exp_erlang_box_prob(np.array([0.0]), big, 1.0, 0.5, 3)[0] == 0.0
+        assert exp_erlang_box_prob(big, big, 1.0, 0.5, 3)[2, 0] == pytest.approx(1.0, rel=1e-9)
+        assert exp_erlang_box_prob(np.array([0.0]), big, 1.0, 0.5, 3)[2, 0] == 0.0
+
+    @pytest.mark.parametrize("a, b, scale", [
+        (1.0, 0.25, 2.0),       # recurrence over (1/a - 1/b) s
+        (0.7, 1.9, 1e-3),
+        (1.0, 0.5, 1e-11),      # widths so small the near-equal form is used
+        (1.0, 1.0 + 1e-10, 3.0),
+    ])
+    def test_rows_are_prefix_of_larger_sizes(self, a, b, scale):
+        # one recurrence serves every size: the first j rows of a size-k
+        # call are the size-j call, bit for bit
+        rng = np.random.default_rng(41)
+        x1 = rng.standard_normal(500) ** 2 * scale
+        x2 = rng.standard_normal(500) ** 2 * scale
+        full = exp_erlang_box_prob(x1, x2, a, b, 11)
+        assert full.shape == (11, 500)
+        for j in range(1, 11):
+            part = exp_erlang_box_prob(x1, x2, a, b, j)
+            assert part.tobytes() == full[:j].tobytes()
+
+
+def _int_exp_both_branches(beta, upper, p0):
+    """Reference: both branches evaluated on every element, then a select."""
+    upper = np.maximum(upper, 0.0)
+    p0 = np.asarray(p0, dtype=float)
+    e0 = np.exp(-p0)
+    bu = beta * upper
+    small = np.abs(bu) < 1.0
+    with np.errstate(over="ignore"):
+        direct = (e0 - np.exp(-p0 - bu)) / beta
+    via_expm1 = e0 * -np.expm1(-np.where(small, bu, 0.0)) / beta
+    return np.where(small, via_expm1, direct)
+
+
+class TestIntExp:
+    # gam2 of ocsa_fade_regions with lams (3, 1, 0.5), d1 = d2 = 1: negative
+    GAM2 = 1.0 / 3.0 - 2.0
+
+    @pytest.mark.parametrize("beta, p0_kind", [
+        (2.5, "zero"), (0.3, "zero"), (2.5, "array"), (-0.4, "array"),
+        (GAM2, "array"),
+    ])
+    def test_matches_both_branch_form_bitwise(self, beta, p0_kind):
+        # the difference form is evaluated only where |beta U| >= 1 (or
+        # NaN); every element must keep its bits
+        rng = np.random.default_rng(43)
+        edge = np.array([-1.0, 0.0, 1e-300, 0.1, 0.999, 1.0, 1.001, 5.0,
+                         40.0, np.nan]) / abs(beta)
+        upper = np.concatenate([edge, rng.exponential(1.0 / abs(beta), 200)])
+        # callers keep p0 + beta U >= 0
+        p0 = (0.0 if p0_kind == "zero" else
+              np.nan_to_num(max(-beta, 0.0) * np.maximum(upper, 0.0))
+              + rng.uniform(0.0, 2.0, upper.size))
+        got = _int_exp(beta, upper, p0)
+        want = _int_exp_both_branches(beta, upper, p0)
+        assert got.tobytes() == want.tobytes()
+        assert np.isnan(got[edge.size - 1])
+        assert got[0] == got[1] == 0.0
 
 
 class TestOcsaFadeRegions:
@@ -159,6 +217,14 @@ class TestOcsaFadeRegions:
                                 d1, d2, lams)
         for b, g in zip(brute, got):
             assert float(g[0]) == pytest.approx(b, abs=mc_tol(b, n))
+
+    def test_scalar_thresholds(self):
+        lams = (1.0, 2.0, 3.0)
+        scalar = ocsa_fade_regions(0.5, 0.6, 0.7, 1, 1, lams)
+        array = ocsa_fade_regions(np.array([0.5]), np.array([0.6]),
+                                  np.array([0.7]), 1, 1, lams)
+        for s, a in zip(scalar, array):
+            assert s.tobytes() == a.tobytes()
 
     def test_unbounded_reduces_to_ordering_probability(self):
         # with all thresholds huge, region 1 is P(g1 is the strict minimum)
