@@ -415,12 +415,14 @@ def run_throughput(conf: Conf, scheme: Scheme, threads: int):
     t_cr = conf.get_float("throughput", "t_cr", default=1.0)
     w1s = conf.get_numlist("throughput", "w1", required=True)
     w2s = conf.get_numlist("throughput", "w2", required=True)
+    grid = [(w1, w2) for w1 in w1s for w2 in w2s]
     ovs = [_build(OverheadParams, t_cr=t_cr, t_fb=w1 * t_cr,
                   beta=w2 * t_cr * spec.means.pt, lambda_pt=spec.means.pt)
-           for w1 in w1s for w2 in w2s]
+           for w1, w2 in grid]
     mc, se = throughput_loss_mc(ovs, spec.means, db_to_linear(spec.rho_db[0]),
                                 **_mc_args(spec))
-    rows = _rows(w1=[ov.w1 for ov in ovs], w2=[ov.w2 for ov in ovs],
+    # the configured values: ov.w1 = (w1 t_cr) / t_cr need not round back
+    rows = _rows(w1=[w1 for w1, _w2 in grid], w2=[w2 for _w1, w2 in grid],
                  loss_mc=mc, loss_se=se,
                  loss_bound=[throughput_loss_bound(ov) for ov in ovs])
     return rows, {"rho_db": spec.rho_db[0]}

@@ -88,17 +88,19 @@ def exp_erlang_box_prob(x1, x2, a: float, b: float, k: int) -> np.ndarray:
     # remaining terms integrate the Erlang tail against the u density:
     #   sum_j (1/(j! b^j a)) int_{x1-m}^{x1} s^j exp(c s - x1/a) ds,
     # c = 1/a - 1/b; both endpoint exponents are <= 0 (they equal -x1/b at
-    # s = x1 and -m/a - (x1-m)/b at s = x1-m), so the recurrence is safe
+    # s = x1 and -m/a - (x1-m)/b at s = x1-m), so the recurrence is safe.
+    # They are formed reduced: c s - x1/a cancels two ~x1/a terms once a << b
     c = 1.0 / a - 1.0 / b
     lo = x1p - m
     hi = x1p
     width = hi - lo
     near_equal = abs(c) * float(np.max(width, initial=0.0)) < 1e-8
     if near_equal:
-        mid_exp = np.exp(c * 0.5 * (lo + hi) - x1p / a)
+        mid = 0.5 * (lo + hi)
+        mid_exp = np.exp(-(x1p - mid) / a - mid / b)
     else:
-        e_lo = np.exp(c * lo - x1p / a)
-        e_hi = np.exp(c * hi - x1p / a)
+        e_lo = np.exp(-m / a - lo / b)
+        e_hi = np.exp(-hi / b)
     fact = 1.0
     for j in range(k):
         # integral = int_{x1-m}^{x1} s^j exp(c s - x1/a) ds

@@ -1,28 +1,23 @@
-"""Numerical building blocks: Gaussian tail, deep-fade integral, slope fits.
+"""Numerical building blocks: the Gaussian tail and diversity-slope fits.
 
 Detection events in this package reduce to Gaussian tail probabilities of
-the form Q(sqrt(2 a rho g)) for channel gains g, and the high-SNR behaviour
-of averaged error probabilities is governed by integrals of products
-prod_i(1 - exp(-k_i v^2 / rho)) against the normal density, which decay as
-rho^-M for M factors.
+the form Q(sqrt(2 a rho g)) for channel gains g, and diversity orders are
+read off averaged error probabilities as the decay rate of a power law
+fitted in log-log space.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from scipy.special import erfc
 
 __all__ = [
     "gaussian_q",
-    "deep_fade_integral",
-    "alternating_binomial_moment",
     "fit_diversity_slope",
 ]
-
-_MAX_MOMENT_ORDER = 20
 
 
 def gaussian_q(x):
@@ -38,58 +33,6 @@ def gaussian_q(x):
     if np.ndim(x) == 0:
         return float(out)
     return out
-
-
-def deep_fade_integral(rho: float, ks: Sequence[float]) -> float:
-    """Integral of prod_i(1 - exp(-k_i v^2 / rho)) times the normal density
-    over v in [0, inf).
-
-    Each factor is the probability that an exponential link gain sits below
-    a fade threshold proportional to v^2, so the value decays like rho^-M
-    for M factors. Evaluated by adaptive quadrature; the integrand is a
-    product of nonnegative factors, so tiny values carry full relative
-    accuracy.
-    """
-    ks = tuple(float(k) for k in ks)
-    if not ks:
-        raise ValueError("deep_fade_integral: need at least one k factor")
-    if any(k <= 0 for k in ks) or not all(math.isfinite(k) for k in ks):
-        raise ValueError("deep_fade_integral: k factors must be positive finite")
-    if not (rho > 0 and math.isfinite(rho)):
-        raise ValueError("deep_fade_integral: rho must be positive finite")
-
-    norm = 1.0 / math.sqrt(2.0 * math.pi)
-
-    def integrand(v: float) -> float:
-        acc = norm * math.exp(-0.5 * v * v)
-        for k in ks:
-            acc *= -math.expm1(-k * v * v / rho)
-        return acc
-
-    # imported here: scipy.integrate loads scipy.optimize and
-    # scipy.sparse.linalg, which no CLI kind needs at startup
-    from scipy.integrate import quad
-
-    # the density kills everything past ~40 sigma; relative tolerance drives
-    # accuracy because values reach 1e-18 scale at large rho
-    val, _ = quad(integrand, 0.0, 40.0, epsabs=1e-300, epsrel=1e-11, limit=200)
-    return val
-
-
-def alternating_binomial_moment(m: int, n: int) -> int:
-    """Alternating binomial sum  sum_{j=0}^{M} C(M,j) j^n (-1)^j  as an exact
-    integer.
-
-    Vanishes for 0 <= n < M and first becomes nonzero at n = M, which is the
-    cancellation pattern behind diversity-order counting.
-    """
-    if not (0 <= m <= _MAX_MOMENT_ORDER) or not (0 <= n <= _MAX_MOMENT_ORDER):
-        raise ValueError(
-            f"alternating_binomial_moment: orders must lie in [0, {_MAX_MOMENT_ORDER}]")
-    total = 0
-    for j in range(m + 1):
-        total += math.comb(m, j) * j ** n * (-1) ** j
-    return total
 
 
 def fit_diversity_slope(rho: Iterable[float], p: Iterable[float]) -> tuple[float, float]:

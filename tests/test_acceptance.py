@@ -34,7 +34,6 @@ from beaconsim.capacity import (
     wrong_relay_probability_mc,
 )
 from beaconsim.channel import MeanGains, MultiuserMeans, sample_channels
-from beaconsim.numerics import alternating_binomial_moment, deep_fade_integral
 from beaconsim.protocols import (
     ProtocolConfig,
     Scheme,
@@ -45,6 +44,7 @@ from beaconsim.protocols import (
     ocsa_joint_success,
     split_channel_uses,
 )
+from oracle import alternating_binomial_moment, deep_fade_integral
 
 PAIR_MEANS = MeanGains(1.0, 2.0, 3.0)
 MU_MEANS = MultiuserMeans.uniform(2, 1.0, 1.0)

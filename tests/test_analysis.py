@@ -28,6 +28,7 @@ from beaconsim.analysis import (
     estimate_miss_curve,
 )
 from beaconsim.protocols import MAX_PAIRS, Scheme
+from oracle import nc_coefficient, own_fade_miss
 
 MEANS = MeanGains(pt=1.0, pr=2.0, tr=3.0)
 
@@ -334,6 +335,46 @@ class TestMultiuserTailOracle:
                                       else q_bar[j] for j in others)
                         total += 0.25 * w * box
                 assert got[i] == pytest.approx(total.mean(), rel=1e-12, abs=0)
+
+
+class TestOracleLimits:
+    # tail-mode estimates against tests/oracle.py, within 4 SE
+
+    @pytest.mark.parametrize("side, lam", [("t", MEANS.pt), ("r", MEANS.pr)])
+    def test_nc_high_snr_coefficient(self, side, lam):
+        # the next-order term is at most 4e-7 of C / rho from 60 dB on
+        spec = SweepSpec(scheme=Scheme.NC, means=MEANS,
+                         rho_db=(60.0, 80.0, 100.0), n_trials=100_000,
+                         seed=43, mode="tail")
+        res = estimate_miss_curve(spec, side=side)
+        c = nc_coefficient(spec.d1 + spec.d2, lam)
+        for i, rho in enumerate(db_to_linear(np.array(spec.rho_db))):
+            assert abs(res.estimate[i] - c / rho) <= 4.0 * res.std_error[i]
+
+    @pytest.mark.parametrize("pt", [1e-16, 1e-30])
+    def test_csa_own_fade(self, pt):
+        # an own mean 1e16-1e30 times below the relay's once lost every
+        # digit of the box's endpoint exponents
+        means = MeanGains(pt, 2.0, 3.0)
+        spec = SweepSpec(scheme=Scheme.CSA, means=means, rho_db=(20.0,),
+                         n_trials=200_000, seed=1, mode="tail")
+        res = estimate_miss_curve(spec)
+        want = own_fade_miss(100.0, spec.d1, [means.pr], spec.d2 * means.tr)
+        assert abs(res.estimate[0] - want) <= 4.0 * res.std_error[0]
+
+    # channel mode shares no code with fadeprob, so it checks the oracle
+    @pytest.mark.parametrize("mode", ["tail", "channel"])
+    @pytest.mark.parametrize("m_pairs", [2, 3])
+    def test_mucsa_own_fade(self, m_pairs, mode):
+        nu = 2 * m_pairs
+        spec = SweepSpec(scheme=Scheme.MUCSA,
+                         means=MultiuserMeans.uniform(m_pairs, 1e-20, 1.0),
+                         rho_db=(20.0,), n_trials=200_000, seed=1,
+                         mode=mode)
+        res = estimate_miss_curve(spec)
+        want = own_fade_miss(100.0, spec.d1, [1e-20] * (nu - 1),
+                             spec.d2 / nu)
+        assert abs(res.estimate[0] - want) <= 4.0 * res.std_error[0]
 
 
 class TestChunkOuterSweep:

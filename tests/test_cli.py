@@ -551,6 +551,17 @@ w2 = [0.0, 0.3]
             assert float(row["loss_mc"]) <= float(row["loss_bound"]) + 3 * float(
                 row["loss_se"])
 
+    def test_throughput_reports_configured_weights(self, tmp_path):
+        # (w t_cr) / t_cr does not round back to w for t_cr = 0.7
+        cfg = _THROUGHPUT_CONFIG.replace(
+            _THROUGHPUT, "\n[throughput]\nt_cr = 0.7\nw1 = [0.05, 0.2]\n"
+            "w2 = [0.1]\n")
+        proc = run_cli("throughput", "--format", "json", config_text=cfg,
+                       tmp_path=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        rows = json.loads(proc.stdout)["rows"]
+        assert [(r["w1"], r["w2"]) for r in rows] == [(0.05, 0.1), (0.2, 0.1)]
+
     def test_throughput_scheme_optional(self, tmp_path):
         with_scheme = run_cli("throughput", config_text=_THROUGHPUT_CONFIG,
                               tmp_path=tmp_path)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special, stats
 
 from beaconsim.fadeprob import (
     _int_exp,
@@ -147,6 +148,23 @@ class TestExpErlangBox:
         for j in range(1, 11):
             part = exp_erlang_box_prob(x1, x2, a, b, j)
             assert part.tobytes() == full[:j].tobytes()
+
+    @pytest.mark.parametrize("a", [1e-12, 1e-16, 1e-30])
+    @pytest.mark.parametrize("x2_scale", [1.0, 2.3])
+    def test_tiny_exponential_mean(self, a, x2_scale):
+        # as a -> 0, u -> 0 and the box tends to P(T_k <= x1), less a times
+        # the Erlang density at x1 to first order; the endpoint exponents
+        # must not be formed as differences of two x1/a-sized terms.  k > 1
+        # only where x1/b >= 1: below that the closed form itself cancels
+        b = 3.0
+        x1 = np.array([0.37, 1.7, 3.3, 9.1, 31.3])
+        got = exp_erlang_box_prob(x1, x2_scale * x1, a, b, 5)
+        for k in range(1, 6):
+            keep = (x1 / b >= 1.0) | (k == 1)
+            want = (special.gammainc(k, x1 / b)
+                    - a * stats.gamma.pdf(x1, k, scale=b))
+            np.testing.assert_allclose(got[k - 1][keep], want[keep],
+                                       rtol=1e-13, atol=0)
 
 
 def _int_exp_both_branches(beta, upper, p0):

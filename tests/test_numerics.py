@@ -1,9 +1,10 @@
-"""Oracle tests for the numerics module.
+"""Oracle tests for the numerics module and the test oracles it sits with.
 
 Expected values come from independent routes: direct quadrature of the
 normal density, a high-precision inclusion-exclusion closed form for the
 deep-fade integral, and the Stirling-number identity for the alternating
-binomial sum.
+binomial sum.  The deep-fade integral and the alternating sum live in
+``tests/oracle.py``; they check decay rates from outside the package.
 """
 
 import math
@@ -15,12 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from beaconsim.numerics import (
-    alternating_binomial_moment,
-    deep_fade_integral,
-    fit_diversity_slope,
-    gaussian_q,
-)
+from beaconsim.numerics import fit_diversity_slope, gaussian_q
+from oracle import alternating_binomial_moment, deep_fade_integral
 
 
 def q_oracle(x):

@@ -1,22 +1,27 @@
-"""The package root re-exports every public name of the library modules."""
+"""The package root re-exports every public name of the library modules,
+and the package imports none of the test-only numerics."""
 
 from __future__ import annotations
 
+import ast
 import importlib
+import pathlib
 import subprocess
 import sys
 
 import beaconsim
+
+TESTS = pathlib.Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "beaconsim"
 
 ROOT_NAMES = [
     "ActivityModel", "CapacityEstimate", "ChannelSet", "DiversityFit",
     "MAX_PAIRS", "MeanGains", "MetricTriple", "MultiuserChannelSet",
     "MultiuserMeans", "OutageResult", "OverheadParams", "ProtocolConfig",
     "RelayIdentity", "Scheme", "SweepResult", "SweepSpec", "abs_diff_q_mean",
-    "alternating_binomial_moment", "capacity_draws", "capacity_lower",
-    "capacity_upper", "compute_metrics", "csa_conditional_miss",
-    "csa_joint_success", "db_to_linear", "deep_fade_integral",
-    "ergodic_capacity", "estimate_diversity", "estimate_joint_success_curve",
+    "capacity_draws", "capacity_lower", "capacity_upper",
+    "compute_metrics", "csa_conditional_miss", "csa_joint_success",
+    "db_to_linear", "ergodic_capacity", "estimate_diversity", "estimate_joint_success_curve",
     "estimate_miss_curve", "exp_erlang_box_prob", "exp_q_mean",
     "exp_sum_box_prob", "fit_diversity_slope", "gaussian_q",
     "imperfect_capacity", "mucsa_conditional_miss",
@@ -52,8 +57,43 @@ def test_readme_quick_start_import():
                            estimate_diversity, estimate_miss_curve)
 
 
+def _imported_modules(path: pathlib.Path) -> set[str]:
+    """Every module an import statement in path names, at any depth (inside
+    functions too), with relative imports resolved against beaconsim."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["beaconsim" * bool(node.level),
+                                          node.module]))
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_imported_modules_sees_nested_and_relative_imports(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("def f():\n    from scipy.integrate import quad\n"
+                   "from . import fadeprob\n")
+    assert {"scipy.integrate", "beaconsim.fadeprob"} <= _imported_modules(src)
+
+
+def test_package_never_imports_scipy_integrate():
+    # the adaptive quadrature is a test oracle (tests/oracle.py) only
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert not any(name == "scipy.integrate"
+                       or name.startswith("scipy.integrate.")
+                       for name in _imported_modules(path)), path.name
+
+
+def test_oracle_does_not_import_fadeprob():
+    # an oracle built on the kernels it checks would share their errors
+    assert not any("fadeprob" in name
+                   for name in _imported_modules(TESTS / "oracle.py"))
+
+
 def test_cli_import_leaves_out_scipy_integrate():
-    # only numerics.deep_fade_integral needs it, and no CLI kind calls that
     code = ("import sys, beaconsim.cli; "
             "sys.exit('scipy.integrate' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
