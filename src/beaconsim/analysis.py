@@ -22,6 +22,7 @@ and evaluated at every grid point.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import partial
 
@@ -34,8 +35,8 @@ from .channel import (
     draw_pair_chunk,
 )
 # exp_sum_box_prob is unused but stays bound: perfbench hooks it here
-from .fadeprob import (exp_erlang_box_prob, exp_q_mean,  # noqa: F401
-                       exp_sum_box_prob, ocsa_fade_regions)
+from .fadeprob import (arena_row, exp_erlang_box_prob,  # noqa: F401
+                       exp_q_mean, exp_sum_box_prob, ocsa_fade_regions)
 # parallel_chunk_stats is unused but stays bound: perfbench hooks it here
 from .mc import (TAG_THRESHOLDS, parallel_chunk_stats,  # noqa: F401
                  parallel_grid_stats, substream)
@@ -156,7 +157,10 @@ def _pair_lams(means: MeanGains, side: str) -> tuple[float, float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Per-chunk draws and per-rho evaluators, returned as (draw, evaluator)
+# Per-chunk draws and per-rho evaluators, returned as (draw, evaluator).
+# evaluator(rho) gives values(sample, arena); tail mode writes the values
+# into rows of the thread's scratch arena (see fadeprob.arena_row), so each
+# result is only valid until that thread's next evaluation.
 # ---------------------------------------------------------------------------
 
 
@@ -180,7 +184,7 @@ def _channel_values(spec: SweepSpec, kernel):
 
     def evaluator(rho):
         cfg = spec.config(rho)
-        return lambda ch: kernel(cfg, ch)
+        return lambda ch, _arena: kernel(cfg, ch)
 
     return draw, evaluator
 
@@ -224,13 +228,15 @@ def _helper_count_tail(spec: SweepSpec, primary, user: int, b_mean: float):
             weights[0] *= q
         all_fail = float(np.prod(q_bar))
 
-        def values(zz):
-            x_own, x_rec = zz / (2.0 * rho)
-            total = np.full(len(x_own), all_fail)
+        def values(zz, arena):
+            x_own, x_rec = np.divide(zz, 2.0 * rho,
+                                     out=arena_row(arena, "tail.x", zz.shape))
+            total = arena_row(arena, "tail.values", x_own.shape)
+            total.fill(all_fail)
             # one call gives the box for every helper count; each row is
-            # scaled in place, so no second chunk-size temporary
+            # scaled in place
             boxes = exp_erlang_box_prob(x_rec, x_own, a_mean, b_mean,
-                                        len(q_bar) - 1)
+                                        len(q_bar) - 1, arena=arena)
             for kk, box in enumerate(boxes, start=1):
                 box *= 0.25 * weights[kk]
                 total += box
@@ -265,9 +271,13 @@ def _miss_values_tail(spec: SweepSpec, side: str, user: int):
     if spec.scheme is Scheme.NC:
 
         def evaluator(rho):
-            def values(zz):
-                x = zz[0] / (2.0 * rho)
-                return 0.5 * -np.expm1(-x / (d * lam_own))
+            def values(zz, arena):
+                # 0.5 * -expm1(-x / (d lam_own)), x = zz / (2 rho), in place
+                x = np.divide(zz[0], 2.0 * rho,
+                              out=arena_row(arena, "tail.values", zz[0].shape))
+                np.divide(np.negative(x, out=x), d * lam_own, out=x)
+                np.negative(np.expm1(x, out=x), out=x)
+                return np.multiply(0.5, x, out=x)
 
             return values
 
@@ -276,10 +286,17 @@ def _miss_values_tail(spec: SweepSpec, side: str, user: int):
     lams = (lam_own, lam_peer, lam_tr)
 
     def evaluator(rho):
-        def values(zz):
-            x = zz / (2.0 * rho)
-            p1, p2, p3, p4 = ocsa_fade_regions(x[0], x[1], x[2], d1, d2, lams)
-            return 0.25 * p1 + 0.25 * p3 - 0.125 * p2 + 0.125 * p4
+        def values(zz, arena):
+            x = np.divide(zz, 2.0 * rho, out=arena_row(arena, "tail.x",
+                                                       zz.shape))
+            p1, p2, p3, p4 = ocsa_fade_regions(x[0], x[1], x[2], d1, d2, lams,
+                                               arena=arena)
+            # 0.25 p1 + 0.25 p3 - 0.125 p2 + 0.125 p4 in that order, each
+            # partial sum written into its second operand's row
+            np.multiply(0.25, p1, out=p1)
+            np.add(p1, np.multiply(0.25, p3, out=p3), out=p3)
+            np.subtract(p3, np.multiply(0.125, p2, out=p2), out=p2)
+            return np.add(p2, np.multiply(0.125, p4, out=p4), out=p4)
 
         return values
 
@@ -304,12 +321,18 @@ def _joint_values_channel(spec: SweepSpec):
 
 def _run_sweep(spec: SweepSpec, draw, evaluator) -> SweepResult:
     """Chunks outside, grid points inside: each chunk is drawn once and
-    evaluated at every rho, and each point is reduced in chunk order."""
+    evaluated at every rho, and each point is reduced in chunk order.
+
+    Each worker thread has one scratch arena for the whole sweep, reused
+    across its chunks and grid points and dropped when the sweep returns.
+    """
     evals = [evaluator(db_to_linear(rho_db)) for rho_db in spec.rho_db]
+    # every thread sees its own __dict__ of a threading.local: the arena
+    scratch = threading.local()
 
     def worker(idx, start, size):
         sample = draw(idx, size)
-        return (values(sample) for values in evals)
+        return (values(sample, scratch.__dict__) for values in evals)
 
     stats = parallel_grid_stats(worker, spec.n_trials, spec.chunk, spec.threads)
     return SweepResult(

@@ -5,6 +5,19 @@ estimators: averaging a product of Gaussian tails over channel gains equals
 averaging, over squared half-normal thresholds, the probability that the
 gains fall in the induced fade region. Every function here evaluates such a
 region probability exactly, vectorized over per-trial thresholds.
+
+Scratch arenas.  The tail kernels (exp_erlang_box_prob, ocsa_fade_regions)
+take an optional arena: a dict of named scratch rows (see arena_row) that
+one thread reuses across calls, so that a sweep does not allocate, and
+fault in, dozens of chunk-size temporaries per call.  Every intermediate
+and every result is written into an arena row with out=, by the same
+ufuncs in the same operand order as the fresh-array expressions they
+stand for, so the bits do not depend on the arena.  With an arena, the
+arrays a call returns are rows of it, valid until the arena's next use;
+without one, the call uses a private arena and the caller owns them.  A
+sum is written into its second operand's row, never into the first's:
+np.add(x, y, out=x) on a one-element x runs numpy's reduction loop, which
+keeps y's NaN where x + y keeps x's.
 """
 
 from __future__ import annotations
@@ -39,33 +52,68 @@ def exp_q_mean(coeff: float, lam: float) -> float:
     return 0.5 / (1.0 + s + math.sqrt(s) * math.sqrt(1.0 + s))
 
 
-def _int_exp(beta: float, upper: np.ndarray, p0) -> np.ndarray:
-    """Stable integral_0^U exp(-p0 - beta t) dt.
+def arena_row(arena: dict, name: str, shape: tuple,
+              dtype=float) -> np.ndarray:
+    """The row of arena called name, with this shape and dtype; it is
+    allocated only when it is missing or its shape or dtype changed, so
+    calls on same-size chunks allocate nothing."""
+    row = arena.get(name)
+    if row is None or row.shape != shape or row.dtype != dtype:
+        row = arena[name] = np.empty(shape, dtype)
+    return row
+
+
+def _power(x: np.ndarray, j: int, out: np.ndarray) -> np.ndarray:
+    """x ** j as ndarray.__pow__ evaluates it (np.square for j == 2)."""
+    return np.square(x, out=out) if j == 2 else np.power(x, j, out=out)
+
+
+def _int_exp(beta: float, upper: np.ndarray, p0, out=None,
+             arena=None) -> np.ndarray:
+    """Stable integral_0^U exp(-p0 - beta t) dt, written into out.
 
     Callers guarantee p0 >= 0 and p0 + beta*U >= 0, so both boundary
     exponents are nonpositive and no overflow can occur for either sign of
     beta.  upper is an array.  The expm1 form serves |beta U| < 1; the
     difference form (e^(-p0) - e^(-p0 - beta U)) / beta is evaluated only
-    where |beta U| >= 1 (or is NaN).
+    where |beta U| >= 1 (or is NaN).  out (default: an arena row) must not
+    share memory with upper or p0; scratch rows come from arena (default:
+    a private one).
     """
-    upper = np.maximum(upper, 0.0)
+    arena = {} if arena is None else arena
+    shape = np.broadcast_shapes(np.shape(upper), np.shape(p0))
+    if out is None:
+        out = arena_row(arena, "int_exp.out", shape)
+    bu = np.maximum(upper, 0.0, out=arena_row(arena, "int_exp.bu", shape))
     p0 = np.asarray(p0, dtype=float)
-    e0 = np.exp(-p0)
+    if p0.ndim:
+        e0 = arena_row(arena, "int_exp.e0", shape)
+        np.exp(np.negative(p0, out=e0), out=e0)
+    else:
+        e0 = np.exp(-p0)
     if beta == 0.0:
-        return e0 * upper
-    bu = beta * upper
-    small = np.abs(bu) < 1.0
-    out = e0 * -np.expm1(-np.where(small, bu, 0.0)) / beta
-    large = ~small
-    if large.any():
-        e0 = np.broadcast_to(e0, out.shape)[large]
-        p0 = np.broadcast_to(p0, out.shape)[large]
+        return np.multiply(e0, bu, out=out)
+    np.multiply(beta, bu, out=bu)
+    small = np.less(np.absolute(bu, out=out), 1.0,
+                    out=arena_row(arena, "int_exp.small", shape, bool))
+    np.negative(bu, out=out)
+    large = None if small.all() else ~small
+    if large is not None:
+        out[large] = 0.0  # filled by the difference form below
+    np.expm1(out, out=out)
+    np.negative(out, out=out)
+    np.multiply(e0, out, out=out)
+    np.divide(out, beta, out=out)
+    if large is not None:
+        e0 = np.broadcast_to(e0, shape)[large]
+        p0 = np.broadcast_to(p0, shape)[large]
         with np.errstate(over="ignore"):
             out[large] = (e0 - np.exp(-p0 - bu[large])) / beta
     return out
 
 
-def exp_erlang_box_prob(x1, x2, a: float, b: float, k: int) -> np.ndarray:
+def exp_erlang_box_prob(x1, x2, a: float, b: float, k: int,
+                        arena=None) -> np.ndarray:
     """P(u + T_j <= x1, u <= x2) for u ~ Exp(mean a), T_j ~ Erlang(j, scale b),
     for every j = 1..k at once: row j-1 of the (k, *shape) result is the box
     for Erlang(j).
@@ -73,17 +121,32 @@ def exp_erlang_box_prob(x1, x2, a: float, b: float, k: int) -> np.ndarray:
     x1 and x2 are arrays of per-trial thresholds. The Erlang sum models j
     independent equal-mean relay links entering one combined detection.
     One recurrence serves every size: box_j is box_(j-1) less one more term.
+    The result is a row of arena (see the module docstring).
     """
     if a <= 0 or b <= 0:
         raise ValueError("exp_erlang_box_prob: scales must be positive")
     if k < 1:
         raise ValueError("exp_erlang_box_prob: k must be >= 1")
+    arena = {} if arena is None else arena
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    m = np.maximum(np.minimum(x1, x2), 0.0)
-    x1p = np.maximum(x1, 0.0)
-    out = -np.expm1(-m / a)
-    boxes = np.empty((k,) + out.shape)
+    shape = np.broadcast_shapes(x1.shape, x2.shape)
+
+    def row(name):
+        return arena_row(arena, "box." + name, shape)
+
+    m = row("m")
+    np.maximum(np.minimum(x1, x2, out=m), 0.0, out=m)
+    hi = np.maximum(x1, 0.0, out=row("hi"))
+    lo = np.subtract(hi, m, out=row("lo"))
+    # -m / a; it overflows to -inf when a is tiny next to m, and
+    # e^(-inf) = 0 is then the right limit of both exponentials below
+    e_lo = np.negative(m, out=row("e_lo"))
+    with np.errstate(over="ignore"):
+        np.divide(e_lo, a, out=e_lo)
+    out = np.expm1(e_lo, out=row("out"))
+    np.negative(out, out=out)
+    boxes = arena_row(arena, "box.boxes", (k,) + shape)
 
     # remaining terms integrate the Erlang tail against the u density:
     #   sum_j (1/(j! b^j a)) int_{x1-m}^{x1} s^j exp(c s - x1/a) ds,
@@ -91,29 +154,40 @@ def exp_erlang_box_prob(x1, x2, a: float, b: float, k: int) -> np.ndarray:
     # s = x1 and -m/a - (x1-m)/b at s = x1-m), so the recurrence is safe.
     # They are formed reduced: c s - x1/a cancels two ~x1/a terms once a << b
     c = 1.0 / a - 1.0 / b
-    lo = x1p - m
-    hi = x1p
-    width = hi - lo
+    t1, t2, integral = row("t1"), row("t2"), row("integral")
+    width = np.subtract(hi, lo, out=t1)
     near_equal = abs(c) * float(np.max(width, initial=0.0)) < 1e-8
     if near_equal:
-        mid = 0.5 * (lo + hi)
-        mid_exp = np.exp(-(x1p - mid) / a - mid / b)
+        mid = np.multiply(0.5, np.add(lo, hi, out=t2), out=t2)
+        mid_exp = np.negative(np.subtract(hi, mid, out=e_lo), out=e_lo)
+        np.divide(mid_exp, a, out=mid_exp)
+        np.subtract(mid_exp, np.divide(mid, b, out=t1), out=mid_exp)
+        np.exp(mid_exp, out=mid_exp)
     else:
-        e_lo = np.exp(-m / a - lo / b)
-        e_hi = np.exp(-hi / b)
+        np.subtract(e_lo, np.divide(lo, b, out=t1), out=e_lo)
+        np.exp(e_lo, out=e_lo)
+        e_hi = np.negative(hi, out=row("e_hi"))
+        np.divide(e_hi, b, out=e_hi)
+        np.exp(e_hi, out=e_hi)
     fact = 1.0
     for j in range(k):
         # integral = int_{x1-m}^{x1} s^j exp(c s - x1/a) ds
         if near_equal:
-            integral = mid_exp * (hi ** (j + 1) - lo ** (j + 1)) / (j + 1)
+            np.subtract(_power(hi, j + 1, t1), _power(lo, j + 1, t2), out=t1)
+            np.divide(np.multiply(mid_exp, t1, out=integral), j + 1,
+                      out=integral)
         elif j == 0:
-            integral = (e_hi - e_lo) / c
+            np.divide(np.subtract(e_hi, e_lo, out=integral), c, out=integral)
         else:
-            integral = ((hi ** j * e_hi - lo ** j * e_lo) / c
-                        - (j / c) * integral)
+            np.multiply(_power(hi, j, t1), e_hi, out=t1)
+            np.multiply(_power(lo, j, t2), e_lo, out=t2)
+            np.divide(np.subtract(t1, t2, out=t1), c, out=t1)
+            np.multiply(j / c, integral, out=t2)
+            np.subtract(t1, t2, out=integral)
         if j > 0:
             fact *= j
-        out = out - integral / (fact * b ** j * a)
+        np.subtract(out, np.divide(integral, fact * b ** j * a, out=t1),
+                    out=out)
         np.maximum(out, 0.0, out=boxes[j])
     return boxes
 
@@ -124,7 +198,8 @@ def exp_sum_box_prob(x1, x2, mu_u: float, mu_w: float) -> np.ndarray:
 
 
 def ocsa_fade_regions(x1, x2, x3, d1: int, d2: int,
-                      lams: Sequence[float]) -> tuple[np.ndarray, ...]:
+                      lams: Sequence[float],
+                      arena=None) -> tuple[np.ndarray, ...]:
     """Joint fade probabilities over three independent exponential gains
     (g1, g2, g3) with means lams, for the regions
 
@@ -135,35 +210,49 @@ def ocsa_fade_regions(x1, x2, x3, d1: int, d2: int,
 
     These are the four signed pieces of the noise-conditional estimator for
     the opportunistic scheme, where g1 plays the role of the node whose miss
-    probability is being averaged.
+    probability is being averaged.  The four results are distinct rows of
+    arena (see the module docstring), at least 1-d.
     """
     r1, r2, r3 = (1.0 / l for l in lams)
     d = d1 + d2
-    # at least 1-d, so every intermediate is an array that can be written
-    x1, x2, x3 = np.atleast_1d(*(np.asarray(x, dtype=float)
-                                 for x in (x1, x2, x3)))
-    c1 = x1 / d1
-    c3 = x3 / d1
+    arena = {} if arena is None else arena
+    x1, x2, x3 = (np.asarray(x, dtype=float) for x in (x1, x2, x3))
+    shape = np.broadcast_shapes(x1.shape, x2.shape, x3.shape) or (1,)
+
+    def row(name):
+        return arena_row(arena, "ocsa." + name, shape)
+
     alpha = r1 + r2 + r3
     beta = r1 + r2 - r3 * d1 / d2
     gam1 = r1 + r3
     gam2 = r1 - r3 * d1 / d2
 
-    off3 = r3 * x2 / d2
-    u = np.minimum(c1, x2 / d)
-    # the term p1 and p3 share, then the one p2 and p4 share (one live array)
-    shared = _int_exp(alpha, u, 0.0)
-    p1 = r1 * (shared - _int_exp(beta, u, off3))
-    p3 = -np.expm1(-r1 * np.maximum(u, 0.0)) - r1 * shared
+    off3 = row("off3")
+    np.divide(np.multiply(r3, x2, out=off3), d2, out=off3)
+    u = np.minimum(np.divide(x1, d1, out=row("a")),
+                   np.divide(x2, d, out=row("b")), out=row("u"))
+    c3 = np.divide(x3, d1, out=row("c3"))
+    # the term p1 and p3 share, then the one p2 and p4 share
+    shared = _int_exp(alpha, u, 0.0, row("shared"), arena)
+    p1 = _int_exp(beta, u, off3, row("p1"), arena)
+    np.multiply(r1, np.subtract(shared, p1, out=p1), out=p1)
+    p3 = row("p3")
+    np.multiply(-r1, np.maximum(u, 0.0, out=p3), out=p3)
+    np.negative(np.expm1(p3, out=p3), out=p3)
+    np.subtract(p3, np.multiply(r1, shared, out=row("a")), out=p3)
 
-    w = np.minimum(u, c3)
-    shared = _int_exp(alpha, w, 0.0) - _int_exp(gam1, w, r2 * c3)
-    p2 = r1 * (shared - _int_exp(beta, w, off3)
-               + _int_exp(gam2, w, r2 * c3 + off3))
-    p4 = r1 * shared
-    # each p is a fresh array: clip in place (NaN passes through)
+    w = np.minimum(u, c3, out=u)  # u and c3 are not read again
+    r2c3 = np.multiply(r2, c3, out=c3)
+    _int_exp(alpha, w, 0.0, shared, arena)
+    np.subtract(shared, _int_exp(gam1, w, r2c3, row("a"), arena), out=shared)
+    diff = np.subtract(shared, _int_exp(beta, w, off3, row("a"), arena),
+                       out=row("a"))
+    p2 = _int_exp(gam2, w, np.add(r2c3, off3, out=row("b")), row("p2"), arena)
+    np.add(diff, p2, out=p2)
+    np.multiply(r1, p2, out=p2)
+    p4 = np.multiply(r1, shared, out=row("p4"))
     for p in (p1, p2, p3, p4):
-        np.clip(p, 0.0, 1.0, out=p)
+        np.clip(p, 0.0, 1.0, out=p)  # NaN passes through
     return p1, p2, p3, p4
 
 

@@ -74,7 +74,10 @@ def parallel_grid_stats(worker: Callable[[int, int, int], Iterable], n: int,
     worker(chunk_index, start, size) yields one array of shape (size,) or
     (size, width) per grid point, in grid order, so a chunk drawn once serves
     every point. Each array is reduced to its sum and sum of squares as soon
-    as it is yielded. Per point, the chunk sums are combined with math.fsum
+    as it is yielded, before the next one is requested, so a worker may
+    yield one buffer for every point and overwrite it in between (the
+    tail-mode evaluators yield scratch-arena rows). Per point, the chunk
+    sums are combined with math.fsum
     in chunk order, which keeps the reduction exact and independent of the
     thread count. Returns one (mean, std_error, n) triple per point.
     """

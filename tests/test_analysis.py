@@ -9,8 +9,11 @@ non-cooperative scheme pin both modes in absolute terms.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -408,6 +411,52 @@ class TestChunkOuterSweep:
         res = estimator(spec)
         assert res.estimate.shape == (3,)
         assert sorted(key[-1] for key in opened) == [0, 1, 2, 3]
+
+
+class TestSweepArena:
+    @staticmethod
+    def _traced_sweep(n_points):
+        """(peak, left over) traced bytes of a 1-thread tail ocsa sweep over
+        four 5e4-trial chunks, relative to the traced bytes before it."""
+        spec = SweepSpec(scheme=Scheme.OCSA, means=MEANS,
+                         rho_db=tuple(np.linspace(20.0, 40.0, n_points)),
+                         n_trials=200_000, seed=3, mode="tail", chunk=50_000)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            estimate_miss_curve(spec)
+            gc.collect()
+            end, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - start, end - start
+
+    def test_bounded_by_the_arena_and_released(self):
+        # the arena holds a fixed set of chunk-size rows, reused at every
+        # grid point and dropped when the sweep returns: more points may not
+        # raise the peak, and nothing may outlive the sweep
+        row = 50_000 * 8
+        peak2, left2 = self._traced_sweep(2)
+        peak11, left11 = self._traced_sweep(11)
+        assert peak11 <= peak2 + row // 8
+        assert max(left2, left11) < row // 8
+
+    def test_threads_keep_their_own_arenas(self):
+        # four workers on two-or-fewer cores with a short switch interval:
+        # an arena shared between threads would mix one thread's rows into
+        # another's values
+        base = dict(scheme=Scheme.OCSA, means=MEANS, rho_db=(20.0, 30.0),
+                    n_trials=64_000, seed=43, mode="tail", chunk=1_000)
+        one = estimate_miss_curve(SweepSpec(threads=1, **base))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            four = estimate_miss_curve(SweepSpec(threads=4, **base))
+        finally:
+            sys.setswitchinterval(interval)
+        assert one.estimate.tobytes() == four.estimate.tobytes()
+        assert one.std_error.tobytes() == four.std_error.tobytes()
 
 
 class TestDeterminism:

@@ -2,6 +2,7 @@
 
 import math
 import os
+import threading
 from concurrent.futures import Future
 
 import numpy as np
@@ -18,6 +19,7 @@ from beaconsim.channel import (
     sample_multiuser,
 )
 from beaconsim import mc
+from beaconsim.fadeprob import arena_row
 from beaconsim.mc import parallel_chunk_stats, substream
 
 
@@ -160,6 +162,33 @@ class TestChunkStats:
             np.testing.assert_array_equal(mean, ref[0])
             np.testing.assert_array_equal(se, ref[1])
             assert n == ref[2] == 30_000
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_worker_may_reuse_one_buffer(self, threads):
+        # each yielded array is reduced before the next one is requested, so
+        # a worker may overwrite one buffer per thread for every point, as
+        # the tail-mode evaluators do with their arena rows
+        scales = (1.0, 0.5, 3.0)
+        scratch = threading.local()
+
+        def draw(chunk_idx, size):
+            return substream(12, 1, chunk_idx).exponential(1.0, size)
+
+        def reusing(chunk_idx, start, size):
+            x = draw(chunk_idx, size)
+            buf = arena_row(scratch.__dict__, "values", (size,))
+            for c in scales:
+                yield np.multiply(c, x, out=buf)
+
+        def fresh(chunk_idx, start, size):
+            x = draw(chunk_idx, size)
+            return (c * x for c in scales)
+
+        got = mc.parallel_grid_stats(reusing, 30_000, 4096, threads)
+        want = mc.parallel_grid_stats(fresh, 30_000, 4096, threads)
+        assert got == want
+        assert len({mean for mean, _se, _n in got}) == len(scales)
+        assert len({se for _mean, se, _n in got}) == len(scales)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="wrong length"):

@@ -146,6 +146,23 @@ class TestMissSweep:
         assert len(rows) == 1
         assert float(rows[0]["rho_db"]) == 20.0
 
+    def test_tiny_primary_mean_is_quiet(self, tmp_path):
+        # at -100 dB the thresholds are ~1e10, so m / a overflows the
+        # Erlang box's exponent to -inf for pt = 1e-300; e^(-inf) = 0 is
+        # the right limit, and no warning may reach stderr
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(BASE_CONFIG.replace("pt = 1.0", "pt = 1e-300")
+                       .replace("seed = 123", "seed = 1")
+                       .replace("n_trials = 20000", "n_trials = 2000")
+                       .replace("rho_db = [0.0, 10.0]", "rho_db = [-100.0]"))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "beaconsim.cli",
+             "miss-sweep", "--config", str(cfg)], capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == b""
+        assert proc.stdout == (b"rho_db,estimate,std_error\n"
+                               b"-100,0.3749982322,1.666000469e-10\n")
+
 
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path):

@@ -4,6 +4,7 @@ Each formula is checked against brute-force sampling of the underlying
 exponential gains with a fixed seed, plus exact limiting values.
 """
 
+import itertools
 import math
 
 import mpmath
@@ -16,6 +17,7 @@ from scipy import special, stats
 from beaconsim.fadeprob import (
     _int_exp,
     abs_diff_q_mean,
+    arena_row,
     exp_erlang_box_prob,
     exp_q_mean,
     exp_sum_box_prob,
@@ -166,18 +168,188 @@ class TestExpErlangBox:
             np.testing.assert_allclose(got[k - 1][keep], want[keep],
                                        rtol=1e-13, atol=0)
 
+    def test_tiny_primary_mean_is_quiet(self):
+        # m / a overflows to inf (thresholds ~1e10, a = 1e-300, as at
+        # -100 dB); e^(-inf) = 0 is the right limit, and the division must
+        # raise no RuntimeWarning (pytest turns one into an error)
+        a, b = 1e-300, 3e9
+        x1 = np.array([3e9, 5e9, 1.2e10, 3e10])
+        for x2 in (0.5 * x1, 2.0 * x1):
+            got = exp_erlang_box_prob(x1, x2, a, b, 5)
+            for k in range(1, 6):
+                keep = (x1 / b >= 1.0) | (k == 1)
+                want = special.gammainc(k, x1 / b)
+                np.testing.assert_allclose(got[k - 1][keep], want[keep],
+                                           rtol=1e-13, atol=0)
+
 
 def _int_exp_both_branches(beta, upper, p0):
-    """Reference: both branches evaluated on every element, then a select."""
+    """Reference: both branches evaluated on every element, then a select.
+    beta = 0 (gam2 of lams (0.5, 2, 1) with d1 = 2, d2 = 1) gives e0 U."""
     upper = np.maximum(upper, 0.0)
     p0 = np.asarray(p0, dtype=float)
     e0 = np.exp(-p0)
+    if beta == 0.0:
+        return e0 * upper
     bu = beta * upper
     small = np.abs(bu) < 1.0
     with np.errstate(over="ignore"):
         direct = (e0 - np.exp(-p0 - bu)) / beta
     via_expm1 = e0 * -np.expm1(-np.where(small, bu, 0.0)) / beta
     return np.where(small, via_expm1, direct)
+
+
+def _erlang_box_reference(x1, x2, a, b, k):
+    """exp_erlang_box_prob as it was before it wrote into arena rows: every
+    intermediate a fresh array, the same ufuncs in the same operand order."""
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    m = np.maximum(np.minimum(x1, x2), 0.0)
+    x1p = np.maximum(x1, 0.0)
+    out = -np.expm1(-m / a)
+    boxes = np.empty((k,) + out.shape)
+    c = 1.0 / a - 1.0 / b
+    lo = x1p - m
+    hi = x1p
+    width = hi - lo
+    near_equal = abs(c) * float(np.max(width, initial=0.0)) < 1e-8
+    if near_equal:
+        mid = 0.5 * (lo + hi)
+        mid_exp = np.exp(-(x1p - mid) / a - mid / b)
+    else:
+        e_lo = np.exp(-m / a - lo / b)
+        e_hi = np.exp(-hi / b)
+    fact = 1.0
+    for j in range(k):
+        if near_equal:
+            integral = mid_exp * (hi ** (j + 1) - lo ** (j + 1)) / (j + 1)
+        elif j == 0:
+            integral = (e_hi - e_lo) / c
+        else:
+            integral = ((hi ** j * e_hi - lo ** j * e_lo) / c
+                        - (j / c) * integral)
+        if j > 0:
+            fact *= j
+        out = out - integral / (fact * b ** j * a)
+        np.maximum(out, 0.0, out=boxes[j])
+    return boxes
+
+
+def _ocsa_regions_reference(x1, x2, x3, d1, d2, lams):
+    """ocsa_fade_regions as it was before it wrote into arena rows."""
+    r1, r2, r3 = (1.0 / l for l in lams)
+    d = d1 + d2
+    x1, x2, x3 = np.atleast_1d(*(np.asarray(x, dtype=float)
+                                 for x in (x1, x2, x3)))
+    c1 = x1 / d1
+    c3 = x3 / d1
+    alpha = r1 + r2 + r3
+    beta = r1 + r2 - r3 * d1 / d2
+    gam1 = r1 + r3
+    gam2 = r1 - r3 * d1 / d2
+    off3 = r3 * x2 / d2
+    u = np.minimum(c1, x2 / d)
+    ie = _int_exp_both_branches
+    shared = ie(alpha, u, 0.0)
+    p1 = r1 * (shared - ie(beta, u, off3))
+    p3 = -np.expm1(-r1 * np.maximum(u, 0.0)) - r1 * shared
+    w = np.minimum(u, c3)
+    shared = ie(alpha, w, 0.0) - ie(gam1, w, r2 * c3)
+    p2 = r1 * (shared - ie(beta, w, off3) + ie(gam2, w, r2 * c3 + off3))
+    p4 = r1 * shared
+    return tuple(np.clip(p, 0.0, 1.0) for p in (p1, p2, p3, p4))
+
+
+def _thresholds(n, scale, strided, nan_col=2, seed=47):
+    """Three threshold arrays, a tenth of them negative and one NaN in
+    column nan_col; as strided columns of one (n, 3) array, the way
+    perfbench/kernels.py passes them, or as contiguous rows."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 3)) ** 2 * scale
+    x[::10] *= -1.0
+    x[n // 2, nan_col] = np.nan
+    return tuple(x.T) if strided else tuple(np.ascontiguousarray(x.T))
+
+
+class TestArenaKernels:
+    """The kernels write every intermediate into arena rows; each must keep
+    the bits of the fresh-array form it replaced."""
+
+    SCALES = [1e-12, 1e-7, 1e-3, 0.1, 3.0, 1e3]
+    # (a, b): the recurrence, and a == b, where c = 0 takes the near-equal
+    # form at every scale (the 1e-12 scale takes it for every pair)
+    BOX_MEANS = [(1.0, 0.25), (0.7, 1.9), (1.3, 1.3)]
+    # lams (3, 1, 0.5) with d1 = d2 = 1 makes gam2 negative, and
+    # (0.5, 2, 1) with d1 = 2, d2 = 1 makes it 0
+    OCSA = [(1, 1, (1.0, 2.0, 3.0)), (1, 1, (3.0, 1.0, 0.5)),
+            (2, 1, (0.5, 2.0, 1.0)), (1, 2, (2.0, 0.7, 1.2))]
+
+    @staticmethod
+    def _same(got, want):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    def _check(self, x1, x2, x3, k, arena, box_means=BOX_MEANS):
+        # negative thresholds overflow e^(-p0) in both forms alike
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a, b in box_means:
+                self._same(exp_erlang_box_prob(x1, x2, a, b, k, arena=arena),
+                           _erlang_box_reference(x1, x2, a, b, k))
+            for d1, d2, lams in self.OCSA:
+                self._same(
+                    ocsa_fade_regions(x1, x2, x3, d1, d2, lams, arena=arena),
+                    _ocsa_regions_reference(x1, x2, x3, d1, d2, lams))
+
+    @pytest.mark.parametrize("strided", [False, True])
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_bitwise_equal_to_fresh_array_form(self, scale, strided):
+        x1, x2, x3 = _thresholds(2000, scale, strided)
+        self._check(x1, x2, x3, 11, {})
+        self._check(x1, x2, x3, 11, None)
+        # a NaN in the box's thresholds makes the chunk-wide width NaN, so
+        # the box takes the recurrence, which divides by c = 1/a - 1/b: only
+        # a != b
+        x1, x2, x3 = _thresholds(2000, scale, strided, nan_col=0)
+        self._check(x1, x2, x3, 11, {}, self.BOX_MEANS[:2])
+
+    def test_one_arena_across_shapes_and_sizes(self):
+        arena = {}
+        for n, k, scale in ((500, 3, 0.1), (37, 11, 3.0), (500, 1, 1e-7),
+                            (1, 5, 1.0), (37, 3, 1e3), (500, 11, 0.1)):
+            self._check(*_thresholds(n, scale, False, seed=n + k), k, arena)
+
+    def test_arena_rows_are_reused(self):
+        # same-size calls allocate nothing: the arena returns the same rows
+        arena = {}
+        x1, x2, x3 = _thresholds(300, 0.1, True)
+        first = ocsa_fade_regions(x1, x2, x3, 1, 1, (1.0, 2.0, 3.0),
+                                  arena=arena)
+        box = exp_erlang_box_prob(x1, x2, 1.0, 0.25, 3, arena=arena)
+        rows = {name: row.ctypes.data for name, row in arena.items()}
+        again = ocsa_fade_regions(x1, x2, x3, 1, 1, (1.0, 2.0, 3.0),
+                                  arena=arena)
+        assert exp_erlang_box_prob(x1, x2, 1.0, 0.25, 3, arena=arena) is box
+        assert all(p is q for p, q in zip(first, again))
+        assert {name: row.ctypes.data for name, row in arena.items()} == rows
+        assert arena_row(arena, "box.boxes", (3, 300)) is box
+        assert arena_row(arena, "box.boxes", (2, 300)) is not box
+
+    def test_calls_without_arena_own_their_results(self):
+        x1, x2, x3 = _thresholds(300, 0.1, False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            results = [
+                *ocsa_fade_regions(x1, x2, x3, 1, 1, (1.0, 2.0, 3.0)),
+                *ocsa_fade_regions(x1, x2, x3, 1, 1, (1.0, 2.0, 3.0)),
+                exp_erlang_box_prob(x1, x2, 1.0, 0.25, 3),
+                exp_erlang_box_prob(x1, x2, 1.0, 0.25, 3),
+                exp_sum_box_prob(x1, x2, 1.0, 0.25),
+                _int_exp(2.5, x1, 0.0),
+                _int_exp(2.5, x1, 0.0),
+            ]
+        for p, q in itertools.combinations(results, 2):
+            assert not np.shares_memory(p, q)
 
 
 class TestIntExp:
