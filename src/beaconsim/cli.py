@@ -227,22 +227,8 @@ def resolve_scheme(conf: Conf, kind: str) -> Scheme:
     return scheme
 
 
-def run_params(conf: Conf) -> tuple[int, int, int | None]:
-    """The [run] section as (seed, n_trials, chunk); chunk may be None."""
-    seed = conf.get_int("run", "seed", required=True)
-    n_trials = conf.get_int("run", "n_trials", required=True)
-    chunk = conf.get_int("run", "chunk")
-    if seed < 0:
-        raise ConfigError("run.seed must be >= 0")
-    if n_trials < 1:
-        raise ConfigError("run.n_trials must be >= 1")
-    if chunk is not None and chunk < 1:
-        raise ConfigError("run.chunk must be >= 1")
-    return seed, n_trials, chunk
-
-
-def build_sweep_spec(conf: Conf, scheme: Scheme, threads: int,
-                     mode_default="channel") -> tuple[SweepSpec, int]:
+def build_sweep_spec(conf: Conf, scheme: Scheme,
+                     threads: int) -> tuple[SweepSpec, int]:
     """The shared sections as a SweepSpec, and the mucsa multiuser.user
     index, checked against the 2M users; 0 for the pair schemes."""
     if scheme is Scheme.MUCSA:
@@ -263,7 +249,15 @@ def build_sweep_spec(conf: Conf, scheme: Scheme, threads: int,
             conf.get_float("channel", "tr", required=True),
         )
     d1, d2 = resolve_split(conf)
-    seed, n_trials, chunk = run_params(conf)
+    seed = conf.get_int("run", "seed", required=True)
+    n_trials = conf.get_int("run", "n_trials", required=True)
+    chunk = conf.get_int("run", "chunk")
+    if seed < 0:
+        raise ConfigError("run.seed must be >= 0")
+    if n_trials < 1:
+        raise ConfigError("run.n_trials must be >= 1")
+    if chunk is not None and chunk < 1:
+        raise ConfigError("run.chunk must be >= 1")
     spec = _build(
         SweepSpec,
         scheme=scheme,
@@ -273,7 +267,7 @@ def build_sweep_spec(conf: Conf, scheme: Scheme, threads: int,
         seed=seed,
         d1=d1,
         d2=d2,
-        mode=conf.get_str("sweep", "mode", default=mode_default),
+        mode=conf.get_str("sweep", "mode", default="channel"),
         threads=threads,
         chunk=chunk,
     )
@@ -286,8 +280,8 @@ def build_sweep_spec(conf: Conf, scheme: Scheme, threads: int,
 
 
 # ---------------------------------------------------------------------------
-# Kind runners: each takes (conf, scheme, threads) and returns
-# (rows, extra_meta)
+# Kind runners: each takes (conf, spec, user), with spec and user from
+# build_sweep_spec, reads its own sections and returns (rows, extra_meta)
 # ---------------------------------------------------------------------------
 
 
@@ -298,40 +292,35 @@ def _rows(**columns) -> list[dict]:
             for cell in zip(*(c.ravel().tolist() for c in cols))]
 
 
-def _miss_curve(conf: Conf, scheme: Scheme, threads: int, side: str = "t"):
-    """Miss-curve rows and meta, plus the user a mucsa curve is for."""
-    spec, user = build_sweep_spec(conf, scheme, threads)
-    res = estimate_miss_curve(spec, side=side, user=user)
+def _curve(spec: SweepSpec, res, **meta):
+    """The rows and meta of a SweepResult along spec's rho grid."""
     rows = _rows(rho_db=res.rho_db, estimate=res.estimate,
                  std_error=res.std_error)
-    return rows, {"scheme": scheme.value, "mode": spec.mode}, user
+    return rows, {"scheme": spec.scheme.value, "mode": spec.mode, **meta}
 
 
-def run_miss_sweep(conf: Conf, scheme: Scheme, threads: int):
-    rows, meta, _user = _miss_curve(conf, scheme, threads,
-                                    conf.get_str("sweep", "side", default="t"))
-    return rows, meta
+def run_miss_sweep(conf: Conf, spec: SweepSpec, user: int):
+    side = conf.get_str("sweep", "side", default="t")
+    return _curve(spec, estimate_miss_curve(spec, side=side, user=user))
 
 
-def run_joint_sweep(conf: Conf, scheme: Scheme, threads: int):
-    spec, _user = build_sweep_spec(conf, scheme, threads)
+def run_joint_sweep(conf: Conf, spec: SweepSpec, user: int):
     if spec.mode != "channel":
         raise ConfigError("joint-sweep supports sweep.mode = 'channel' only")
-    res = estimate_joint_success_curve(spec)
-    rows = _rows(rho_db=res.rho_db, estimate=res.estimate,
-                 std_error=res.std_error)
-    return rows, {"scheme": scheme.value, "mode": spec.mode}
+    return _curve(spec, estimate_joint_success_curve(spec))
 
 
-def run_diversity(conf: Conf, scheme: Scheme, threads: int):
-    spec, user = build_sweep_spec(conf, scheme, threads, mode_default="tail")
+def run_diversity(conf: Conf, spec: SweepSpec, user: int):
+    # tail mode keeps the relative error uniform across the fitted grid
+    if not conf.has("sweep", "mode"):
+        spec = replace(spec, mode="tail")
     if len(set(spec.rho_db)) < 2:
         raise ConfigError("diversity needs two distinct sweep.rho_db values")
     fit = estimate_diversity(
         spec, side=conf.get_str("sweep", "side", default="t"), user=user)
-    rows = _rows(scheme=scheme.value, mode=spec.mode, order=fit.order,
+    rows = _rows(scheme=spec.scheme.value, mode=spec.mode, order=fit.order,
                  residual=fit.residual, n_points=len(spec.rho_db))
-    return rows, {"scheme": scheme.value, "mode": spec.mode}
+    return rows, {"scheme": spec.scheme.value, "mode": spec.mode}
 
 
 def _mc_args(spec: SweepSpec) -> dict:
@@ -339,9 +328,8 @@ def _mc_args(spec: SweepSpec) -> dict:
                 threads=spec.threads, chunk=spec.chunk)
 
 
-def _capacity_setup(conf: Conf, scheme: Scheme, threads: int):
-    """The shared sections as a SweepSpec, and the estimators' kwargs."""
-    spec, _user = build_sweep_spec(conf, scheme, threads)
+def _capacity_args(conf: Conf, spec: SweepSpec) -> dict:
+    """The capacity estimators' kwargs from spec and the [capacity] keys."""
     activity = _build(
         ActivityModel,
         conf.get_float("capacity", "p_theta_t", required=True),
@@ -353,21 +341,20 @@ def _capacity_setup(conf: Conf, scheme: Scheme, threads: int):
     if min(conf.get_numlist("capacity", "sigma2", default=[0.0])) < 0:
         raise ConfigError("capacity.sigma2 must be nonnegative")
     rho = np.array([db_to_linear(r) for r in spec.rho_db])
-    return spec, dict(means=spec.means, activity=activity, t_c=t_c, rho=rho,
-                      **_mc_args(spec))
+    return dict(means=spec.means, activity=activity, t_c=t_c, rho=rho,
+                **_mc_args(spec))
 
 
-def run_capacity_ergodic(conf: Conf, scheme: Scheme, threads: int):
-    spec, common = _capacity_setup(conf, scheme, threads)
-    est = ergodic_capacity(spec.scheme, **common)
+def run_capacity_ergodic(conf: Conf, spec: SweepSpec, user: int):
+    est = ergodic_capacity(spec.scheme, **_capacity_args(conf, spec))
     return _rows(rho_db=spec.rho_db,
                  upper_mean=est.upper_mean, upper_se=est.upper_se,
                  lower_mean=est.lower_mean, lower_se=est.lower_se), \
         {"scheme": spec.scheme.value}
 
 
-def run_capacity_outage(conf: Conf, scheme: Scheme, threads: int):
-    spec, common = _capacity_setup(conf, scheme, threads)
+def run_capacity_outage(conf: Conf, spec: SweepSpec, user: int):
+    common = _capacity_args(conf, spec)
     epsilons = conf.get_numlist("capacity", "epsilons", required=True)
     for e in epsilons:
         if not 0.0 < e < 1.0:
@@ -383,8 +370,8 @@ def run_capacity_outage(conf: Conf, scheme: Scheme, threads: int):
     return rows, {"scheme": spec.scheme.value}
 
 
-def run_imperfect(conf: Conf, scheme: Scheme, threads: int):
-    spec, common = _capacity_setup(conf, scheme, threads)
+def run_imperfect(conf: Conf, spec: SweepSpec, user: int):
+    common = _capacity_args(conf, spec)
     sigma2s = conf.get_numlist("capacity", "sigma2", required=True)
     # one noise-level x rho grid, levels leading so each is drawn once per
     # chunk; level 0, the noiseless baseline of the relative loss, is first
@@ -408,8 +395,7 @@ def run_imperfect(conf: Conf, scheme: Scheme, threads: int):
     return rows, {"scheme": spec.scheme.value}
 
 
-def run_throughput(conf: Conf, scheme: Scheme, threads: int):
-    spec, _user = build_sweep_spec(conf, scheme, threads)
+def run_throughput(conf: Conf, spec: SweepSpec, user: int):
     if len(spec.rho_db) != 1:
         raise ConfigError("throughput expects a single sweep.rho_db value")
     t_cr = conf.get_float("throughput", "t_cr", default=1.0)
@@ -428,9 +414,8 @@ def run_throughput(conf: Conf, scheme: Scheme, threads: int):
     return rows, {"rho_db": spec.rho_db[0]}
 
 
-def run_multiuser(conf: Conf, scheme: Scheme, threads: int):
-    rows, meta, user = _miss_curve(conf, scheme, threads)
-    return rows, {**meta, "user": user}
+def run_multiuser(conf: Conf, spec: SweepSpec, user: int):
+    return _curve(spec, estimate_miss_curve(spec, user=user), user=user)
 
 
 _COMMON = {
@@ -573,11 +558,12 @@ def main(argv=None) -> int:
         conf = Conf(data)
         scheme = resolve_scheme(conf, args.kind)
         check_schema(args.kind, data)
-        rows, extra = KINDS[args.kind][0](conf, scheme, args.threads)
+        spec, user = build_sweep_spec(conf, scheme, args.threads)
+        rows, extra = KINDS[args.kind][0](conf, spec, user)
         for key, v in (cell for row in rows for cell in row.items()):
             if isinstance(v, float) and not math.isfinite(v):
                 raise ValueError(f"{key} = {v} is not finite")
-        # every kind has checked run.seed by now; config values are literals,
+        # build_sweep_spec has checked run.seed; config values are literals,
         # which json writes as is
         meta = {
             "kind": args.kind,

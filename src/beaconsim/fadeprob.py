@@ -156,7 +156,7 @@ def exp_erlang_box_prob(x1, x2, a: float, b: float, k: int,
     c = 1.0 / a - 1.0 / b
     t1, t2, integral = row("t1"), row("t2"), row("integral")
     width = np.subtract(hi, lo, out=t1)
-    near_equal = abs(c) * float(np.max(width, initial=0.0)) < 1e-8
+    near_equal = abs(c) * float(np.fmax.reduce(width, initial=0.0)) < 1e-8
     if near_equal:
         mid = np.multiply(0.5, np.add(lo, hi, out=t2), out=t2)
         mid_exp = np.negative(np.subtract(hi, mid, out=e_lo), out=e_lo)
@@ -188,7 +188,7 @@ def exp_erlang_box_prob(x1, x2, a: float, b: float, k: int,
             fact *= j
         np.subtract(out, np.divide(integral, fact * b ** j * a, out=t1),
                     out=out)
-        np.maximum(out, 0.0, out=boxes[j])
+        np.maximum(out, 0.0, out=boxes[j, ...])
     return boxes
 
 

@@ -430,7 +430,7 @@ t_c = 10.0
 
     def test_out_of_memory(self, tmp_path, monkeypatch, capsys):
         # the runner raises instead of allocating, so nothing is exhausted
-        def exhausted(conf, scheme, threads):
+        def exhausted(conf, spec, user):
             raise MemoryError("cannot allocate 8 EiB")
 
         monkeypatch.setitem(cli.KINDS, "miss-sweep",
@@ -608,6 +608,27 @@ mode = "tail"
         rows = parse_csv(proc.stdout)
         assert len(rows) == 2
         assert float(rows[1]["estimate"]) < float(rows[0]["estimate"])
+
+    @pytest.mark.parametrize("kind, cfg, mode", [
+        ("miss-sweep", BASE_CONFIG, "channel"),
+        ("joint-sweep", BASE_CONFIG, "channel"),
+        ("multiuser", _MULTIUSER_CONFIG, "channel"),
+        ("diversity", BASE_CONFIG, "tail"),
+    ])
+    def test_default_mode(self, tmp_path, capsys, kind, cfg, mode):
+        # without sweep.mode, a kind runs as if it were set to its default
+        def run(text, fmt):
+            path = tmp_path / "cfg.ini"
+            path.write_text(text)
+            assert cli.main([kind, "--config", str(path),
+                             "--format", fmt]) == 0
+            return capsys.readouterr().out
+
+        unset = cfg.replace('mode = "tail"\n', "")
+        assert unset != cfg
+        assert json.loads(run(unset, "json"))["meta"]["mode"] == mode
+        explicit = cfg.replace('mode = "tail"', f'mode = "{mode}"')
+        assert run(unset, "csv") == run(explicit, "csv")
 
     def test_selfcheck(self):
         proc = run_cli("selfcheck")

@@ -6,6 +6,7 @@ exponential gains with a fixed seed, plus exact limiting values.
 
 import itertools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -182,6 +183,29 @@ class TestExpErlangBox:
                 np.testing.assert_allclose(got[k - 1][keep], want[keep],
                                            rtol=1e-13, atol=0)
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_scalar_thresholds(self, k):
+        scalar = exp_erlang_box_prob(0.5, 0.6, 1.0, 2.0, k)
+        array = exp_erlang_box_prob(np.array([0.5]), np.array([0.6]),
+                                    1.0, 2.0, k)
+        assert scalar.shape == (k,)
+        assert scalar.tobytes() == array.tobytes()
+        if k == 1:
+            assert (exp_sum_box_prob(0.5, 0.6, 1.0, 2.0).tobytes()
+                    == array[0].tobytes())
+
+    def test_nan_threshold_with_equal_means(self):
+        # a == b needs the near-equal form (c = 0); a NaN width must not
+        # hide the finite widths from the chunk-wide switch
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = exp_erlang_box_prob(np.array([0.5, np.nan]),
+                                      np.array([0.6, 0.7]), 1.0, 1.0, 2)
+        want = exp_erlang_box_prob(np.array([0.5]), np.array([0.6]),
+                                   1.0, 1.0, 2)
+        assert np.isnan(got[:, 1]).all()
+        assert got[:, :1].tobytes() == want.tobytes()
+
 
 def _int_exp_both_branches(beta, upper, p0):
     """Reference: both branches evaluated on every element, then a select.
@@ -212,7 +236,7 @@ def _erlang_box_reference(x1, x2, a, b, k):
     lo = x1p - m
     hi = x1p
     width = hi - lo
-    near_equal = abs(c) * float(np.max(width, initial=0.0)) < 1e-8
+    near_equal = abs(c) * float(np.fmax.reduce(width, initial=0.0)) < 1e-8
     if near_equal:
         mid = 0.5 * (lo + hi)
         mid_exp = np.exp(-(x1p - mid) / a - mid / b)
@@ -308,11 +332,9 @@ class TestArenaKernels:
         x1, x2, x3 = _thresholds(2000, scale, strided)
         self._check(x1, x2, x3, 11, {})
         self._check(x1, x2, x3, 11, None)
-        # a NaN in the box's thresholds makes the chunk-wide width NaN, so
-        # the box takes the recurrence, which divides by c = 1/a - 1/b: only
-        # a != b
+        # a NaN in the box's thresholds: the chunk-wide width skips it
         x1, x2, x3 = _thresholds(2000, scale, strided, nan_col=0)
-        self._check(x1, x2, x3, 11, {}, self.BOX_MEANS[:2])
+        self._check(x1, x2, x3, 11, {})
 
     def test_one_arena_across_shapes_and_sizes(self):
         arena = {}
