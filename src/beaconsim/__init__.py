@@ -4,10 +4,9 @@ The package models a primary transmitter/receiver pair that announce channel
 availability with beacon and feedback signals, plus secondary users that may
 cooperatively relay those announcements.  It provides:
 
-- closed-form and Monte Carlo estimates of beacon miss and false-alarm
-  probabilities for the non-cooperative, cooperative, opportunistic and
-  multiuser access schemes (:mod:`beaconsim.protocols`,
-  :mod:`beaconsim.analysis`);
+- closed-form and Monte Carlo estimates of beacon miss probabilities for
+  the non-cooperative, cooperative, opportunistic and multiuser access
+  schemes (:mod:`beaconsim.protocols`, :mod:`beaconsim.analysis`);
 - low-probability "tail" estimators whose relative error stays bounded deep
   into the high-SNR regime (:mod:`beaconsim.fadeprob`);
 - capacity bounds for the secondary link, ergodic and outage variants, and

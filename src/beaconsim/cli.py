@@ -66,14 +66,6 @@ class ConfigError(Exception):
 # Configuration loading
 # ---------------------------------------------------------------------------
 
-# Keys with a fixed set of values, checked for every kind that accepts the
-# section, including kinds that ignore the key.
-_KEY_VALUES = {
-    ("sweep", "mode"): ("channel", "tail"),
-    ("sweep", "side"): ("t", "r"),
-}
-
-
 def _parse_value(raw: str):
     try:
         return ast.literal_eval(raw)
@@ -113,7 +105,8 @@ def apply_overrides(data: dict, overrides: list[str]) -> None:
 
 
 def check_schema(kind: str, data: dict) -> None:
-    reads = KINDS[kind][1]
+    _run, reads, _schemes, values = KINDS[kind]
+    who = f"kind {kind}"
     scheme = data.get(("protocol", "scheme"))
     if "channel" in reads and "multiuser" in reads and scheme in list(Scheme):
         # mucsa reads [multiuser], every pair scheme [channel]: refuse the
@@ -122,15 +115,19 @@ def check_schema(kind: str, data: dict) -> None:
         if any(section == unread for section, _key in data):
             raise ConfigError(
                 f"section [{unread}] is not read by scheme {scheme}")
+        if scheme == "mucsa":
+            # multiuser.user picks the mucsa node, so sweep.side is unread
+            values = {**values, "side": ("t",)}
+            who += " and scheme mucsa"
     for (section, key), value in data.items():
         if section not in reads:
             raise ConfigError(f"unknown section [{section}] for kind {kind}")
         if key not in reads[section]:
             raise ConfigError(f"{section}.{key} is not read by kind {kind}")
-        allowed = _KEY_VALUES.get((section, key))
+        allowed = values.get(key) if section == "sweep" else None
         if allowed and value not in allowed:
-            raise ConfigError(f"{section}.{key} must be "
-                              + " or ".join(map(repr, allowed)))
+            raise ConfigError(f"sweep.{key} must be " + " or ".join(
+                map(repr, allowed)) + f" for {who}")
 
 
 class Conf:
@@ -227,7 +224,12 @@ def resolve_scheme(conf: Conf, kind: str) -> Scheme:
     return scheme
 
 
-def build_sweep_spec(conf: Conf, scheme: Scheme,
+def _sweep_value(conf: Conf, kind: str, key: str) -> str:
+    """sweep.<key>, or the kind's default: the first value KINDS lists."""
+    return conf.get_str("sweep", key, default=KINDS[kind][3][key][0])
+
+
+def build_sweep_spec(conf: Conf, kind: str, scheme: Scheme,
                      threads: int) -> tuple[SweepSpec, int]:
     """The shared sections as a SweepSpec, and the mucsa multiuser.user
     index, checked against the 2M users; 0 for the pair schemes."""
@@ -267,7 +269,7 @@ def build_sweep_spec(conf: Conf, scheme: Scheme,
         seed=seed,
         d1=d1,
         d2=d2,
-        mode=conf.get_str("sweep", "mode", default="channel"),
+        mode=_sweep_value(conf, kind, "mode"),
         threads=threads,
         chunk=chunk,
     )
@@ -300,24 +302,19 @@ def _curve(spec: SweepSpec, res, **meta):
 
 
 def run_miss_sweep(conf: Conf, spec: SweepSpec, user: int):
-    side = conf.get_str("sweep", "side", default="t")
+    side = _sweep_value(conf, "miss-sweep", "side")
     return _curve(spec, estimate_miss_curve(spec, side=side, user=user))
 
 
 def run_joint_sweep(conf: Conf, spec: SweepSpec, user: int):
-    if spec.mode != "channel":
-        raise ConfigError("joint-sweep supports sweep.mode = 'channel' only")
     return _curve(spec, estimate_joint_success_curve(spec))
 
 
 def run_diversity(conf: Conf, spec: SweepSpec, user: int):
-    # tail mode keeps the relative error uniform across the fitted grid
-    if not conf.has("sweep", "mode"):
-        spec = replace(spec, mode="tail")
     if len(set(spec.rho_db)) < 2:
         raise ConfigError("diversity needs two distinct sweep.rho_db values")
     fit = estimate_diversity(
-        spec, side=conf.get_str("sweep", "side", default="t"), user=user)
+        spec, side=_sweep_value(conf, "diversity", "side"), user=user)
     rows = _rows(scheme=spec.scheme.value, mode=spec.mode, order=fit.order,
                  residual=fit.residual, n_points=len(spec.rho_db))
     return rows, {"scheme": spec.scheme.value, "mode": spec.mode}
@@ -421,31 +418,39 @@ def run_multiuser(conf: Conf, spec: SweepSpec, user: int):
 _COMMON = {
     "run": ("seed", "n_trials", "chunk"),
     "protocol": ("scheme", "d", "alpha", "d1", "d2"),
-    "sweep": ("rho_db", "mode", "side"),  # see _KEY_VALUES
+    "sweep": ("rho_db", "mode", "side"),  # values: the last KINDS column
 }
 _PAIR = {**_COMMON, "channel": ("pt", "pr", "tr")}
 _MULTI = ("m_pairs", "primary", "inter", "user")
 _SWEEP = {**_PAIR, "multiuser": _MULTI}
 _CAPACITY = ("p_theta_t", "p_theta_joint", "t_c")
 _PAIR_SCHEMES, _OCSA = (Scheme.NC, Scheme.CSA, Scheme.OCSA), (Scheme.OCSA,)
+_EITHER = {"mode": ("channel", "tail"), "side": ("t", "r")}
+_CHANNEL_T = {"mode": ("channel",), "side": ("t",)}
 
-# kind -> (runner, {section: keys the kind reads}, schemes it runs); any
-# other section, key or scheme is a configuration error
+# kind -> (runner, {section: keys the kind reads}, schemes it runs,
+# {sweep key: values the kind runs, default first}); any other section, key,
+# scheme or value is a configuration error
 KINDS = {
-    "miss-sweep": (run_miss_sweep, _SWEEP, tuple(Scheme)),
-    "joint-sweep": (run_joint_sweep, _PAIR, _PAIR_SCHEMES),
-    "diversity": (run_diversity, _SWEEP, tuple(Scheme)),
+    "miss-sweep": (run_miss_sweep, _SWEEP, tuple(Scheme), _EITHER),
+    "joint-sweep": (run_joint_sweep, _PAIR, _PAIR_SCHEMES, _CHANNEL_T),
+    # tail mode keeps the relative error uniform across the fitted grid
+    "diversity": (run_diversity, _SWEEP, tuple(Scheme),
+                  {**_EITHER, "mode": ("tail", "channel")}),
     "capacity-ergodic": (run_capacity_ergodic,
-                         {**_PAIR, "capacity": _CAPACITY}, _PAIR_SCHEMES),
+                         {**_PAIR, "capacity": _CAPACITY}, _PAIR_SCHEMES,
+                         _CHANNEL_T),
     "capacity-outage": (run_capacity_outage,
                         {**_PAIR, "capacity": (*_CAPACITY, "epsilons",
-                                               "sigma2")}, _PAIR_SCHEMES),
+                                               "sigma2")}, _PAIR_SCHEMES,
+                        _CHANNEL_T),
     "imperfect": (run_imperfect, {**_PAIR, "capacity": (*_CAPACITY, "sigma2")},
-                  _OCSA),
+                  _OCSA, _CHANNEL_T),
     "throughput": (run_throughput,
-                   {**_PAIR, "throughput": ("t_cr", "w1", "w2")}, _OCSA),
+                   {**_PAIR, "throughput": ("t_cr", "w1", "w2")}, _OCSA,
+                   _CHANNEL_T),
     "multiuser": (run_multiuser, {**_COMMON, "multiuser": _MULTI},
-                  (Scheme.MUCSA,)),
+                  (Scheme.MUCSA,), {**_EITHER, "side": ("t",)}),
 }
 
 
@@ -508,11 +513,7 @@ def run_selfcheck() -> tuple[str, bool]:
 
 
 def _csv_cell(v) -> str:
-    if isinstance(v, bool):
-        return str(v)
-    if isinstance(v, float):
-        return "%.10g" % v
-    return str(v)
+    return "%.10g" % v if isinstance(v, float) else str(v)
 
 
 def render_output(rows, meta, fmt: str) -> str:
@@ -558,7 +559,7 @@ def main(argv=None) -> int:
         conf = Conf(data)
         scheme = resolve_scheme(conf, args.kind)
         check_schema(args.kind, data)
-        spec, user = build_sweep_spec(conf, scheme, args.threads)
+        spec, user = build_sweep_spec(conf, args.kind, scheme, args.threads)
         rows, extra = KINDS[args.kind][0](conf, spec, user)
         for key, v in (cell for row in rows for cell in row.items()):
             if isinstance(v, float) and not math.isfinite(v):

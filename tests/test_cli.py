@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from beaconsim import cli
-from beaconsim.analysis import SweepSpec, estimate_miss_curve
+from beaconsim.analysis import _MODES, SweepSpec, estimate_miss_curve
 from beaconsim.channel import MeanGains
 from beaconsim.protocols import Scheme
 
@@ -41,7 +41,8 @@ scheme = "csa"
 rho_db = [0.0, 10.0]
 mode = "tail"
 """
-
+# the mode the capacity, imperfect, throughput and joint-sweep kinds run
+_CHANNEL_MODE = BASE_CONFIG.replace('mode = "tail"', 'mode = "channel"')
 
 _CHANNEL = "[channel]\npt = 1.0\npr = 2.0\ntr = 3.0\n\n"
 _CAPACITY = "\n[capacity]\np_theta_t = 0.85\np_theta_joint = 0.7\nt_c = 10.0\n"
@@ -64,9 +65,9 @@ _KIND_SCHEMES = {
     "multiuser": "'mucsa'",
 }
 _THROUGHPUT_CONFIG = (
-    BASE_CONFIG.replace("rho_db = [0.0, 10.0]", "rho_db = 6.0")
+    _CHANNEL_MODE.replace("rho_db = [0.0, 10.0]", "rho_db = 6.0")
     .replace('scheme = "csa"', 'scheme = "ocsa"') + _THROUGHPUT)
-_IMPERFECT_CONFIG = (BASE_CONFIG.replace('scheme = "csa"', 'scheme = "ocsa"')
+_IMPERFECT_CONFIG = (_CHANNEL_MODE.replace('scheme = "csa"', 'scheme = "ocsa"')
                      + _CAPACITY + "sigma2 = [0.0]\n")
 _MULTIUSER_CONFIG = """\
 [run]
@@ -211,7 +212,7 @@ class TestExitCodes:
         assert proc.returncode == 2
 
     def test_numeric_domain_error(self, tmp_path):
-        cfg = BASE_CONFIG + """
+        cfg = _CHANNEL_MODE + """
 [capacity]
 p_theta_t = 0.0
 p_theta_joint = 0.0
@@ -243,7 +244,8 @@ t_c = 10.0
             "negative-chunk-throughput", "user-out-of-range"])
     def test_bad_run_or_pair_is_config_error(self, tmp_path, kind, old, new,
                                               extra, msg):
-        cfg = BASE_CONFIG.replace(old, new) + extra
+        base = BASE_CONFIG if kind == "miss-sweep" else _CHANNEL_MODE
+        cfg = base.replace(old, new) + extra
         if kind == "throughput":
             cfg = cfg.replace("rho_db = [0.0, 10.0]", "rho_db = [6.0]")
         if kind in ("imperfect", "throughput"):
@@ -269,15 +271,14 @@ t_c = 10.0
         assert msg.encode() in proc.stderr
 
     def test_joint_sweep_reads_no_multiuser_section(self, tmp_path):
-        cfg = (BASE_CONFIG.replace('mode = "tail"', 'mode = "channel"')
-               + "\n[multiuser]\nm_pairs = 2\n")
+        cfg = _CHANNEL_MODE + "\n[multiuser]\nm_pairs = 2\n"
         proc = run_cli("joint-sweep", config_text=cfg, tmp_path=tmp_path)
         assert proc.returncode == 2, proc.stderr
         assert b"unknown section [multiuser] for kind joint-sweep" \
             in proc.stderr
 
     @pytest.mark.parametrize("kind, scheme", [
-        (kind, scheme.value) for kind, (_run, _reads, schemes)
+        (kind, scheme.value) for kind, (_run, _reads, schemes, _values)
         in cli.KINDS.items() for scheme in Scheme if scheme not in schemes])
     def test_scheme_the_kind_does_not_run(self, tmp_path, kind, scheme):
         # checked before the section rules, so the config can carry the gain
@@ -308,25 +309,51 @@ t_c = 10.0
         assert msg.encode() in proc.stderr
 
     @pytest.mark.parametrize("kind, key, cfg", [
-        ("capacity-ergodic", "mode", BASE_CONFIG + _CAPACITY),
-        ("capacity-ergodic", "side", BASE_CONFIG + _CAPACITY),
+        ("capacity-ergodic", "mode", _CHANNEL_MODE + _CAPACITY),
+        ("capacity-ergodic", "side", _CHANNEL_MODE + _CAPACITY),
         ("capacity-outage", "side",
-         BASE_CONFIG + _CAPACITY + "epsilons = [0.1]\n"),
+         _CHANNEL_MODE + _CAPACITY + "epsilons = [0.1]\n"),
         ("imperfect", "side", _IMPERFECT_CONFIG),
         ("throughput", "mode", _THROUGHPUT_CONFIG),
         ("throughput", "side", _THROUGHPUT_CONFIG),
-        ("joint-sweep", "side",
-         BASE_CONFIG.replace('mode = "tail"', 'mode = "channel"')),
+        ("joint-sweep", "side", _CHANNEL_MODE),
         ("multiuser", "side", _MULTIUSER_CONFIG),
     ], ids=["ergodic-mode", "ergodic-side", "outage-side", "imperfect-side",
             "throughput-mode", "throughput-side", "joint-side",
             "multiuser-side"])
     def test_bad_sweep_value_every_kind(self, tmp_path, kind, key, cfg):
-        # none of these kinds reads the key, but a bad value is still an error
+        # a value outside the kind's column is an error whether or not the
+        # kind reads the key
         proc = run_cli(kind, "--set", f"sweep.{key}=bogus",
                        config_text=cfg, tmp_path=tmp_path)
         assert proc.returncode == 2, proc.stderr
         assert f"sweep.{key} must be".encode() in proc.stderr
+
+    @pytest.mark.parametrize("kind, scheme, key, value", [
+        (kind, scheme.value, "mode", mode)
+        for kind, (_run, _reads, schemes, values) in cli.KINDS.items()
+        for scheme in schemes for mode in _MODES
+        if mode not in values["mode"]
+    ] + [
+        # only miss-sweep and diversity read sweep.side, and only for a pair
+        # scheme: multiuser.user picks the mucsa node
+        (kind, scheme.value, "side", "r")
+        for kind, (_run, _reads, schemes, _values) in cli.KINDS.items()
+        for scheme in schemes
+        if kind not in ("miss-sweep", "diversity") or scheme is Scheme.MUCSA
+    ])
+    def test_mode_or_side_the_kind_does_not_run(self, tmp_path, capsys, kind,
+                                                scheme, key, value):
+        # the value would be ignored or misread, so it is refused instead
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text((_MULTIUSER_CONFIG if scheme == "mucsa"
+                        else _CHANNEL_MODE) + _KIND_SECTIONS.get(kind, ""))
+        assert cli.main([kind, "--config", str(cfg),
+                         "--set", f"protocol.scheme={scheme!r}",
+                         "--set", f"sweep.{key}={value!r}"]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: sweep.{key} must be " in err
+        assert f" for kind {kind}" in err
 
     @pytest.mark.parametrize("mode", ["channel", "tail"])
     def test_too_many_pairs(self, tmp_path, mode):
@@ -350,8 +377,8 @@ t_c = 10.0
         assert f"multiuser.{key} is not read".encode() in proc.stderr
 
     @pytest.mark.parametrize("kind, key, value, cfg", [
-        ("capacity-ergodic", "sigma2", "0.5", BASE_CONFIG + _CAPACITY),
-        ("capacity-ergodic", "epsilons", "[0.1]", BASE_CONFIG + _CAPACITY),
+        ("capacity-ergodic", "sigma2", "0.5", _CHANNEL_MODE + _CAPACITY),
+        ("capacity-ergodic", "epsilons", "[0.1]", _CHANNEL_MODE + _CAPACITY),
         ("imperfect", "epsilons", "[0.1]", _IMPERFECT_CONFIG),
     ], ids=["ergodic-sigma2", "ergodic-epsilons", "imperfect-epsilons"])
     def test_capacity_key_the_kind_never_reads(self, tmp_path, kind, key,
@@ -363,7 +390,7 @@ t_c = 10.0
             in proc.stderr
 
     @pytest.mark.parametrize("kind, cfg", [
-        ("capacity-outage", BASE_CONFIG + _CAPACITY + "epsilons = [0.1]\n"),
+        ("capacity-outage", _CHANNEL_MODE + _CAPACITY + "epsilons = [0.1]\n"),
         ("imperfect", _IMPERFECT_CONFIG),
     ], ids=["outage", "imperfect"])
     def test_negative_sigma2_is_config_error(self, tmp_path, kind, cfg):
@@ -406,7 +433,8 @@ t_c = 10.0
         # the lower bound's 1/t_c penalty overflows its standard error
         proc = run_cli("capacity-ergodic", "--format", fmt,
                        "--set", "capacity.t_c=1e-300",
-                       config_text=BASE_CONFIG + _CAPACITY, tmp_path=tmp_path)
+                       config_text=_CHANNEL_MODE + _CAPACITY,
+                       tmp_path=tmp_path)
         assert proc.returncode == 3, proc.stderr
         assert b"numeric error: lower_se = nan is not finite" in proc.stderr
         assert proc.stdout == b""
@@ -481,8 +509,8 @@ class TestLoadConfig:
 
 class TestOtherKinds:
     def test_joint_sweep(self, tmp_path):
-        cfg = BASE_CONFIG.replace('mode = "tail"', 'mode = "channel"')
-        proc = run_cli("joint-sweep", config_text=cfg, tmp_path=tmp_path)
+        proc = run_cli("joint-sweep", config_text=_CHANNEL_MODE,
+                       tmp_path=tmp_path)
         assert proc.returncode == 0, proc.stderr
         rows = parse_csv(proc.stdout)
         assert len(rows) == 2
@@ -499,7 +527,7 @@ class TestOtherKinds:
         assert 1.4 <= float(rows[0]["order"]) <= 2.6
 
     def test_capacity_ergodic(self, tmp_path):
-        cfg = BASE_CONFIG + """
+        cfg = _CHANNEL_MODE + """
 [capacity]
 p_theta_t = 0.85
 p_theta_joint = 0.7
@@ -513,7 +541,7 @@ t_c = 10.0
             assert float(row["lower_mean"]) <= float(row["upper_mean"])
 
     def test_capacity_outage(self, tmp_path):
-        cfg = BASE_CONFIG + """
+        cfg = _CHANNEL_MODE + """
 [capacity]
 p_theta_t = 0.85
 p_theta_joint = 0.7
@@ -528,7 +556,7 @@ epsilons = [0.05, 0.1]
         assert eps == [0.05, 0.1]
 
     def test_imperfect(self, tmp_path):
-        cfg = BASE_CONFIG.replace('scheme = "csa"', 'scheme = "ocsa"')
+        cfg = _CHANNEL_MODE.replace('scheme = "csa"', 'scheme = "ocsa"')
         cfg = cfg.replace("rho_db = [0.0, 10.0]", "rho_db = [0.0]")
         cfg += """
 [capacity]
@@ -549,7 +577,7 @@ sigma2 = [0.0, 1.0]
             noisy["wrong_relay_bound"]) + 3 * float(noisy["wrong_relay_se"])
 
     def test_throughput(self, tmp_path):
-        cfg = BASE_CONFIG.replace("rho_db = [0.0, 10.0]", "rho_db = 0.0")
+        cfg = _CHANNEL_MODE.replace("rho_db = [0.0, 10.0]", "rho_db = 0.0")
         cfg = cfg.replace('scheme = "csa"', 'scheme = "ocsa"')
         cfg += """
 [throughput]

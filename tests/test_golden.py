@@ -140,7 +140,7 @@ def test_every_scheme_of_every_kind_has_a_case():
         named = re.search(r'^scheme = "(\w+)"', config, re.M)
         have.add((kind, named[1] if named else KINDS[kind][2][0].value))
     want = {(kind, scheme.value)
-            for kind, (_run, _reads, schemes) in KINDS.items()
+            for kind, (_run, _reads, schemes, _values) in KINDS.items()
             for scheme in schemes}
     assert want - have == set()
 
@@ -148,8 +148,8 @@ def test_every_scheme_of_every_kind_has_a_case():
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_declared_keys_are_read(kind, tmp_path, monkeypatch):
     # every key the kind accepts is looked up by one of its golden configs,
-    # so none is accepted unchecked; sweep.mode and sweep.side are instead
-    # value-checked for every kind
+    # so none is accepted unchecked; a kind that runs sweep.side = "t" alone
+    # need not read the key, since its one value is checked against KINDS
     asked = set()
     for getter in ("has", "get_int", "get_float", "get_str", "get_numlist"):
         def recorded(self, section, key, *args, _orig=getattr(Conf, getter),
@@ -162,7 +162,8 @@ def test_declared_keys_are_read(kind, tmp_path, monkeypatch):
         if case_kind == kind:
             _render(name, tmp_path)
     declared = {f"{s}.{k}" for s, keys in KINDS[kind][1].items() for k in keys}
-    assert declared - asked - {"sweep.mode", "sweep.side"} == set()
+    unread = {"sweep.side"} if KINDS[kind][3]["side"] == ("t",) else set()
+    assert declared - asked - unread == set()
 
 
 def test_regeneration_refuses_other_versions():
