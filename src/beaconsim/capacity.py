@@ -28,7 +28,8 @@ import numpy as np
 
 from .channel import MeanGains, compute_metrics, draw_pair_chunk, perturb_metrics
 from .fadeprob import abs_diff_q_mean
-# parallel_chunk_stats is unused but stays bound: perfbench hooks it here
+# parallel_chunk_stats, ocsa_conditional_miss and ocsa_joint_success are
+# unused but stay bound: perfbench hooks them here
 from .mc import (  # noqa: F401
     TAG_METRIC_NOISE,
     TAG_STATUS,
@@ -37,18 +38,21 @@ from .mc import (  # noqa: F401
     parallel_grid_stats,
     substream,
 )
-from .protocols import (
+from .protocols import (  # noqa: F401
+    OcsaFactors,
     ProtocolConfig,
     RelayIdentity,
     Scheme,
     csa_conditional_miss,
     csa_joint_success,
+    metric_order,
     nc_conditional_miss,
     nc_joint_success,
     ocsa_conditional_miss,
     ocsa_joint_success,
     ocsa_select_relay,
     phase1_failure,
+    select_relay,
 )
 
 __all__ = [
@@ -171,9 +175,8 @@ def _grid(*params):
     return cells[0].shape, [c.ravel().tolist() for c in cells]
 
 
-def _grid_stats(shape, worker, n, chunk, threads):
-    """Mean and se arrays (grid shape + value shape) of a C-order worker."""
-    stats = parallel_grid_stats(worker, n, chunk, threads)
+def _arrays(stats, shape):
+    """Mean and se arrays (grid shape + value shape) of C-order cell stats."""
     mean, se = (np.array([cell[k] for cell in stats]) for k in (0, 1))
     return mean.reshape(shape + mean.shape[1:]), se.reshape(shape + se.shape[1:])
 
@@ -183,63 +186,128 @@ def _out(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
-def _noise_cells(s2s, metrics, seed: int, idx: int):
-    """Per cell, chunk idx's metrics plus N(0, sigma2) noise, drawn again
-    only where sigma2 differs from the previous cell's; None stays None."""
-    level = noisy = None
-    for s2 in s2s:
-        if metrics is not None and s2 != level:
-            level = s2
-            noisy = metrics if level == 0 else perturb_metrics(
-                metrics, level, substream(seed, TAG_METRIC_NOISE, idx))
-        yield noisy
+def _bounds(activity: ActivityModel, cells, power, t_c: float):
+    """Per-trial (upper, lower) capacity bounds, shape (size, 2), from a
+    (miss_t, joint) pair that is freed once read."""
+    p_t, p_joint = state_probs(activity, *cells)
+    del cells
+    out = np.empty((len(p_t), 2))
+    out[:, 0] = capacity_upper(p_joint, power)
+    out[:, 1] = capacity_lower(p_t, p_joint, power, t_c)
+    return out
 
 
-def _bound_cells(scheme: Scheme, means: MeanGains, activity: ActivityModel,
-                 rho, t_c: float, seed: int, d1: int, d2: int, sigma2):
-    """(grid shape, worker yielding per-trial (upper, lower) bounds for each
-    rho x sigma2 cell in C order)."""
+def _metric_free(scheme: Scheme, cfg: ProtocolConfig, ch):
+    """(tx-side miss, joint success) of nc or csa over chunk gains ch."""
+    if scheme is Scheme.NC:
+        return (nc_conditional_miss(cfg, ch.g_pt),
+                nc_joint_success(cfg, ch.g_pt, ch.g_pr))
+    return (csa_conditional_miss(cfg, ch.g_pt, ch.g_pr, ch.g_tr),
+            csa_joint_success(cfg, ch.g_pt, ch.g_pr, ch.g_tr))
+
+
+def _cells(scheme: Scheme, means: MeanGains, activity: ActivityModel,
+           t_c: float, seed: int, d1: int, d2: int, bound=(), wrong=()):
+    """(position, chunk worker) of one pass over the requested bound and
+    wrong-relay cells, each a (rho, sigma2) pair; wrong-relay cells are
+    ocsa only.  The worker yields every distinct cell once: per bound cell
+    the per-trial (upper, lower) bounds, per wrong-relay cell the per-trial
+    indicator; position(kind, rho, sigma2), kind "bound" or "wrong", is a
+    cell's place in that order.
+
+    Each chunk's gains and status uniforms are drawn once for the pass, and
+    each sigma2 level's noise once; a level's metrics are kept only as the
+    comparisons the ocsa rules read.  Each rho's detection failures are
+    computed once for all its cells, and freed before the next rho.
+    """
     scheme = Scheme(scheme)
     if scheme is Scheme.MUCSA:
         raise ValueError(
             "capacity estimation covers the single-pair schemes only"
         )
-    shape, (rhos, s2s) = _grid(rho, sigma2)
-    if min(s2s) < 0:
-        raise ValueError("sigma2 must be nonnegative")
     if not isinstance(means, MeanGains):
         raise TypeError("means must be a MeanGains instance")
-    cfgs = [ProtocolConfig(rho=r, d1=d1, d2=d2) for r in rhos]
+    ocsa = scheme is Scheme.OCSA
+    rhos = np.unique([r for r, _ in (*bound, *wrong)])
+    cfgs = [ProtocolConfig(rho=r, d1=d1, d2=d2) for r in rhos.tolist()]
+    # a wrong relay is measured against the true choice, at level 0
+    levels = np.unique([*([0.0] if wrong else []),
+                        *(s2 for _, s2 in (*bound, *wrong))])
+    wrong_js, bound_js = (
+        sorted(set(np.searchsorted(levels, [s2 for _, s2 in cells]).tolist()))
+        for cells in (wrong, bound))
+    index = {key: k for k, key in enumerate(
+        (kind, i, j) for i in range(len(cfgs))
+        for kind, js in (("wrong", wrong_js), ("bound", bound_js))
+        for j in js)}
 
-    # one cell per call, so its temporaries are freed before the next cell
-    def bounds(ch, cfg: ProtocolConfig, metrics) -> np.ndarray:
-        g_pt, g_pr, g_tr = ch.g_pt, ch.g_pr, ch.g_tr
-        if scheme is Scheme.NC:
-            miss_t = nc_conditional_miss(cfg, g_pt)
-            joint = nc_joint_success(cfg, g_pt, g_pr)
-        elif scheme is Scheme.CSA:
-            miss_t = csa_conditional_miss(cfg, g_pt, g_pr, g_tr)
-            joint = csa_joint_success(cfg, g_pt, g_pr, g_tr)
-        else:
-            miss_t = ocsa_conditional_miss(
-                cfg, g_pt, g_pr, g_tr,
-                metrics=(metrics.t_p, metrics.t_t, metrics.t_r),
-            )
-            joint = ocsa_joint_success(cfg, g_pt, g_pr, g_tr, metrics=metrics)
-        p_t, p_joint = state_probs(activity, miss_t, joint)
-        power = cfg.rho * g_tr
-        upper = capacity_upper(p_joint, power)
-        lower = capacity_lower(p_t, p_joint, power, t_c)
-        return np.stack([upper, lower], axis=1)
+    def position(kind: str, rho, s2) -> int:
+        return index[kind, int(np.searchsorted(rhos, rho)),
+                     int(np.searchsorted(levels, s2))]
 
     def worker(idx: int, start: int, size: int):
         ch = draw_pair_chunk(means, seed, idx, size)
-        # only the opportunistic rule reads the (noisy) metrics
-        clean = compute_metrics(ch) if scheme is Scheme.OCSA else None
-        noise = _noise_cells(s2s, clean, seed, idx)
-        return (bounds(ch, cfg, metrics) for cfg, metrics in zip(cfgs, noise))
+        g_pt, g_pr, g_tr = ch.g_pt, ch.g_pr, ch.g_tr
+        if wrong:
+            u = substream(seed, TAG_STATUS, idx).random((size, 2))
+        if ocsa:
+            clean = compute_metrics(ch)
+            orders = [metric_order(clean if s2 == 0 else perturb_metrics(
+                clean, s2, substream(seed, TAG_METRIC_NOISE, idx)))
+                for s2 in levels.tolist()]
+            del clean
+        # the dels below keep a thread's working set at one rho's arrays
+        for cfg in cfgs:
+            if not ocsa:
+                # the metric-free schemes give every level the same cell
+                cell = _bounds(activity, _metric_free(scheme, cfg, ch),
+                               cfg.rho * g_tr, t_c)
+                yield from (cell for _ in bound_js)
+                continue
+            a = phase1_failure(cfg, g_pt)
+            b = phase1_failure(cfg, g_pr)
+            if wrong_js:
+                t_ok, r_ok = u[:, 0] < 1.0 - a, u[:, 1] < 1.0 - b
+                sel_true = select_relay(orders[0], t_ok, r_ok)
+                one_ok = t_ok != r_ok
+                for j in wrong_js:
+                    sel = select_relay(orders[j], t_ok, r_ok)
+                    yield ((sel_true != sel) & one_ok).astype(float)
+                del t_ok, r_ok, sel_true, one_ok
+            factors = (OcsaFactors(cfg, g_pt, g_pr, g_tr, a, b)
+                       if bound_js else None)
+            del a, b
+            for j in bound_js:
+                yield _bounds(activity, factors.cells(orders[j]),
+                              cfg.rho * g_tr, t_c)
+            del factors
 
-    return shape, worker
+    return position, worker
+
+
+def _one_pass(scheme: Scheme, means: MeanGains, activity, t_c, n: int,
+              seed: int, d1: int, d2: int, threads: int, chunk: int | None,
+              bound=(), wrong=()):
+    """One pass of _cells; returns the parallel_grid_stats triples of the
+    requested wrong-relay and bound cells, two lists in request order."""
+    position, worker = _cells(scheme, means, activity, t_c, seed, d1, d2,
+                              bound, wrong)
+    stats = parallel_grid_stats(worker, n, chunk, threads)
+    return ([stats[position("wrong", *cell)] for cell in wrong],
+            [stats[position("bound", *cell)] for cell in bound])
+
+
+def _estimate(stats, shape, n: int) -> CapacityEstimate:
+    mean, se = _arrays(stats, shape)
+    return CapacityEstimate(upper_mean=_out(mean[..., 0]),
+                            upper_se=_out(se[..., 0]),
+                            lower_mean=_out(mean[..., 1]),
+                            lower_se=_out(se[..., 1]), n_trials=n)
+
+
+def _check_sigma2(s2s, name: str = "") -> None:
+    if min(s2s) < 0:
+        raise ValueError(f"{name}sigma2 must be nonnegative")
 
 
 def capacity_draws(scheme: Scheme, means: MeanGains, activity: ActivityModel,
@@ -247,11 +315,14 @@ def capacity_draws(scheme: Scheme, means: MeanGains, activity: ActivityModel,
                    d1: int = 1, d2: int = 1, sigma2: float = 0.0,
                    threads: int = 1, chunk: int | None = None):
     """Per-realization (upper, lower) capacity bound arrays at one rho."""
-    shape, cells = _bound_cells(scheme, means, activity, rho, t_c, seed,
-                                d1, d2, sigma2)
+    shape, (rhos, s2s) = _grid(rho, sigma2)
+    _check_sigma2(s2s)
     if shape:
         raise ValueError("capacity_draws: rho and sigma2 must be scalars")
-    vals = parallel_chunk_arrays(lambda *r: next(cells(*r)), n, chunk, threads)
+    _, worker = _cells(scheme, means, activity, t_c, seed, d1, d2,
+                       bound=list(zip(rhos, s2s)))
+    vals = parallel_chunk_arrays(lambda *r: next(worker(*r)), n, chunk,
+                                 threads)
     return vals[:, 0], vals[:, 1]
 
 
@@ -263,22 +334,40 @@ def imperfect_capacity(scheme: Scheme, means: MeanGains,
     """Ergodic capacity bounds with noisy relay-selection metrics.
 
     rho and sigma2 broadcast: scalars give float fields, arrays give arrays.
-    Each chunk is drawn once for the whole grid (with sigma2 on the leading
-    axis, each noise level too) and each cell is reduced in chunk order, so
-    its value does not depend on the grid.  Noise draws come from a
-    dedicated substream, so sigma2 = 0 reproduces the noiseless estimate
-    bit for bit.
+    The grid runs in one pass: each chunk is drawn once, each distinct
+    noise level once per chunk, and each distinct (rho, sigma2) cell is
+    reduced in chunk order, so its value does not depend on the grid.
+    Noise draws come from a dedicated substream, so sigma2 = 0 reproduces
+    the noiseless estimate bit for bit.
     """
-    mean, se = _grid_stats(
-        *_bound_cells(scheme, means, activity, rho, t_c, seed, d1, d2, sigma2),
-        n, chunk, threads)
-    return CapacityEstimate(
-        upper_mean=_out(mean[..., 0]),
-        upper_se=_out(se[..., 0]),
-        lower_mean=_out(mean[..., 1]),
-        lower_se=_out(se[..., 1]),
-        n_trials=n,
-    )
+    shape, (rhos, s2s) = _grid(rho, sigma2)
+    _check_sigma2(s2s)
+    _, bound = _one_pass(scheme, means, activity, t_c, n, seed, d1, d2,
+                         threads, chunk, bound=list(zip(rhos, s2s)))
+    return _estimate(bound, shape, n)
+
+
+def imperfect_estimates(means: MeanGains, activity: ActivityModel, rho,
+                        t_c: float, n: int, seed: int, sigma2,
+                        d1: int = 1, d2: int = 1, threads: int = 1,
+                        chunk: int | None = None):
+    """The ocsa imperfect-information grid in one pass.
+
+    rho and sigma2 broadcast as in imperfect_capacity.  Returns the noisy
+    estimate, the noiseless one (sigma2 = 0, same grid shape) and the
+    wrong-relay (estimate, se), each cell equal bit for bit to
+    imperfect_capacity, ergodic_capacity and wrong_relay_probability_mc.
+    """
+    shape, (rhos, s2s) = _grid(rho, sigma2)
+    _check_sigma2(s2s)
+    cells = list(zip(rhos, s2s))
+    wrong, bound = _one_pass(Scheme.OCSA, means, activity, t_c, n, seed, d1,
+                             d2, threads, chunk, wrong=cells,
+                             bound=cells + [(r, 0.0) for r in rhos])
+    k = len(cells)
+    mean, se = _arrays(wrong, shape)
+    return (_estimate(bound[:k], shape, n), _estimate(bound[k:], shape, n),
+            (_out(mean), _out(se)))
 
 
 def ergodic_capacity(scheme: Scheme, means: MeanGains,
@@ -338,16 +427,6 @@ def relative_capacity_loss(base: CapacityEstimate,
 # ---------------------------------------------------------------------------
 
 
-def _phase1_draw(cfgs, means: MeanGains, seed: int, idx: int, size: int):
-    """Selection metrics of one chunk, and per cfg its sampled first-phase
-    outcomes (transmitter side detected, receiver side detected)."""
-    ch = draw_pair_chunk(means, seed, idx, size)
-    u = substream(seed, TAG_STATUS, idx).random((size, 2))
-    return compute_metrics(ch), ((u[:, 0] < 1.0 - phase1_failure(cfg, ch.g_pt),
-                                  u[:, 1] < 1.0 - phase1_failure(cfg, ch.g_pr))
-                                 for cfg in cfgs)
-
-
 def wrong_relay_bound(sigma2: float, means: MeanGains) -> float:
     """Closed-form upper bound on the wrong-relay probability.
 
@@ -377,22 +456,13 @@ def wrong_relay_probability_mc(sigma2, means: MeanGains, rho,
     secondary node: with both successful nothing remains to recover, and
     with both failed the primary transmits regardless.  Returns (estimate,
     standard error).  sigma2 and rho broadcast as in imperfect_capacity,
-    whose draw-once rules hold here too.
+    whose one-pass rules hold here too.
     """
     shape, (s2s, rhos) = _grid(sigma2, rho)
-    if min(s2s) < 0:
-        raise ValueError("wrong_relay_probability_mc: sigma2 must be nonnegative")
-    cfgs = [ProtocolConfig(rho=r, d1=d1, d2=d2) for r in rhos]
-
-    def worker(idx: int, start: int, size: int):
-        metrics, outcomes = _phase1_draw(cfgs, means, seed, idx, size)
-        noise = _noise_cells(s2s, metrics, seed, idx)
-        for (t_ok, r_ok), noisy in zip(outcomes, noise):
-            sel_true = ocsa_select_relay(metrics, t_ok, r_ok)
-            sel_noisy = ocsa_select_relay(noisy, t_ok, r_ok)
-            yield ((sel_true != sel_noisy) & (t_ok != r_ok)).astype(float)
-
-    mean, se = _grid_stats(shape, worker, n, chunk, threads)
+    _check_sigma2(s2s, "wrong_relay_probability_mc: ")
+    wrong, _ = _one_pass(Scheme.OCSA, means, None, None, n, seed, d1, d2,
+                         threads, chunk, wrong=list(zip(rhos, s2s)))
+    mean, se = _arrays(wrong, shape)
     return _out(mean), _out(se)
 
 
@@ -480,12 +550,17 @@ def throughput_loss_mc(ov, means: MeanGains, rho: float,
     cfg = ProtocolConfig(rho=rho, d1=d1, d2=d2)
 
     def worker(idx: int, start: int, size: int):
-        metrics, outcomes = _phase1_draw([cfg], means, seed, idx, size)
-        sel = ocsa_select_relay(metrics, *next(outcomes))
+        ch = draw_pair_chunk(means, seed, idx, size)
+        u = substream(seed, TAG_STATUS, idx).random((size, 2))
+        metrics = compute_metrics(ch)
+        sel = ocsa_select_relay(metrics,
+                                u[:, 0] < 1.0 - phase1_failure(cfg, ch.g_pt),
+                                u[:, 1] < 1.0 - phase1_failure(cfg, ch.g_pr))
         t_i = np.where(sel == RelayIdentity.SECONDARY_TX, metrics.t_t,
                        np.where(sel == RelayIdentity.SECONDARY_RX,
                                 metrics.t_r, metrics.t_p))
         return (1.0 - _frame_share(o, t_i) for o in cells)
 
-    mean, se = _grid_stats(ovs.shape, worker, n, chunk, threads)
+    mean, se = _arrays(parallel_grid_stats(worker, n, chunk, threads),
+                       ovs.shape)
     return _out(mean), _out(se)

@@ -39,12 +39,14 @@ from .analysis import (
     estimate_joint_success_curve,
     estimate_miss_curve,
 )
-from .capacity import (
+# imperfect_capacity and wrong_relay_probability_mc are unused but stay
+# bound: perfbench hooks them here
+from .capacity import (  # noqa: F401
     ActivityModel,
-    CapacityEstimate,
     OverheadParams,
     ergodic_capacity,
     imperfect_capacity,
+    imperfect_estimates,
     outage_capacity,
     relative_capacity_loss,
     throughput_loss_bound,
@@ -370,23 +372,16 @@ def run_capacity_outage(conf: Conf, spec: SweepSpec, user: int):
 def run_imperfect(conf: Conf, spec: SweepSpec, user: int):
     common = _capacity_args(conf, spec)
     sigma2s = conf.get_numlist("capacity", "sigma2", required=True)
-    # one noise-level x rho grid, levels leading so each is drawn once per
-    # chunk; level 0, the noiseless baseline of the relative loss, is first
-    levels = np.unique([0.0, *sigma2s])
-    grid = imperfect_capacity(spec.scheme, sigma2=levels[:, None], **common)
-    base, est = (
-        CapacityEstimate(grid.upper_mean[c].T, grid.upper_se[c].T,
-                         grid.lower_mean[c].T, grid.lower_se[c].T, grid.n_trials)
-        for c in ([0], np.searchsorted(levels, sigma2s)))
-    mc, se = wrong_relay_probability_mc(np.array(sigma2s)[:, None],
-                                        rho=common["rho"], means=spec.means,
-                                        **_mc_args(spec))
+    # one pass over the rho x sigma2 grid, with the noiseless baseline of
+    # the relative loss and the wrong-relay cells
+    est, base, (mc, se) = imperfect_estimates(
+        rho=common.pop("rho")[:, None], sigma2=sigma2s, **common)
     rows = _rows(
         rho_db=np.array(spec.rho_db)[:, None], sigma2=sigma2s,
         upper_mean=est.upper_mean, upper_se=est.upper_se,
         lower_mean=est.lower_mean, lower_se=est.lower_se,
         relative_upper_loss=relative_capacity_loss(base, est),
-        wrong_relay_mc=mc.T, wrong_relay_se=se.T,
+        wrong_relay_mc=mc, wrong_relay_se=se,
         wrong_relay_bound=[wrong_relay_bound(s2, spec.means)
                            for s2 in sigma2s])
     return rows, {"scheme": spec.scheme.value}

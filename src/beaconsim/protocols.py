@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -189,6 +190,34 @@ def csa_joint_success(cfg: ProtocolConfig, g_pt, g_pr, g_tr):
 # ---------------------------------------------------------------------------
 
 
+class MetricOrder(NamedTuple):
+    """The metric comparisons the ocsa rules read, one bool per trial."""
+
+    t_over_p: np.ndarray  # t_t > t_p
+    t_over_r: np.ndarray  # t_t > t_r
+    r_over_p: np.ndarray  # t_r > t_p
+    r_over_t: np.ndarray  # t_r > t_t
+
+
+def metric_order(metrics: MetricTriple) -> MetricOrder:
+    t_p = np.asarray(metrics.t_p, dtype=float)
+    t_t = np.asarray(metrics.t_t, dtype=float)
+    t_r = np.asarray(metrics.t_r, dtype=float)
+    return MetricOrder(t_t > t_p, t_t > t_r, t_r > t_p, t_r > t_t)
+
+
+def select_relay(order: MetricOrder, t_success, r_success) -> np.ndarray:
+    """ocsa_select_relay on the metric comparisons instead of the metrics."""
+    t_ok = np.asarray(t_success, dtype=bool)
+    r_ok = np.asarray(r_success, dtype=bool)
+    tx_wins = t_ok & order.t_over_p & order.t_over_r
+    rx_wins = ~tx_wins & r_ok & order.r_over_p & order.r_over_t
+    # the wins are disjoint, and PRIMARY is 0
+    return np.asarray(
+        tx_wins.astype(np.int8) * np.int8(RelayIdentity.SECONDARY_TX)
+        + rx_wins.astype(np.int8) * np.int8(RelayIdentity.SECONDARY_RX))
+
+
 def ocsa_select_relay(metrics: MetricTriple, t_success, r_success) -> np.ndarray:
     """Apply the ordered relay-selection rule per trial.
 
@@ -197,17 +226,50 @@ def ocsa_select_relay(metrics: MetricTriple, t_success, r_success) -> np.ndarray
     wins under the same condition; otherwise the primary transmits again.
     Returns an int8 array of RelayIdentity values.
     """
-    t_p = np.asarray(metrics.t_p, dtype=float)
-    t_t = np.asarray(metrics.t_t, dtype=float)
-    t_r = np.asarray(metrics.t_r, dtype=float)
-    t_ok = np.asarray(t_success, dtype=bool)
-    r_ok = np.asarray(r_success, dtype=bool)
-    tx_wins = t_ok & (t_t > t_p) & (t_t > t_r)
-    rx_wins = ~tx_wins & r_ok & (t_r > t_p) & (t_r > t_t)
-    out = np.zeros(np.broadcast(t_p, t_ok, r_ok).shape, dtype=np.int8)
-    out[tx_wins] = int(RelayIdentity.SECONDARY_TX)
-    out[rx_wins] = int(RelayIdentity.SECONDARY_RX)
-    return out
+    return select_relay(metric_order(metrics), t_success, r_success)
+
+
+def _recover_fail(cfg: ProtocolConfig, g_own, g_help):
+    """Failure of the combined observation: d1 uses of the node's own
+    primary link plus d2 uses of the link its helper rebeacons over."""
+    return gaussian_q(np.sqrt(2.0 * cfg.rho * (cfg.d1 * g_own + cfg.d2 * g_help)))
+
+
+def _status(a, b):
+    """First-phase status weights (ss, sf, fs, ff) from the tx (a) and rx
+    (b) failures: s means detected, f failed, tx first."""
+    return (1.0 - a) * (1.0 - b), (1.0 - a) * b, a * (1.0 - b), a * b
+
+
+def _ocsa_miss(fs, ff, recover_fail, full_fail):
+    """Own-side ocsa miss from the weights of own-failed/peer-detected (fs)
+    and both-failed (ff), the failed recovery and the failed full-length
+    retry."""
+    return np.clip(fs * recover_fail + ff * full_fail, 0.0, 1.0)
+
+
+def _joint_head(ss, sf, recover_fail_r):
+    """First term of the ocsa joint success: both detected, or rx failed
+    and recovers."""
+    return ss + sf * (1.0 - recover_fail_r)
+
+
+def _joint_tx(fs, recover_fail_t):
+    """Second term of the ocsa joint success: tx failed and recovers."""
+    return fs * (1.0 - recover_fail_t)
+
+
+def _joint_retry(ff, full_fail_t, full_fail_r):
+    """Third term of the ocsa joint success: both failed, and both detect
+    the full-length retry."""
+    return ff * ((1.0 - full_fail_t) * (1.0 - full_fail_r))
+
+
+def _ocsa_joint(head, tx, retry):
+    """ocsa joint success from its three terms, summed in this order."""
+    out = head + tx
+    out += retry
+    return np.clip(out, 0.0, 1.0)
 
 
 def ocsa_conditional_miss(cfg: ProtocolConfig, g_own, g_peer, g_tr,
@@ -227,20 +289,16 @@ def ocsa_conditional_miss(cfg: ProtocolConfig, g_own, g_peer, g_tr,
     go, s1 = _as_float_array(g_own, "ocsa_conditional_miss")
     gp, s2 = _as_float_array(g_peer, "ocsa_conditional_miss")
     gh, s3 = _as_float_array(g_tr, "ocsa_conditional_miss")
-    rho = cfg.rho
-    a = _fail(rho, cfg.d1, go)
-    b = _fail(rho, cfg.d1, gp)
     if metrics is None:
         peer_relays = (go < gp) & (go < gh)
     else:
         m_p, m_own, m_peer = (np.asarray(m, dtype=float) for m in metrics)
         peer_relays = (m_peer > m_p) & (m_peer > m_own)
-    helper = np.where(peer_relays, gh, go)
-    recover_fail = gaussian_q(
-        np.sqrt(2.0 * rho * (cfg.d1 * go + cfg.d2 * helper))
-    )
-    full_fail = _fail(rho, cfg.d, go)
-    out = np.clip(a * (1.0 - b) * recover_fail + a * b * full_fail, 0.0, 1.0)
+    a = _fail(cfg.rho, cfg.d1, go)
+    b = _fail(cfg.rho, cfg.d1, gp)
+    out = _ocsa_miss(a * (1.0 - b), a * b,
+                     _recover_fail(cfg, go, np.where(peer_relays, gh, go)),
+                     _fail(cfg.rho, cfg.d, go))
     return _ret(out, s1 and s2 and s3)
 
 
@@ -260,32 +318,56 @@ def ocsa_joint_success(cfg: ProtocolConfig, g_pt, g_pr, g_tr, metrics=None):
     gt, s1 = _as_float_array(g_pt, "ocsa_joint_success")
     gr, s2 = _as_float_array(g_pr, "ocsa_joint_success")
     gh, s3 = _as_float_array(g_tr, "ocsa_joint_success")
-    rho = cfg.rho
-    a = _fail(rho, cfg.d1, gt)
-    b = _fail(rho, cfg.d1, gr)
     if metrics is None:
         helper_sf = np.maximum(gr, gh)
         helper_fs = np.maximum(gt, gh)
     else:
-        t_p = np.asarray(metrics.t_p, dtype=float)
-        t_t = np.asarray(metrics.t_t, dtype=float)
-        t_r = np.asarray(metrics.t_r, dtype=float)
-        helper_sf = np.where(t_t > t_p, gh, gr)
-        helper_fs = np.where(t_r > t_p, gh, gt)
-    rec_r = 1.0 - gaussian_q(
-        np.sqrt(2.0 * rho * (cfg.d1 * gr + cfg.d2 * helper_sf))
-    )
-    rec_t = 1.0 - gaussian_q(
-        np.sqrt(2.0 * rho * (cfg.d1 * gt + cfg.d2 * helper_fs))
-    )
-    both_retry = (1.0 - _fail(rho, cfg.d, gt)) * (1.0 - _fail(rho, cfg.d, gr))
-    out = (
-        (1.0 - a) * (1.0 - b)
-        + (1.0 - a) * b * rec_r
-        + a * (1.0 - b) * rec_t
-        + a * b * both_retry
-    )
-    return _ret(np.clip(out, 0.0, 1.0), s1 and s2 and s3)
+        order = metric_order(metrics)
+        helper_sf = np.where(order.t_over_p, gh, gr)
+        helper_fs = np.where(order.r_over_p, gh, gt)
+    ss, sf, fs, ff = _status(_fail(cfg.rho, cfg.d1, gt),
+                             _fail(cfg.rho, cfg.d1, gr))
+    out = _ocsa_joint(
+        _joint_head(ss, sf, _recover_fail(cfg, gr, helper_sf)),
+        _joint_tx(fs, _recover_fail(cfg, gt, helper_fs)),
+        _joint_retry(ff, _fail(cfg.rho, cfg.d, gt), _fail(cfg.rho, cfg.d, gr)))
+    return _ret(out, s1 and s2 and s3)
+
+
+class OcsaFactors:
+    """The ocsa capacity cells' detection failures for one chunk of drawn
+    gains at one rho, given the first-phase failures a and b
+    (phase1_failure of g_pt and g_pr).
+
+    A metric order only picks, per trial, the link each side recovers over:
+    the helper link or its own.  So the miss and each joint term are kept
+    for both links, and ``cells`` picks per trial; Q and the formulas work
+    element by element, so the picks equal ocsa_conditional_miss (tx side)
+    and ocsa_joint_success bit for bit.
+    """
+
+    def __init__(self, cfg: ProtocolConfig, g_pt, g_pr, g_tr, a, b):
+        # each factor is dropped after its last use: this runs on whole
+        # chunks, once per rho
+        ss, sf, fs, ff = _status(a, b)
+        full_t = _fail(cfg.rho, cfg.d, g_pt)
+        self.retry = _joint_retry(ff, full_t, _fail(cfg.rho, cfg.d, g_pr))
+        # tx recovers over the helper link or over its own link
+        self.miss, self.tx = [], []
+        for g_help in (g_tr, g_pt):
+            rec = _recover_fail(cfg, g_pt, g_help)
+            self.miss.append(_ocsa_miss(fs, ff, rec, full_t))
+            self.tx.append(_joint_tx(fs, rec))
+        del fs, ff, full_t, rec
+        self.head = [_joint_head(ss, sf, _recover_fail(cfg, g_pr, g_help))
+                     for g_help in (g_tr, g_pr)]
+
+    def cells(self, order: MetricOrder):
+        """(tx-side miss, joint success) under the given metric order."""
+        miss_t = np.where(order.r_over_p & order.r_over_t, *self.miss)
+        joint = _ocsa_joint(np.where(order.t_over_p, *self.head),
+                            np.where(order.r_over_p, *self.tx), self.retry)
+        return miss_t, joint
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,20 @@ from beaconsim.capacity import (
     wrong_relay_probability_mc,
 )
 from beaconsim.fadeprob import abs_diff_q_mean
-from beaconsim.mc import TAG_GAINS, TAG_METRIC_NOISE, TAG_STATUS
-from beaconsim.protocols import Scheme
+from beaconsim.mc import (
+    TAG_GAINS,
+    TAG_METRIC_NOISE,
+    TAG_STATUS,
+    parallel_grid_stats,
+)
+from beaconsim.protocols import (
+    ProtocolConfig,
+    Scheme,
+    ocsa_conditional_miss,
+    ocsa_joint_success,
+    ocsa_select_relay,
+    phase1_failure,
+)
 
 MEANS = MeanGains(pt=1.0, pr=2.0, tr=3.0)
 ACT = ActivityModel(p_theta_t=0.85, p_theta_joint=0.7)
@@ -164,6 +176,29 @@ class TestErgodic:
 
 
 class TestOutage:
+    @pytest.mark.parametrize("sigma2", [0.0, 0.3])
+    def test_ocsa_draws_equal_standalone_kernels(self, sigma2):
+        # the ocsa cells pick from factors kept for both recovery links;
+        # they must give the standalone kernels' bits
+        n, seed, rho = 5000, 17, 2.5
+        up, lo = capacity_draws(Scheme.OCSA, MEANS, ACT, rho=rho, t_c=10.0,
+                                n=n, seed=seed, d1=1, d2=2, sigma2=sigma2,
+                                chunk=n)
+        ch = channel.draw_pair_chunk(MEANS, seed, 0, n)
+        m = channel.compute_metrics(ch)
+        if sigma2:
+            m = channel.perturb_metrics(
+                m, sigma2, channel.substream(seed, TAG_METRIC_NOISE, 0))
+        cfg = ProtocolConfig(rho=rho, d1=1, d2=2)
+        g = (ch.g_pt, ch.g_pr, ch.g_tr)
+        p_t, p_joint = state_probs(
+            ACT, ocsa_conditional_miss(cfg, *g, metrics=(m.t_p, m.t_t, m.t_r)),
+            ocsa_joint_success(cfg, *g, metrics=m))
+        power = rho * ch.g_tr
+        assert up.tobytes() == capacity_upper(p_joint, power).tobytes()
+        assert lo.tobytes() == capacity_lower(p_t, p_joint, power,
+                                              10.0).tobytes()
+
     def test_quantiles_match_sorted_draws(self):
         n = 10_000
         up, lo = capacity_draws(Scheme.CSA, MEANS, ACT, rho=10.0, t_c=10.0,
@@ -409,6 +444,57 @@ class TestGrid:
             assert one == CapacityEstimate(
                 grid.upper_mean[i, j], grid.upper_se[i, j],
                 grid.lower_mean[i, j], grid.lower_se[i, j], grid.n_trials)
+
+    def test_imperfect_estimates_equal_standalone_kernels(self, monkeypatch):
+        # reference cells from the standalone kernels, reduced by the same
+        # parallel_grid_stats; sigma2 repeats a level and includes 0
+        s2 = [0.3, 0.0, 0.05, 1.0, 0.01, 0.3, 2.0]
+        opened = self.opened(monkeypatch)
+        est, base, wrong = capacity.imperfect_estimates(
+            activity=ACT, rho=self.RHOS[:, None], t_c=10.0, sigma2=s2,
+            **self.KW)
+        # each chunk's draws open once, and each nonzero level's noise once
+        assert opened(TAG_GAINS) == opened(TAG_STATUS) == [0, 1, 2, 3]
+        assert opened(TAG_METRIC_NOISE) == sorted([0, 1, 2, 3] * 5)
+        seed = self.KW["seed"]
+
+        def reference(idx, start, size):
+            ch = channel.draw_pair_chunk(MEANS, seed, idx, size)
+            g = (ch.g_pt, ch.g_pr, ch.g_tr)
+            u = channel.substream(seed, TAG_STATUS, idx).random((size, 2))
+            clean = channel.compute_metrics(ch)
+            noisy = {s: clean if s == 0 else channel.perturb_metrics(
+                clean, s, channel.substream(seed, TAG_METRIC_NOISE, idx))
+                for s in s2}
+            for rho in self.RHOS:
+                cfg = ProtocolConfig(rho=rho, d1=1, d2=1)
+                for s in (*s2, 0.0):  # the noisy cells, then the baseline
+                    m = noisy[s]
+                    p_t, p_joint = state_probs(
+                        ACT, ocsa_conditional_miss(
+                            cfg, *g, metrics=(m.t_p, m.t_t, m.t_r)),
+                        ocsa_joint_success(cfg, *g, metrics=m))
+                    power = rho * ch.g_tr
+                    yield np.stack([capacity_upper(p_joint, power),
+                                    capacity_lower(p_t, p_joint, power, 10.0)],
+                                   axis=1)
+                t_ok = u[:, 0] < 1.0 - phase1_failure(cfg, ch.g_pt)
+                r_ok = u[:, 1] < 1.0 - phase1_failure(cfg, ch.g_pr)
+                true = ocsa_select_relay(clean, t_ok, r_ok)
+                for s in s2:
+                    picked = ocsa_select_relay(noisy[s], t_ok, r_ok)
+                    yield ((true != picked) & (t_ok != r_ok)).astype(float)
+
+        stats = parallel_grid_stats(reference, self.KW["n"], self.KW["chunk"])
+        k = len(s2)
+        for i in range(len(self.RHOS)):
+            cells = stats[i * (2 * k + 1):(i + 1) * (2 * k + 1)]
+            for j in range(k):
+                for e, (mean, se, _) in ((est, cells[j]), (base, cells[k])):
+                    assert [e.upper_mean[i, j], e.lower_mean[i, j]] == [*mean]
+                    assert [e.upper_se[i, j], e.lower_se[i, j]] == [*se]
+                mean, se, _ = cells[k + 1 + j]
+                assert (wrong[0][i, j], wrong[1][i, j]) == (mean, se)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_mc_cells_equal_one_cell_calls(self, threads):

@@ -25,7 +25,9 @@ import sys
 
 import pytest
 
+from beaconsim import capacity, channel
 from beaconsim.cli import KINDS, Conf, main
+from beaconsim.mc import TAG_GAINS, TAG_METRIC_NOISE, TAG_STATUS
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
@@ -87,6 +89,11 @@ def _cases():
         "imperfect",
         _RUN + _PAIR + _proto("ocsa") + _CAP
         + "sigma2 = [0.1, 0.01]\n" + _sweep([0.0, 3.0, 6.0]))
+    # no sigma2 = 0, a repeated level, d1 = 2 > d2 = 1 and unsorted rho
+    cases["imperfect-ocsa-corner"] = (
+        "imperfect",
+        _RUN + _PAIR + _proto("ocsa").replace("d = 2", "d = 3") + _CAP
+        + "sigma2 = [0.05, 0.2, 0.05]\n" + _sweep([6.0, 0.0]))
     cases["throughput-d1d2"] = (
         "throughput",
         _RUN + _PAIR + '[protocol]\nscheme = "ocsa"\nd1 = 2\nd2 = 1\n'
@@ -164,6 +171,29 @@ def test_declared_keys_are_read(kind, tmp_path, monkeypatch):
     declared = {f"{s}.{k}" for s, keys in KINDS[kind][1].items() for k in keys}
     unread = {"sweep.side"} if KINDS[kind][3]["side"] == ("t",) else set()
     assert declared - asked - unread == set()
+
+
+@pytest.mark.parametrize("name", sorted(n for n, (kind, _config)
+                                  in CASES.items() if kind == "imperfect"))
+def test_imperfect_draws_once_per_chunk(name, tmp_path, monkeypatch):
+    # one pass: the gains and status uniforms open once per chunk, and the
+    # noise once per chunk and distinct nonzero sigma2 level
+    opened = []
+    for module in (channel, capacity):
+        def counted(*key, _orig=module.substream):
+            opened.append(key[1:])
+            return _orig(*key)
+
+        monkeypatch.setattr(module, "substream", counted)
+    _render(name, tmp_path)
+    levels = re.search(r"^sigma2 = \[(.*)\]$", CASES[name][1], re.M)[1]
+    noisy = len({float(s2) for s2 in levels.split(",")} - {0.0})
+    chunks = list(range(5))
+    by_tag = {tag: sorted(idx for t, idx in opened if t == tag)
+              for tag in (TAG_GAINS, TAG_STATUS, TAG_METRIC_NOISE)}
+    assert by_tag == {TAG_GAINS: chunks, TAG_STATUS: chunks,
+                      TAG_METRIC_NOISE: sorted(chunks * noisy)}
+    assert len(opened) == len(chunks) * (2 + noisy)
 
 
 def test_regeneration_refuses_other_versions():

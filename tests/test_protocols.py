@@ -16,12 +16,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beaconsim.channel import MetricTriple, MultiuserChannelSet
+from beaconsim import protocols
+from beaconsim.channel import (
+    ChannelSet,
+    MetricTriple,
+    MultiuserChannelSet,
+    compute_metrics,
+    perturb_metrics,
+)
 from beaconsim.protocols import (
+    OcsaFactors,
     ProtocolConfig,
     RelayIdentity,
     csa_conditional_miss,
     csa_joint_success,
+    metric_order,
     mucsa_conditional_miss,
     nc_conditional_miss,
     nc_joint_success,
@@ -414,6 +423,84 @@ class TestOpportunistic:
             assert joint[i] == pytest.approx(
                 oracle_ocsa_joint(0.7, 1, 2, *g[i]), rel=1e-13
             )
+
+
+class TestOcsaFactors:
+    """The ocsa capacity cells compute each rho's detection failures once
+    for every metric order; they must equal the standalone kernels bit for
+    bit."""
+
+    @staticmethod
+    def gains(rng, n=3000):
+        g = rng.exponential([1.0, 2.0, 3.0], (n, 3))
+        g[:300, 1] = g[:300, 0]          # exact ties between links
+        g[300:600, 2] = g[300:600, 0]
+        g[600:700, 2] = g[600:700, 1]
+        g[700:800] = 1.25                # all three tied
+        g[800:900, 0] = 0.0              # zero gains
+        g[900:1000, 1:] = 0.0
+        g[1000:1100] = 0.0
+        return ChannelSet(*(np.ascontiguousarray(c) for c in g.T))
+
+    @staticmethod
+    def with_ties(m: MetricTriple) -> MetricTriple:
+        t_p, t_t, t_r = m.t_p.copy(), m.t_t.copy(), m.t_r.copy()
+        t_t[:150] = t_p[:150]
+        t_r[150:300] = t_p[150:300]
+        t_r[300:450] = t_t[300:450]
+        t_t[450:600] = t_r[450:600] = t_p[450:600]
+        return MetricTriple(t_p, t_t, t_r)
+
+    @pytest.mark.parametrize("d1, d2", [(1, 1), (1, 2), (2, 1)])
+    @pytest.mark.parametrize("rho_db", [-20.0, 0.0, 12.5, 30.0, 60.0])
+    def test_cells_equal_standalone_kernels(self, d1, d2, rho_db):
+        rng = np.random.default_rng([7, d1, d2])
+        ch = self.gains(rng)
+        g = (ch.g_pt, ch.g_pr, ch.g_tr)
+        cfg = ProtocolConfig(rho=10.0 ** (rho_db / 10.0), d1=d1, d2=d2)
+        factors = OcsaFactors(cfg, *g, phase1_failure(cfg, ch.g_pt),
+                              phase1_failure(cfg, ch.g_pr))
+        clean = compute_metrics(ch)
+        for sigma2 in (0.0, 0.01, 0.5, 0.0):
+            noisy = clean if sigma2 == 0 else perturb_metrics(clean, sigma2,
+                                                              rng)
+            for m in (noisy, self.with_ties(noisy)):
+                miss, joint = factors.cells(metric_order(m))
+                want_miss = ocsa_conditional_miss(
+                    cfg, *g, metrics=(m.t_p, m.t_t, m.t_r))
+                want_joint = ocsa_joint_success(cfg, *g, metrics=m)
+                assert miss.tobytes() == want_miss.tobytes()
+                assert joint.tobytes() == want_joint.tobytes()
+
+    def test_erfc_calls(self, monkeypatch):
+        # one Gaussian tail per distinct factor: the standalone kernels
+        # select the recovery link before taking its tail
+        calls = []
+
+        def counted(x, _orig=protocols.gaussian_q):
+            calls.append(np.shape(x))
+            return _orig(x)
+
+        monkeypatch.setattr(protocols, "gaussian_q", counted)
+        cfg = ProtocolConfig(rho=3.0, d1=1, d2=2)
+        ch = self.gains(np.random.default_rng(3), n=1200)
+        g = (ch.g_pt, ch.g_pr, ch.g_tr)
+        m = compute_metrics(ch)
+        for metrics in (None, (m.t_p, m.t_t, m.t_r)):
+            calls.clear()
+            ocsa_conditional_miss(cfg, *g, metrics=metrics)
+            assert len(calls) == 4
+        for metrics in (None, m):
+            calls.clear()
+            ocsa_joint_success(cfg, *g, metrics=metrics)
+            assert len(calls) == 6
+        calls.clear()
+        factors = OcsaFactors(cfg, *g, phase1_failure(cfg, ch.g_pt),
+                              phase1_failure(cfg, ch.g_pr))
+        for sigma2 in (0.0, 0.1, 1.0):
+            factors.cells(metric_order(perturb_metrics(
+                m, sigma2, np.random.default_rng(1))))
+        assert len(calls) == 2 + 6   # a, b and the six other factors
 
 
 # ---------------------------------------------------------------------------
