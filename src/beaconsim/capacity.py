@@ -169,32 +169,20 @@ def capacity_lower(p_t, p_joint, power, coherence_time):
 # ---------------------------------------------------------------------------
 
 
-def _grid(*params):
-    """(broadcast shape, each parameter as a flat C-order list of floats)."""
-    cells = np.broadcast_arrays(*(np.asarray(p, dtype=float) for p in params))
-    return cells[0].shape, [c.ravel().tolist() for c in cells]
-
-
-def _arrays(stats, shape):
-    """Mean and se arrays (grid shape + value shape) of C-order cell stats."""
-    mean, se = (np.array([cell[k] for cell in stats]) for k in (0, 1))
-    return mean.reshape(shape + mean.shape[1:]), se.reshape(shape + se.shape[1:])
-
-
-def _out(values):
-    """A scalar grid's value as a float, any other grid's as its array."""
-    return float(values) if np.ndim(values) == 0 else values
+def _mean_se(cells):
+    """(mean, se) of an array of parallel_grid_stats triples: floats for
+    one triple, arrays of the grid's shape for a grid of them."""
+    return tuple(float(v) if np.ndim(v) == 0 else v
+                 for v in (cells[..., 0], cells[..., 1]))
 
 
 def _bounds(activity: ActivityModel, cells, power, t_c: float):
-    """Per-trial (upper, lower) capacity bounds, shape (size, 2), from a
-    (miss_t, joint) pair that is freed once read."""
+    """Per-trial upper and then lower capacity bound, from a (miss_t,
+    joint) pair that is freed once read."""
     p_t, p_joint = state_probs(activity, *cells)
     del cells
-    out = np.empty((len(p_t), 2))
-    out[:, 0] = capacity_upper(p_joint, power)
-    out[:, 1] = capacity_lower(p_t, p_joint, power, t_c)
-    return out
+    yield capacity_upper(p_joint, power)
+    yield capacity_lower(p_t, p_joint, power, t_c)
 
 
 def _metric_free(scheme: Scheme, cfg: ProtocolConfig, ch):
@@ -207,16 +195,15 @@ def _metric_free(scheme: Scheme, cfg: ProtocolConfig, ch):
 
 
 def _cells(scheme: Scheme, means: MeanGains, activity: ActivityModel,
-           t_c: float, seed: int, d1: int, d2: int, bound=(), wrong=()):
-    """(position, chunk worker) of one pass over the requested bound and
-    wrong-relay cells, each a (rho, sigma2) pair; wrong-relay cells are
-    ocsa only.  The worker yields every distinct cell once: per bound cell
-    the per-trial (upper, lower) bounds, per wrong-relay cell the per-trial
-    indicator; position(kind, rho, sigma2), kind "bound" or "wrong", is a
-    cell's place in that order.
+           t_c: float, seed: int, d1: int, d2: int, rhos, levels,
+           wrong: bool = False, bound: bool = True):
+    """Chunk worker of one pass over the dense grid of the distinct rhos
+    and sigma2 levels.  Per (rho, level), in C order, it yields the
+    per-trial wrong-relay indicator (ocsa only, levels sorted from 0) if wrong,
+    then the per-trial upper and lower bounds if bound.
 
     Each chunk's gains and status uniforms are drawn once for the pass, and
-    each sigma2 level's noise once; a level's metrics are kept only as the
+    each level's noise once; a level's metrics are kept only as the
     comparisons the ocsa rules read.  Each rho's detection failures are
     computed once for all its cells, and freed before the next rho.
     """
@@ -228,22 +215,11 @@ def _cells(scheme: Scheme, means: MeanGains, activity: ActivityModel,
     if not isinstance(means, MeanGains):
         raise TypeError("means must be a MeanGains instance")
     ocsa = scheme is Scheme.OCSA
-    rhos = np.unique([r for r, _ in (*bound, *wrong)])
-    cfgs = [ProtocolConfig(rho=r, d1=d1, d2=d2) for r in rhos.tolist()]
-    # a wrong relay is measured against the true choice, at level 0
-    levels = np.unique([*([0.0] if wrong else []),
-                        *(s2 for _, s2 in (*bound, *wrong))])
-    wrong_js, bound_js = (
-        sorted(set(np.searchsorted(levels, [s2 for _, s2 in cells]).tolist()))
-        for cells in (wrong, bound))
-    index = {key: k for k, key in enumerate(
-        (kind, i, j) for i in range(len(cfgs))
-        for kind, js in (("wrong", wrong_js), ("bound", bound_js))
-        for j in js)}
-
-    def position(kind: str, rho, s2) -> int:
-        return index[kind, int(np.searchsorted(rhos, rho)),
-                     int(np.searchsorted(levels, s2))]
+    cfgs = [ProtocolConfig(rho=r, d1=d1, d2=d2)
+            for r in np.asarray(rhos, dtype=float).tolist()]
+    levels = np.asarray(levels, dtype=float).tolist()
+    if min(levels) < 0:
+        raise ValueError("sigma2 must be nonnegative")
 
     def worker(idx: int, start: int, size: int):
         ch = draw_pair_chunk(means, seed, idx, size)
@@ -254,60 +230,64 @@ def _cells(scheme: Scheme, means: MeanGains, activity: ActivityModel,
             clean = compute_metrics(ch)
             orders = [metric_order(clean if s2 == 0 else perturb_metrics(
                 clean, s2, substream(seed, TAG_METRIC_NOISE, idx)))
-                for s2 in levels.tolist()]
+                for s2 in levels]
             del clean
         # the dels below keep a thread's working set at one rho's arrays
         for cfg in cfgs:
+            power = cfg.rho * g_tr
             if not ocsa:
-                # the metric-free schemes give every level the same cell
-                cell = _bounds(activity, _metric_free(scheme, cfg, ch),
-                               cfg.rho * g_tr, t_c)
-                yield from (cell for _ in bound_js)
+                # the metric-free schemes give every level the same bounds
+                cells = tuple(_bounds(activity, _metric_free(scheme, cfg, ch),
+                                      power, t_c))
+                for _ in levels:
+                    yield from cells
                 continue
             a = phase1_failure(cfg, g_pt)
             b = phase1_failure(cfg, g_pr)
-            if wrong_js:
+            if wrong:
                 t_ok, r_ok = u[:, 0] < 1.0 - a, u[:, 1] < 1.0 - b
                 sel_true = select_relay(orders[0], t_ok, r_ok)
                 one_ok = t_ok != r_ok
-                for j in wrong_js:
-                    sel = select_relay(orders[j], t_ok, r_ok)
-                    yield ((sel_true != sel) & one_ok).astype(float)
-                del t_ok, r_ok, sel_true, one_ok
             factors = (OcsaFactors(cfg, g_pt, g_pr, g_tr, a, b)
-                       if bound_js else None)
+                       if bound else None)
             del a, b
-            for j in bound_js:
-                yield _bounds(activity, factors.cells(orders[j]),
-                              cfg.rho * g_tr, t_c)
+            for order in orders:
+                if wrong:
+                    sel = select_relay(order, t_ok, r_ok)
+                    yield ((sel_true != sel) & one_ok).astype(float)
+                if bound:
+                    yield from _bounds(activity, factors.cells(order), power,
+                                       t_c)
             del factors
+            if wrong:
+                del t_ok, r_ok, sel_true, one_ok
 
-    return position, worker
+    return worker
 
 
 def _one_pass(scheme: Scheme, means: MeanGains, activity, t_c, n: int,
               seed: int, d1: int, d2: int, threads: int, chunk: int | None,
-              bound=(), wrong=()):
-    """One pass of _cells; returns the parallel_grid_stats triples of the
-    requested wrong-relay and bound cells, two lists in request order."""
-    position, worker = _cells(scheme, means, activity, t_c, seed, d1, d2,
-                              bound, wrong)
-    stats = parallel_grid_stats(worker, n, chunk, threads)
-    return ([stats[position("wrong", *cell)] for cell in wrong],
-            [stats[position("bound", *cell)] for cell in bound])
+              rho, sigma2, wrong: bool = False, bound: bool = True):
+    """parallel_grid_stats triple of each broadcast (rho, sigma2) cell from
+    one pass of _cells: an array of shape (grid..., kind, 3), the kinds in
+    _cells' order."""
+    rho, sigma2 = np.broadcast_arrays(np.asarray(rho, dtype=float),
+                                      np.asarray(sigma2, dtype=float))
+    rhos, at_rho = np.unique(rho, return_inverse=True)
+    # a wrong relay is measured against the true choice, at level 0
+    levels = np.unique(np.append(sigma2, [0.0] if wrong else []))
+    worker = _cells(scheme, means, activity, t_c, seed, d1, d2, rhos, levels,
+                    wrong, bound)
+    stats = np.array(parallel_grid_stats(worker, n, chunk, threads))
+    stats = stats.reshape(len(rhos), len(levels), -1, 3)
+    return stats[at_rho.reshape(rho.shape), np.searchsorted(levels, sigma2)]
 
 
-def _estimate(stats, shape, n: int) -> CapacityEstimate:
-    mean, se = _arrays(stats, shape)
-    return CapacityEstimate(upper_mean=_out(mean[..., 0]),
-                            upper_se=_out(se[..., 0]),
-                            lower_mean=_out(mean[..., 1]),
-                            lower_se=_out(se[..., 1]), n_trials=n)
-
-
-def _check_sigma2(s2s, name: str = "") -> None:
-    if min(s2s) < 0:
-        raise ValueError(f"{name}sigma2 must be nonnegative")
+def _estimate(cells, n: int) -> CapacityEstimate:
+    """CapacityEstimate of _one_pass cells whose last two kinds are the
+    upper and lower bounds."""
+    return CapacityEstimate(*_mean_se(cells[..., -2, :]),
+                            *_mean_se(cells[..., -1, :]), n_trials=n)
 
 
 def capacity_draws(scheme: Scheme, means: MeanGains, activity: ActivityModel,
@@ -315,15 +295,12 @@ def capacity_draws(scheme: Scheme, means: MeanGains, activity: ActivityModel,
                    d1: int = 1, d2: int = 1, sigma2: float = 0.0,
                    threads: int = 1, chunk: int | None = None):
     """Per-realization (upper, lower) capacity bound arrays at one rho."""
-    shape, (rhos, s2s) = _grid(rho, sigma2)
-    _check_sigma2(s2s)
-    if shape:
+    if np.ndim(rho) or np.ndim(sigma2):
         raise ValueError("capacity_draws: rho and sigma2 must be scalars")
-    _, worker = _cells(scheme, means, activity, t_c, seed, d1, d2,
-                       bound=list(zip(rhos, s2s)))
-    vals = parallel_chunk_arrays(lambda *r: next(worker(*r)), n, chunk,
-                                 threads)
-    return vals[:, 0], vals[:, 1]
+    worker = _cells(scheme, means, activity, t_c, seed, d1, d2, [rho],
+                    [sigma2])
+    return tuple(parallel_chunk_arrays(lambda *r: tuple(worker(*r)), n,
+                                       chunk, threads))
 
 
 def imperfect_capacity(scheme: Scheme, means: MeanGains,
@@ -340,11 +317,8 @@ def imperfect_capacity(scheme: Scheme, means: MeanGains,
     Noise draws come from a dedicated substream, so sigma2 = 0 reproduces
     the noiseless estimate bit for bit.
     """
-    shape, (rhos, s2s) = _grid(rho, sigma2)
-    _check_sigma2(s2s)
-    _, bound = _one_pass(scheme, means, activity, t_c, n, seed, d1, d2,
-                         threads, chunk, bound=list(zip(rhos, s2s)))
-    return _estimate(bound, shape, n)
+    return _estimate(_one_pass(scheme, means, activity, t_c, n, seed, d1, d2,
+                               threads, chunk, rho, sigma2), n)
 
 
 def imperfect_estimates(means: MeanGains, activity: ActivityModel, rho,
@@ -358,16 +332,11 @@ def imperfect_estimates(means: MeanGains, activity: ActivityModel, rho,
     wrong-relay (estimate, se), each cell equal bit for bit to
     imperfect_capacity, ergodic_capacity and wrong_relay_probability_mc.
     """
-    shape, (rhos, s2s) = _grid(rho, sigma2)
-    _check_sigma2(s2s)
-    cells = list(zip(rhos, s2s))
-    wrong, bound = _one_pass(Scheme.OCSA, means, activity, t_c, n, seed, d1,
-                             d2, threads, chunk, wrong=cells,
-                             bound=cells + [(r, 0.0) for r in rhos])
-    k = len(cells)
-    mean, se = _arrays(wrong, shape)
-    return (_estimate(bound[:k], shape, n), _estimate(bound[k:], shape, n),
-            (_out(mean), _out(se)))
+    sigma2, zero, _ = np.broadcast_arrays(sigma2, 0.0, rho)
+    noisy, clean = _one_pass(Scheme.OCSA, means, activity, t_c, n, seed, d1,
+                             d2, threads, chunk, rho, [sigma2, zero],
+                             wrong=True)
+    return _estimate(noisy, n), _estimate(clean, n), _mean_se(noisy[..., 0, :])
 
 
 def ergodic_capacity(scheme: Scheme, means: MeanGains,
@@ -458,12 +427,9 @@ def wrong_relay_probability_mc(sigma2, means: MeanGains, rho,
     standard error).  sigma2 and rho broadcast as in imperfect_capacity,
     whose one-pass rules hold here too.
     """
-    shape, (s2s, rhos) = _grid(sigma2, rho)
-    _check_sigma2(s2s, "wrong_relay_probability_mc: ")
-    wrong, _ = _one_pass(Scheme.OCSA, means, None, None, n, seed, d1, d2,
-                         threads, chunk, wrong=list(zip(rhos, s2s)))
-    mean, se = _arrays(wrong, shape)
-    return _out(mean), _out(se)
+    cells = _one_pass(Scheme.OCSA, means, None, None, n, seed, d1, d2,
+                      threads, chunk, rho, sigma2, wrong=True, bound=False)
+    return _mean_se(cells[..., 0, :])
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +527,5 @@ def throughput_loss_mc(ov, means: MeanGains, rho: float,
                                 metrics.t_r, metrics.t_p))
         return (1.0 - _frame_share(o, t_i) for o in cells)
 
-    mean, se = _arrays(parallel_grid_stats(worker, n, chunk, threads),
-                       ovs.shape)
-    return _out(mean), _out(se)
+    stats = np.array(parallel_grid_stats(worker, n, chunk, threads))
+    return _mean_se(stats.reshape(ovs.shape + (3,)))

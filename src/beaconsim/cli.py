@@ -359,6 +359,10 @@ def run_capacity_outage(conf: Conf, spec: SweepSpec, user: int):
         if not 0.0 < e < 1.0:
             raise ConfigError("capacity.epsilons entries must lie in (0, 1)")
     sigma2 = conf.get_float("capacity", "sigma2", default=0.0)
+    if sigma2 != 0 and spec.scheme is not Scheme.OCSA:
+        # nc and csa select no relay, so metric noise would change nothing
+        raise ConfigError("capacity.sigma2 must be 0 for scheme "
+                          f"{spec.scheme.value}; only ocsa reads it")
     rows = []
     # one rho at a time: the outage order statistic holds all n draws
     for rdb, rho in zip(spec.rho_db, common.pop("rho")):

@@ -60,26 +60,20 @@ def _run_chunks(worker: Callable, ranges: Sequence[tuple[int, int, int]],
         return [f.result() for f in futures]
 
 
-def _fsum_chunks(sums) -> np.ndarray:
-    """Exact sum over chunks of per-chunk sums of shape () or (width,)."""
-    a = np.array(sums)
-    cols = a.reshape(len(a), -1).T
-    return np.array([math.fsum(col) for col in cols]).reshape(a.shape[1:])
-
-
 def parallel_grid_stats(worker: Callable[[int, int, int], Iterable], n: int,
                         chunk: int | None = None, threads: int = 1) -> list:
     """Mean and standard error of per-trial values at each grid point.
 
-    worker(chunk_index, start, size) yields one array of shape (size,) or
-    (size, width) per grid point, in grid order, so a chunk drawn once serves
-    every point. Each array is reduced to its sum and sum of squares as soon
-    as it is yielded, before the next one is requested, so a worker may
-    yield one buffer for every point and overwrite it in between (the
-    tail-mode evaluators yield scratch-arena rows). Per point, the chunk
-    sums are combined with math.fsum
-    in chunk order, which keeps the reduction exact and independent of the
-    thread count. Returns one (mean, std_error, n) triple per point.
+    worker(chunk_index, start, size) yields one array of shape (size,) per
+    grid point, in grid order, so a chunk drawn once serves every point.
+    Each array is reduced to its sum and sum of squares as soon as it is
+    yielded, before the next one is requested, so a worker may yield one
+    buffer for every point and overwrite it in between (the tail-mode
+    evaluators yield scratch-arena rows). Any other shape, such as a
+    (size, 2) pair of values, raises ValueError. Per point, the chunk sums
+    are combined with math.fsum in chunk order, which keeps the reduction
+    exact and independent of the thread count. Returns one
+    (mean, std_error, n) triple per point.
     """
     ranges = chunk_ranges(n, chunk)
 
@@ -87,15 +81,16 @@ def parallel_grid_stats(worker: Callable[[int, int, int], Iterable], n: int,
         out = []
         for vals in worker(chunk_idx, start, size):
             vals = np.asarray(vals, dtype=float)
-            if vals.shape[0] != size:
-                raise ValueError("parallel_grid_stats: worker returned wrong length")
-            out.append((np.sum(vals, axis=0), np.sum(vals * vals, axis=0)))
+            if vals.shape != (size,):
+                raise ValueError("parallel_grid_stats: worker returned wrong "
+                                 f"length or shape {vals.shape}, not ({size},)")
+            out.append((np.sum(vals), np.sum(vals * vals)))
             del vals  # free this point's values before the next is computed
         return out
 
     results = []
     for parts in zip(*_run_chunks(stats, ranges, threads), strict=True):
-        total, total_sq = (_fsum_chunks(sums) for sums in zip(*parts))
+        total, total_sq = (np.float64(math.fsum(sums)) for sums in zip(*parts))
         mean = total / n
         var = np.maximum(total_sq / n - mean * mean, 0.0)
         results.append((mean, np.sqrt(var / n), n))
@@ -111,7 +106,8 @@ def parallel_chunk_stats(worker: Callable[[int, int, int], np.ndarray],
 def parallel_chunk_arrays(worker: Callable[[int, int, int], np.ndarray],
                           n: int, chunk: int | None = None,
                           threads: int = 1) -> np.ndarray:
-    """Concatenated per-trial values, chunk order preserved."""
+    """Per-trial values concatenated along their last (trial) axis, chunk
+    order preserved."""
     ranges = chunk_ranges(n, chunk)
     parts = _run_chunks(worker, ranges, threads)
-    return np.concatenate([np.asarray(p) for p in parts], axis=0)
+    return np.concatenate([np.asarray(p) for p in parts], axis=-1)

@@ -164,6 +164,19 @@ class TestErgodic:
         c = ergodic_capacity(Scheme.OCSA, threads=4, **kw)
         assert a == c
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_means_are_exact_sums_of_contiguous_chunk_sums(self, threads):
+        # each bound is reduced as its own 1-D array: per chunk one numpy
+        # sum over a contiguous slice, then math.fsum over the chunks
+        kw = dict(means=MEANS, activity=ACT, rho=10.0, t_c=10.0,
+                  n=30_000, seed=11, chunk=7_000)
+        est = ergodic_capacity(Scheme.OCSA, threads=threads, **kw)
+        draws = capacity_draws(Scheme.OCSA, **kw)
+        for values, mean in zip(draws, (est.upper_mean, est.lower_mean)):
+            sums = [np.sum(values[start:start + 7_000])
+                    for start in range(0, 30_000, 7_000)]
+            assert mean == math.fsum(sums) / 30_000
+
     def test_multiuser_rejected(self):
         with pytest.raises(ValueError):
             ergodic_capacity(Scheme.MUCSA, MEANS, ACT, rho=1.0, t_c=10.0,
@@ -475,9 +488,8 @@ class TestGrid:
                             cfg, *g, metrics=(m.t_p, m.t_t, m.t_r)),
                         ocsa_joint_success(cfg, *g, metrics=m))
                     power = rho * ch.g_tr
-                    yield np.stack([capacity_upper(p_joint, power),
-                                    capacity_lower(p_t, p_joint, power, 10.0)],
-                                   axis=1)
+                    yield capacity_upper(p_joint, power)
+                    yield capacity_lower(p_t, p_joint, power, 10.0)
                 t_ok = u[:, 0] < 1.0 - phase1_failure(cfg, ch.g_pt)
                 r_ok = u[:, 1] < 1.0 - phase1_failure(cfg, ch.g_pr)
                 true = ocsa_select_relay(clean, t_ok, r_ok)
@@ -488,12 +500,15 @@ class TestGrid:
         stats = parallel_grid_stats(reference, self.KW["n"], self.KW["chunk"])
         k = len(s2)
         for i in range(len(self.RHOS)):
-            cells = stats[i * (2 * k + 1):(i + 1) * (2 * k + 1)]
+            # per rho: upper and lower of each noisy cell and the baseline,
+            # then the wrong-relay cells
+            cells = stats[i * (3 * k + 2):(i + 1) * (3 * k + 2)]
             for j in range(k):
-                for e, (mean, se, _) in ((est, cells[j]), (base, cells[k])):
-                    assert [e.upper_mean[i, j], e.lower_mean[i, j]] == [*mean]
-                    assert [e.upper_se[i, j], e.lower_se[i, j]] == [*se]
-                mean, se, _ = cells[k + 1 + j]
+                for e, c in ((est, 2 * j), (base, 2 * k)):
+                    (um, us, _), (lm, ls, _) = cells[c:c + 2]
+                    assert [e.upper_mean[i, j], e.lower_mean[i, j]] == [um, lm]
+                    assert [e.upper_se[i, j], e.lower_se[i, j]] == [us, ls]
+                mean, se, _ = cells[2 * k + 2 + j]
                 assert (wrong[0][i, j], wrong[1][i, j]) == (mean, se)
 
     @pytest.mark.parametrize("threads", [1, 2])

@@ -129,26 +129,14 @@ class TestChunkStats:
         r4 = parallel_chunk_stats(worker, n=40_000, chunk=4096, threads=4)
         assert r1 == r4  # bit-identical, not approximately equal
 
-    def test_multicolumn(self):
-        def worker(chunk_idx, start, size):
-            rng = substream(10, 1, chunk_idx)
-            x = rng.exponential(1.0, size)
-            return np.stack([x, 2.0 * x], axis=1)
-
-        mean, se, n = parallel_chunk_stats(worker, n=30_000, chunk=4096, threads=2)
-        assert mean.shape == (2,)
-        assert mean[1] == pytest.approx(2 * mean[0], rel=1e-12)
-
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("width", [None, 2])
-    def test_grid_equals_per_point(self, threads, width):
+    def test_grid_equals_per_point(self, threads):
         # one chunk draw serves three grid points; each point must reduce
         # exactly as a one-point call on the same values would
         scales = (1.0, 0.5, 3.0)
 
         def draw(chunk_idx, size):
-            x = substream(11, 1, chunk_idx).exponential(1.0, size)
-            return x if width is None else np.stack([x, x * x], axis=1)
+            return substream(11, 1, chunk_idx).exponential(1.0, size)
 
         def grid_worker(chunk_idx, start, size):
             x = draw(chunk_idx, size)
@@ -198,6 +186,10 @@ class TestChunkStats:
             mc.parallel_grid_stats(
                 lambda i, start, size: (np.zeros(size), np.zeros(size - 1)),
                 n=1000, chunk=300)
+        # one array per point: a (size, 2) value is two points, not one
+        with pytest.raises(ValueError, match="wrong length"):
+            parallel_chunk_stats(lambda i, start, size: np.zeros((size, 2)),
+                                 n=1000, chunk=300)
 
     def test_grid_points_must_agree(self):
         # a chunk that yields fewer points than the others is an error, not

@@ -400,6 +400,21 @@ t_c = 10.0
         assert proc.returncode == 2, proc.stderr
         assert b"capacity.sigma2 must be nonnegative" in proc.stderr
 
+    @pytest.mark.parametrize("scheme", ["nc", "csa"])
+    def test_outage_sigma2_needs_ocsa(self, tmp_path, scheme):
+        # nc and csa select no relay, so a nonzero sigma2 printed the
+        # sigma2 = 0 bytes; 0 stays accepted, as sweep.side = "t" does
+        cfg = (_CHANNEL_MODE.replace('scheme = "csa"', f'scheme = "{scheme}"')
+               + _CAPACITY + "epsilons = [0.1]\n")
+        proc = run_cli("capacity-outage", "--set", "capacity.sigma2=5.0",
+                       config_text=cfg, tmp_path=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert (f"capacity.sigma2 must be 0 for scheme {scheme}".encode()
+                in proc.stderr)
+        proc = run_cli("capacity-outage", "--set", "capacity.sigma2=0.0",
+                       config_text=cfg, tmp_path=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+
     @pytest.mark.parametrize("key", ["sweep.rho_db", "capacity.sigma2"])
     def test_non_finite_value_is_config_error(self, tmp_path, key):
         # 1e400 parses as inf

@@ -76,10 +76,12 @@ def _cases():
         cases[f"ergodic-{scheme}"] = (
             "capacity-ergodic",
             _RUN + _PAIR + _proto(scheme) + _CAP + _sweep([0.0, 6.0]))
+        # only ocsa reads sigma2: nc and csa select no relay
+        noise = "sigma2 = 0.05\n" if scheme == "ocsa" else ""
         cases[f"outage-{scheme}"] = (
             "capacity-outage",
             _RUN + _PAIR + _proto(scheme) + _CAP
-            + "epsilons = [0.01, 0.1]\nsigma2 = 0.05\n" + _sweep([0.0, 6.0]))
+            + "epsilons = [0.01, 0.1]\n" + noise + _sweep([0.0, 6.0]))
     cases["imperfect-ocsa"] = (
         "imperfect",
         _RUN + _PAIR + _proto("ocsa") + _CAP
