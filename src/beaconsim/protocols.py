@@ -45,10 +45,16 @@ __all__ = [
 ]
 
 #: Largest supported number of secondary pairs in the multiuser scheme.
-#: Channel mode enumerates all 2**(2M-1) helper subsets; tail mode evaluates
-#: the Erlang boxes of all 2M-1 subset sizes in one recurrence, and those
-#: lose accuracy at large sizes.
+#: Channel mode enumerates all 2**(2M-1) helper subsets, so its time grows
+#: with 2**(2M-1) while its memory stays within a few blocks of ``_BLOCK``
+#: values; tail mode evaluates the Erlang boxes of all 2M-1 subset sizes in
+#: one recurrence, and those lose accuracy at large sizes.
 MAX_PAIRS = 6
+
+#: Values per block of helper subsets in channel-mode mucsa: each block
+#: holds the largest power-of-two number of subsets whose rows of trials
+#: fit, or one subset when a row alone is larger.
+_BLOCK = 1 << 15
 
 
 class Scheme(str, Enum):
@@ -399,6 +405,13 @@ def mucsa_conditional_miss(cfg: ProtocolConfig, mch: MultiuserChannelSet,
     that with its own first-phase observation.  If everyone failed, the
     miss is the plain first-phase outcome left unrecovered, i.e. the
     product of all users' failure probabilities counts as a full miss.
+
+    The 2**(2M-1) - 1 helper subsets are bit masks over the other users,
+    evaluated in blocks of consecutive masks (see ``_BLOCK``), so every
+    numpy call covers a whole block.  Each subset's
+    probability is multiplied and its gains added in ascending bit
+    position, and the subsets' terms are added in mask order, so the
+    result does not depend on the block size.
     """
     nu = check_user_count(mch.n_users)
     m_pairs = nu // 2
@@ -410,26 +423,45 @@ def mucsa_conditional_miss(cfg: ProtocolConfig, mch: MultiuserChannelSet,
     if np.any(g_p < 0) or np.any(g_uu < 0):
         raise ValueError("mucsa_conditional_miss: gains must be nonnegative")
     rho = cfg.rho
-    fail = _fail(rho, cfg.d1, g_p)  # (nu, n)
+    # (nu, n) in rows, since each row is broadcast over whole blocks
+    fail = np.ascontiguousarray(_fail(rho, cfg.d1, g_p))
     succ = 1.0 - fail
     others = [j for j in range(nu) if j != user]
     k = len(others)
     helper_gain = g_uu[:, user]  # (nu, n)
     relay_rho = rho / (2.0 * m_pairs)
     n = g_p.shape[1]
+    own = 2.0 * cfg.d1 * rho * g_p[user]
+    relay_scale = 2.0 * cfg.d2 * relay_rho
+    # a block's rows are the masks of its `low` lowest bits, so each row's
+    # subset probability and helper sum over those bits are built once, by
+    # doubling the table at each bit
+    low = min(k, max(_BLOCK // max(n, 1), 1).bit_length() - 1)
+    prob_low = np.empty((1 << low, n))
+    prob_low[0] = fail[user]
+    helper_low = np.zeros((1 << low, n))
+    for pos, j in enumerate(others[:low]):
+        half = 1 << pos
+        np.multiply(prob_low[:half], succ[j], out=prob_low[half:2 * half])
+        prob_low[:half] *= fail[j]
+        np.add(helper_low[:half], helper_gain[j], out=helper_low[half:2 * half])
+    prob = np.empty_like(prob_low)
+    helper = np.empty_like(helper_low)
     total = np.zeros(n)
-    for mask in range(1, 1 << k):
-        prob = fail[user].copy()
-        helper = np.zeros(n)
-        for pos, j in enumerate(others):
-            if mask >> pos & 1:
+    for high in range(1 << (k - low)):
+        np.copyto(prob, prob_low)
+        np.copyto(helper, helper_low)
+        for pos, j in enumerate(others[low:]):
+            if high >> pos & 1:
                 prob *= succ[j]
                 helper += helper_gain[j]
             else:
                 prob *= fail[j]
-        miss = gaussian_q(
-            np.sqrt(2.0 * cfg.d1 * rho * g_p[user] + 2.0 * cfg.d2 * relay_rho * helper)
-        )
-        total += prob * miss
+        helper *= relay_scale
+        helper += own
+        prob *= gaussian_q(np.sqrt(helper, out=helper))
+        # mask 0, nobody relaying, is the full miss added below
+        for term in prob[1 if high == 0 else 0:]:
+            total += term
     total += np.prod(fail, axis=0)
     return np.clip(total, 0.0, 1.0)

@@ -5,8 +5,9 @@ The deep-fade integral and the alternating binomial sum check the rho^-M
 decay that diversity orders rest on from outside the estimators; the
 high-SNR coefficients give the constant C of a miss curve C rho^-D, which a
 slope fit cannot see; the own-fade miss is the limit of a relayed user's
-miss as its own primary mean goes to 0.  Nothing here may import
-``beaconsim.fadeprob``: an oracle built on the kernels it checks would
+miss as its own primary mean goes to 0; the per-mask mucsa loop is the
+bit-exact reference for the blocked channel-mode kernel.  Nothing here may
+import ``beaconsim.fadeprob``: an oracle built on the kernels it checks would
 agree with their errors.
 """
 
@@ -16,7 +17,9 @@ import itertools
 import math
 from typing import Sequence
 
+import numpy as np
 from scipy.integrate import quad
+from scipy.special import erfc
 
 _MAX_MOMENT_ORDER = 20
 
@@ -111,3 +114,43 @@ def own_fade_miss(rho: float, d1: int, peer_means: Sequence[float],
         k = sum(helps)
         total += weight * (erlang_q_mean(rho, b, k) if k else 1.0)
     return 0.5 * total
+
+
+def _q(x):
+    """Gaussian tail Q(x), elementwise, written as beaconsim.numerics
+    writes it so that equal inputs give equal bits."""
+    return 0.5 * erfc(x / math.sqrt(2.0))
+
+
+def mucsa_miss_by_masks(rho: float, d1: int, d2: int, g_p: np.ndarray,
+                        g_uu: np.ndarray, user: int) -> np.ndarray:
+    """Channel-mode mucsa miss per trial, one helper mask at a time.
+
+    g_p is (2M, n) and g_uu (2M, 2M, n).  Bit pos of a mask says whether
+    the pos-th other user detected in phase one; each mask's probability
+    is multiplied and its helper gains added in ascending bit position, and
+    the masks' terms are added in mask order, as the blocked kernel must
+    add them to give the same bits.
+    """
+    nu = g_p.shape[0]
+    fail = _q(np.sqrt(2.0 * d1 * rho * g_p))
+    succ = 1.0 - fail
+    others = [j for j in range(nu) if j != user]
+    helper_gain = g_uu[:, user]
+    relay_rho = rho / (2.0 * (nu // 2))
+    n = g_p.shape[1]
+    total = np.zeros(n)
+    for mask in range(1, 1 << len(others)):
+        prob = fail[user].copy()
+        helper = np.zeros(n)
+        for pos, j in enumerate(others):
+            if mask >> pos & 1:
+                prob *= succ[j]
+                helper += helper_gain[j]
+            else:
+                prob *= fail[j]
+        miss = _q(np.sqrt(2.0 * d1 * rho * g_p[user]
+                          + 2.0 * d2 * relay_rho * helper))
+        total += prob * miss
+    total += np.prod(fail, axis=0)
+    return np.clip(total, 0.0, 1.0)

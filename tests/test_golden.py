@@ -115,6 +115,14 @@ def _cases():
         "multiuser",
         _RUN + _MULTI.replace("m_pairs = 2", "m_pairs = 4") + "user = 5\n"
         + _sweep([0.0, 10.0], "tail"))
+    # channel mode at M = 4 enumerates 127 helper subsets; the last chunk
+    # holds a single trial
+    cases["multiuser-channel-m4"] = (
+        "multiuser",
+        _RUN.replace("n_trials = 30000", "n_trials = 10001")
+        .replace("chunk = 7000", "chunk = 5000")
+        + _MULTI.replace("m_pairs = 2", "m_pairs = 4") + "user = 5\n"
+        + _sweep([0.0, 10.0]))
     return cases
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from beaconsim.channel import (
     perturb_metrics,
 )
 from beaconsim.protocols import (
+    MAX_PAIRS,
     OcsaFactors,
     ProtocolConfig,
     RelayIdentity,
@@ -40,6 +42,8 @@ from beaconsim.protocols import (
     phase1_failure,
     split_channel_uses,
 )
+
+from oracle import mucsa_miss_by_masks
 
 SQRT2 = math.sqrt(2.0)
 
@@ -618,6 +622,63 @@ class TestMultiuser:
             mucsa_conditional_miss(cfg, mch, 2)
         with pytest.raises(ValueError):
             mucsa_conditional_miss(cfg, mch, -1)
+
+
+def _multiuser_draw(m_pairs, n, seed):
+    """Reciprocal gains laid out as channel.draw_multiuser_chunk lays them
+    out, with exact zeros: user 0's primary link in trial 0, the last
+    user's in the middle trial, and the link between the first and the last
+    user in the last trial."""
+    nu = 2 * m_pairs
+    rng = np.random.default_rng(seed)
+    g_p = rng.exponential(1.0, (n, nu)).T
+    tri = np.triu(rng.exponential(1.5, (n, nu, nu)), 1)
+    g_uu = np.ascontiguousarray((tri + tri.transpose(0, 2, 1)).transpose(1, 2, 0))
+    g_p[0, 0] = g_p[-1, n // 2] = 0.0
+    g_uu[0, -1, -1] = g_uu[-1, 0, -1] = 0.0
+    return MultiuserChannelSet(g_p, g_uu)
+
+
+class TestMultiuserBlocks:
+    """The channel-mode kernel evaluates helper subsets in blocks of masks;
+    it must give the bits of the one-mask-at-a-time loop in
+    tests/oracle.py at every block shape."""
+
+    # (d1, d2), rho in dB, and first (0) or last (-1) user
+    COMBOS = list(itertools.product(((1, 1), (2, 1), (1, 2)),
+                                    (-30.0, 0.0, 25.0, 60.0), (0, -1)))
+    # where the loop is slow, one of these per chunk length
+    FEW = [((2, 1), 60.0, -1), ((1, 2), -30.0, 0), ((1, 1), 25.0, -1)]
+
+    @pytest.mark.parametrize("m_pairs", range(1, MAX_PAIRS + 1))
+    def test_bits_match_mask_loop(self, m_pairs):
+        nu = 2 * m_pairs
+        # at _BLOCK // 2 - 1 trials a block holds two masks, one trial past
+        # _BLOCK // 2 it holds one
+        edge = protocols._BLOCK // 2
+        for i, n in enumerate((1, 2, 7, edge - 1, edge + 1, 5000)):
+            mch = _multiuser_draw(m_pairs, n, 100 * m_pairs + i)
+            slow = (1 << (nu - 1)) * n > 1 << 20
+            for (d1, d2), db, user in [self.FEW[i % 3]] if slow else self.COMBOS:
+                rho = 10.0 ** (db / 10.0)
+                got = mucsa_conditional_miss(ProtocolConfig(rho, d1, d2), mch,
+                                             user % nu)
+                want = mucsa_miss_by_masks(rho, d1, d2, mch.g_p, mch.g_uu,
+                                           user % nu)
+                assert np.array_equal(got, want), (n, d1, d2, db, user)
+
+    def test_memory_does_not_grow_with_the_subsets(self):
+        # a call holds a few (users, trials) arrays and a few blocks; the
+        # 2047 helper subsets at M = 6 never exist at once
+        nu, n = 2 * MAX_PAIRS, 5000
+        mch = _multiuser_draw(MAX_PAIRS, n, 7)
+        tracemalloc.start()
+        try:
+            mucsa_conditional_miss(ProtocolConfig(10.0), mch, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (6 * nu * n + 8 * protocols._BLOCK)
 
 
 # ---------------------------------------------------------------------------
