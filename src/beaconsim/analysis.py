@@ -22,9 +22,7 @@ and evaluated at every grid point.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -157,10 +155,10 @@ def _pair_lams(means: MeanGains, side: str) -> tuple[float, float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Per-chunk draws and per-rho evaluators, returned as (draw, evaluator).
-# evaluator(rho) gives values(sample, arena); tail mode writes the values
-# into rows of the thread's scratch arena (see fadeprob.arena_row), so each
-# result is only valid until that thread's next evaluation.
+# Per-chunk draws and per-rho evaluators, returned as (draw, evaluator): the
+# draw and the points evaluator(rho) that mc.parallel_grid_stats runs.  Tail
+# mode writes a point's values into rows of the thread's scratch arena (see
+# fadeprob.arena_row), so each is only valid until that thread's next use.
 # ---------------------------------------------------------------------------
 
 
@@ -168,7 +166,7 @@ def _tail_draw(spec: SweepSpec, k: int):
     """Per-chunk draw of k values z^2 per trial, one contiguous row each;
     the thresholds at rho are z^2 / (2 rho)."""
 
-    def draw(idx, size):
+    def draw(idx, _start, size):
         z = substream(spec.seed, TAG_THRESHOLDS, idx).standard_normal((size, k))
         z *= z
         return z.T.copy()
@@ -179,14 +177,15 @@ def _tail_draw(spec: SweepSpec, k: int):
 def _channel_values(spec: SweepSpec, kernel):
     """Per-chunk draw of the gains of the scheme's model, and an evaluator
     that applies kernel(cfg, ch) at each rho."""
-    draw = partial(draw_multiuser_chunk if spec.scheme is Scheme.MUCSA
-                   else draw_pair_chunk, spec.means, spec.seed)
+    chunk_draw = (draw_multiuser_chunk if spec.scheme is Scheme.MUCSA
+                  else draw_pair_chunk)
 
     def evaluator(rho):
         cfg = spec.config(rho)
-        return lambda ch, _arena: kernel(cfg, ch)
+        return lambda ch, _arena: (kernel(cfg, ch),)
 
-    return draw, evaluator
+    return (lambda idx, _start, size:
+            chunk_draw(spec.means, spec.seed, idx, size)), evaluator
 
 
 def _miss_values_channel(spec: SweepSpec, side: str, user: int):
@@ -240,7 +239,7 @@ def _helper_count_tail(spec: SweepSpec, primary, user: int, b_mean: float):
             for kk, box in enumerate(boxes, start=1):
                 box *= 0.25 * weights[kk]
                 total += box
-            return total
+            return (total,)
 
         return values
 
@@ -277,7 +276,7 @@ def _miss_values_tail(spec: SweepSpec, side: str, user: int):
                               out=arena_row(arena, "tail.values", zz[0].shape))
                 np.divide(np.negative(x, out=x), d * lam_own, out=x)
                 np.negative(np.expm1(x, out=x), out=x)
-                return np.multiply(0.5, x, out=x)
+                return (np.multiply(0.5, x, out=x),)
 
             return values
 
@@ -296,7 +295,7 @@ def _miss_values_tail(spec: SweepSpec, side: str, user: int):
             np.multiply(0.25, p1, out=p1)
             np.add(p1, np.multiply(0.25, p3, out=p3), out=p3)
             np.subtract(p3, np.multiply(0.125, p2, out=p2), out=p2)
-            return np.add(p2, np.multiply(0.125, p4, out=p4), out=p4)
+            return (np.add(p2, np.multiply(0.125, p4, out=p4), out=p4),)
 
         return values
 
@@ -321,28 +320,13 @@ def _joint_values_channel(spec: SweepSpec):
 
 def _run_sweep(spec: SweepSpec, draw, evaluator) -> SweepResult:
     """Chunks outside, grid points inside: each chunk is drawn once and
-    evaluated at every rho, and each point is reduced in chunk order.
-
-    Each worker thread has one scratch arena for the whole sweep, reused
-    across its chunks and grid points and dropped when the sweep returns.
-    """
-    evals = [evaluator(db_to_linear(rho_db)) for rho_db in spec.rho_db]
-    # every thread sees its own __dict__ of a threading.local: the arena
-    scratch = threading.local()
-
-    def worker(idx, start, size):
-        sample = draw(idx, size)
-        return (values(sample, scratch.__dict__) for values in evals)
-
-    stats = parallel_grid_stats(worker, spec.n_trials, spec.chunk, spec.threads)
-    return SweepResult(
-        scheme=spec.scheme,
-        mode=spec.mode,
-        rho_db=np.asarray(spec.rho_db, dtype=float),
-        estimate=np.array([mean for mean, _se, _n in stats]),
-        std_error=np.array([se for _mean, se, _n in stats]),
-        n_trials=spec.n_trials,
-    )
+    evaluated at every rho, and each point is reduced in chunk order."""
+    mean, se = parallel_grid_stats(
+        draw, [evaluator(db_to_linear(rho_db)) for rho_db in spec.rho_db],
+        spec.n_trials, spec.chunk, spec.threads)
+    return SweepResult(scheme=spec.scheme, mode=spec.mode,
+                       rho_db=np.asarray(spec.rho_db, dtype=float),
+                       estimate=mean, std_error=se, n_trials=spec.n_trials)
 
 
 def estimate_miss_curve(spec: SweepSpec, side: str = "t",

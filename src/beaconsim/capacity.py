@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -170,8 +171,8 @@ def capacity_lower(p_t, p_joint, power, coherence_time):
 
 
 def _mean_se(cells):
-    """(mean, se) of an array of parallel_grid_stats triples: floats for
-    one triple, arrays of the grid's shape for a grid of them."""
+    """(mean, se) of an array of (mean, se) pairs: floats for one pair,
+    arrays of the grid's shape for a grid of them."""
     return tuple(float(v) if np.ndim(v) == 0 else v
                  for v in (cells[..., 0], cells[..., 1]))
 
@@ -197,15 +198,17 @@ def _metric_free(scheme: Scheme, cfg: ProtocolConfig, ch):
 def _cells(scheme: Scheme, means: MeanGains, activity: ActivityModel,
            t_c: float, seed: int, d1: int, d2: int, rhos, levels,
            wrong: bool = False, bound: bool = True):
-    """Chunk worker of one pass over the dense grid of the distinct rhos
-    and sigma2 levels.  Per (rho, level), in C order, it yields the
-    per-trial wrong-relay indicator (ocsa only, levels sorted from 0) if wrong,
-    then the per-trial upper and lower bounds if bound.
+    """(draw, points) of one mc.parallel_grid_stats pass over the dense
+    grid of the distinct rhos and sigma2 levels, one point per rho.  Per
+    level, a point yields the per-trial wrong-relay indicator (ocsa only,
+    levels sorted from 0) if wrong, then the per-trial upper and lower
+    bounds if bound.
 
-    Each chunk's gains and status uniforms are drawn once for the pass, and
-    each level's noise once; a level's metrics are kept only as the
-    comparisons the ocsa rules read.  Each rho's detection failures are
-    computed once for all its cells, and freed before the next rho.
+    The draw gives each chunk's gains, its status uniforms if wrong and,
+    for ocsa, each level's metric order: the noise is drawn once per level
+    and kept only as the comparisons the ocsa rules read.  A point computes
+    its rho's detection failures once for all its cells; they are freed
+    when it finishes.
     """
     scheme = Scheme(scheme)
     if scheme is Scheme.MUCSA:
@@ -215,71 +218,64 @@ def _cells(scheme: Scheme, means: MeanGains, activity: ActivityModel,
     if not isinstance(means, MeanGains):
         raise TypeError("means must be a MeanGains instance")
     ocsa = scheme is Scheme.OCSA
-    cfgs = [ProtocolConfig(rho=r, d1=d1, d2=d2)
-            for r in np.asarray(rhos, dtype=float).tolist()]
     levels = np.asarray(levels, dtype=float).tolist()
     if min(levels) < 0:
         raise ValueError("sigma2 must be nonnegative")
 
-    def worker(idx: int, start: int, size: int):
+    def draw(idx: int, start: int, size: int):
         ch = draw_pair_chunk(means, seed, idx, size)
-        g_pt, g_pr, g_tr = ch.g_pt, ch.g_pr, ch.g_tr
-        if wrong:
-            u = substream(seed, TAG_STATUS, idx).random((size, 2))
-        if ocsa:
-            clean = compute_metrics(ch)
-            orders = [metric_order(clean if s2 == 0 else perturb_metrics(
-                clean, s2, substream(seed, TAG_METRIC_NOISE, idx)))
-                for s2 in levels]
-            del clean
-        # the dels below keep a thread's working set at one rho's arrays
-        for cfg in cfgs:
-            power = cfg.rho * g_tr
-            if not ocsa:
-                # the metric-free schemes give every level the same bounds
-                cells = tuple(_bounds(activity, _metric_free(scheme, cfg, ch),
-                                      power, t_c))
-                for _ in levels:
-                    yield from cells
-                continue
-            a = phase1_failure(cfg, g_pt)
-            b = phase1_failure(cfg, g_pr)
-            if wrong:
-                t_ok, r_ok = u[:, 0] < 1.0 - a, u[:, 1] < 1.0 - b
-                sel_true = select_relay(orders[0], t_ok, r_ok)
-                one_ok = t_ok != r_ok
-            factors = (OcsaFactors(cfg, g_pt, g_pr, g_tr, a, b)
-                       if bound else None)
-            del a, b
-            for order in orders:
-                if wrong:
-                    sel = select_relay(order, t_ok, r_ok)
-                    yield ((sel_true != sel) & one_ok).astype(float)
-                if bound:
-                    yield from _bounds(activity, factors.cells(order), power,
-                                       t_c)
-            del factors
-            if wrong:
-                del t_ok, r_ok, sel_true, one_ok
+        u = (substream(seed, TAG_STATUS, idx).random((size, 2)) if wrong
+             else None)
+        if not ocsa:
+            return ch, u, None
+        clean = compute_metrics(ch)
+        return ch, u, [metric_order(clean if s2 == 0 else perturb_metrics(
+            clean, s2, substream(seed, TAG_METRIC_NOISE, idx)))
+            for s2 in levels]
 
-    return worker
+    def point(cfg: ProtocolConfig, sample, _scratch):
+        ch, u, orders = sample
+        power = cfg.rho * ch.g_tr
+        if not ocsa:
+            # the metric-free schemes give every level the same bounds
+            yield from tuple(_bounds(activity, _metric_free(scheme, cfg, ch),
+                                     power, t_c)) * len(levels)
+            return
+        a = phase1_failure(cfg, ch.g_pt)
+        b = phase1_failure(cfg, ch.g_pr)
+        if wrong:
+            t_ok, r_ok = u[:, 0] < 1.0 - a, u[:, 1] < 1.0 - b
+            sel_true = select_relay(orders[0], t_ok, r_ok)
+            one_ok = t_ok != r_ok
+        factors = (OcsaFactors(cfg, ch.g_pt, ch.g_pr, ch.g_tr, a, b)
+                   if bound else None)
+        del a, b
+        for order in orders:
+            if wrong:
+                sel = select_relay(order, t_ok, r_ok)
+                yield ((sel_true != sel) & one_ok).astype(float)
+            if bound:
+                yield from _bounds(activity, factors.cells(order), power, t_c)
+
+    return draw, [partial(point, ProtocolConfig(rho=r, d1=d1, d2=d2))
+                  for r in np.asarray(rhos, dtype=float).tolist()]
 
 
 def _one_pass(scheme: Scheme, means: MeanGains, activity, t_c, n: int,
               seed: int, d1: int, d2: int, threads: int, chunk: int | None,
               rho, sigma2, wrong: bool = False, bound: bool = True):
-    """parallel_grid_stats triple of each broadcast (rho, sigma2) cell from
-    one pass of _cells: an array of shape (grid..., kind, 3), the kinds in
-    _cells' order."""
+    """(mean, se) pair of each broadcast (rho, sigma2) cell from one pass
+    of _cells: an array of shape (grid..., kind, 2), the kinds in _cells'
+    order."""
     rho, sigma2 = np.broadcast_arrays(np.asarray(rho, dtype=float),
                                       np.asarray(sigma2, dtype=float))
     rhos, at_rho = np.unique(rho, return_inverse=True)
     # a wrong relay is measured against the true choice, at level 0
     levels = np.unique(np.append(sigma2, [0.0] if wrong else []))
-    worker = _cells(scheme, means, activity, t_c, seed, d1, d2, rhos, levels,
-                    wrong, bound)
-    stats = np.array(parallel_grid_stats(worker, n, chunk, threads))
-    stats = stats.reshape(len(rhos), len(levels), -1, 3)
+    stats = parallel_grid_stats(
+        *_cells(scheme, means, activity, t_c, seed, d1, d2, rhos, levels,
+                wrong, bound), n, chunk, threads)
+    stats = np.stack(stats, axis=-1).reshape(len(rhos), len(levels), -1, 2)
     return stats[at_rho.reshape(rho.shape), np.searchsorted(levels, sigma2)]
 
 
@@ -297,10 +293,10 @@ def capacity_draws(scheme: Scheme, means: MeanGains, activity: ActivityModel,
     """Per-realization (upper, lower) capacity bound arrays at one rho."""
     if np.ndim(rho) or np.ndim(sigma2):
         raise ValueError("capacity_draws: rho and sigma2 must be scalars")
-    worker = _cells(scheme, means, activity, t_c, seed, d1, d2, [rho],
-                    [sigma2])
-    return tuple(parallel_chunk_arrays(lambda *r: tuple(worker(*r)), n,
-                                       chunk, threads))
+    draw, (point,) = _cells(scheme, means, activity, t_c, seed, d1, d2,
+                            [rho], [sigma2])
+    return tuple(parallel_chunk_arrays(lambda *r: tuple(point(draw(*r), None)),
+                                       n, chunk, threads))
 
 
 def imperfect_capacity(scheme: Scheme, means: MeanGains,
@@ -515,17 +511,19 @@ def throughput_loss_mc(ov, means: MeanGains, rho: float,
     cells = ovs.ravel().tolist()
     cfg = ProtocolConfig(rho=rho, d1=d1, d2=d2)
 
-    def worker(idx: int, start: int, size: int):
+    def selected_metric(idx: int, start: int, size: int):
         ch = draw_pair_chunk(means, seed, idx, size)
         u = substream(seed, TAG_STATUS, idx).random((size, 2))
         metrics = compute_metrics(ch)
         sel = ocsa_select_relay(metrics,
                                 u[:, 0] < 1.0 - phase1_failure(cfg, ch.g_pt),
                                 u[:, 1] < 1.0 - phase1_failure(cfg, ch.g_pr))
-        t_i = np.where(sel == RelayIdentity.SECONDARY_TX, metrics.t_t,
-                       np.where(sel == RelayIdentity.SECONDARY_RX,
-                                metrics.t_r, metrics.t_p))
+        return np.where(sel == RelayIdentity.SECONDARY_TX, metrics.t_t,
+                        np.where(sel == RelayIdentity.SECONDARY_RX,
+                                 metrics.t_r, metrics.t_p))
+
+    def losses(t_i, _scratch):
         return (1.0 - _frame_share(o, t_i) for o in cells)
 
-    stats = np.array(parallel_grid_stats(worker, n, chunk, threads))
-    return _mean_se(stats.reshape(ovs.shape + (3,)))
+    stats = parallel_grid_stats(selected_metric, [losses], n, chunk, threads)
+    return _mean_se(np.stack(stats, axis=-1).reshape(ovs.shape + (2,)))

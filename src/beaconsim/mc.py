@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
 
@@ -60,47 +61,55 @@ def _run_chunks(worker: Callable, ranges: Sequence[tuple[int, int, int]],
         return [f.result() for f in futures]
 
 
-def parallel_grid_stats(worker: Callable[[int, int, int], Iterable], n: int,
-                        chunk: int | None = None, threads: int = 1) -> list:
+def parallel_grid_stats(draw: Callable[[int, int, int], object],
+                        points: Sequence[Callable[[object, dict], Iterable]],
+                        n: int, chunk: int | None = None, threads: int = 1):
     """Mean and standard error of per-trial values at each grid point.
 
-    worker(chunk_index, start, size) yields one array of shape (size,) per
-    grid point, in grid order, so a chunk drawn once serves every point.
-    Each array is reduced to its sum and sum of squares as soon as it is
-    yielded, before the next one is requested, so a worker may yield one
-    buffer for every point and overwrite it in between (the tail-mode
-    evaluators yield scratch-arena rows). Any other shape, such as a
-    (size, 2) pair of values, raises ValueError. Per point, the chunk sums
-    are combined with math.fsum in chunk order, which keeps the reduction
-    exact and independent of the thread count. Returns one
-    (mean, std_error, n) triple per point.
+    Per chunk, sample = draw(chunk_index, start, size) runs once; then each
+    point(sample, scratch) runs in grid order and yields arrays of shape
+    (size,).  Each array is reduced to its sum and sum of squares as soon
+    as it is yielded, so a point may yield one buffer again after
+    overwriting it (the tail-mode evaluators yield scratch-arena rows);
+    any other shape, such as (size, 2), raises ValueError.  scratch is one
+    dict per worker thread, kept across its chunks and points for the
+    whole call (see fadeprob.arena_row).  Per array, the chunk sums are
+    combined with math.fsum in chunk order, so the result is exact and
+    independent of the thread count.  Returns (mean, std_error): float64
+    arrays with one entry per array a chunk yields.
     """
     ranges = chunk_ranges(n, chunk)
+    # every thread sees its own __dict__ of a threading.local: its scratch
+    local = threading.local()
 
     def stats(chunk_idx: int, start: int, size: int):
+        sample = draw(chunk_idx, start, size)
         out = []
-        for vals in worker(chunk_idx, start, size):
-            vals = np.asarray(vals, dtype=float)
-            if vals.shape != (size,):
-                raise ValueError("parallel_grid_stats: worker returned wrong "
-                                 f"length or shape {vals.shape}, not ({size},)")
-            out.append((np.sum(vals), np.sum(vals * vals)))
-            del vals  # free this point's values before the next is computed
+        for point in points:
+            for vals in point(sample, local.__dict__):
+                vals = np.asarray(vals, dtype=float)
+                if vals.shape != (size,):
+                    raise ValueError("parallel_grid_stats: wrong length or "
+                                     f"shape {vals.shape}, not ({size},)")
+                out.append((np.sum(vals), np.sum(vals * vals)))
+                del vals  # free this array before the next is computed
         return out
 
-    results = []
-    for parts in zip(*_run_chunks(stats, ranges, threads), strict=True):
-        total, total_sq = (np.float64(math.fsum(sums)) for sums in zip(*parts))
-        mean = total / n
-        var = np.maximum(total_sq / n - mean * mean, 0.0)
-        results.append((mean, np.sqrt(var / n), n))
-    return results
+    # per yielded array: the fsum of its chunk sums and of its squares' sums
+    sums = np.array([[math.fsum(col) for col in zip(*parts)]
+                     for parts in zip(*_run_chunks(stats, ranges, threads),
+                                      strict=True)]).reshape(-1, 2)
+    mean = sums[:, 0] / n
+    var = np.maximum(sums[:, 1] / n - mean * mean, 0.0)
+    return mean, np.sqrt(var / n)
 
 
 def parallel_chunk_stats(worker: Callable[[int, int, int], np.ndarray],
                          n: int, chunk: int | None = None, threads: int = 1):
     """(mean, std_error, n) of per-trial values: one-point parallel_grid_stats."""
-    return parallel_grid_stats(lambda *r: (worker(*r),), n, chunk, threads)[0]
+    mean, se = parallel_grid_stats(worker, [lambda vals, _scratch: (vals,)],
+                                   n, chunk, threads)
+    return mean[0], se[0], n
 
 
 def parallel_chunk_arrays(worker: Callable[[int, int, int], np.ndarray],

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -471,33 +474,38 @@ class TestGrid:
         assert opened(TAG_METRIC_NOISE) == sorted([0, 1, 2, 3] * 5)
         seed = self.KW["seed"]
 
-        def reference(idx, start, size):
+        def draw(idx, start, size):
             ch = channel.draw_pair_chunk(MEANS, seed, idx, size)
-            g = (ch.g_pt, ch.g_pr, ch.g_tr)
             u = channel.substream(seed, TAG_STATUS, idx).random((size, 2))
             clean = channel.compute_metrics(ch)
             noisy = {s: clean if s == 0 else channel.perturb_metrics(
                 clean, s, channel.substream(seed, TAG_METRIC_NOISE, idx))
                 for s in s2}
-            for rho in self.RHOS:
-                cfg = ProtocolConfig(rho=rho, d1=1, d2=1)
-                for s in (*s2, 0.0):  # the noisy cells, then the baseline
-                    m = noisy[s]
-                    p_t, p_joint = state_probs(
-                        ACT, ocsa_conditional_miss(
-                            cfg, *g, metrics=(m.t_p, m.t_t, m.t_r)),
-                        ocsa_joint_success(cfg, *g, metrics=m))
-                    power = rho * ch.g_tr
-                    yield capacity_upper(p_joint, power)
-                    yield capacity_lower(p_t, p_joint, power, 10.0)
-                t_ok = u[:, 0] < 1.0 - phase1_failure(cfg, ch.g_pt)
-                r_ok = u[:, 1] < 1.0 - phase1_failure(cfg, ch.g_pr)
-                true = ocsa_select_relay(clean, t_ok, r_ok)
-                for s in s2:
-                    picked = ocsa_select_relay(noisy[s], t_ok, r_ok)
-                    yield ((true != picked) & (t_ok != r_ok)).astype(float)
+            return ch, u, clean, noisy
 
-        stats = parallel_grid_stats(reference, self.KW["n"], self.KW["chunk"])
+        def reference(rho, sample, _scratch):
+            ch, u, clean, noisy = sample
+            g = (ch.g_pt, ch.g_pr, ch.g_tr)
+            cfg = ProtocolConfig(rho=rho, d1=1, d2=1)
+            for s in (*s2, 0.0):  # the noisy cells, then the baseline
+                m = noisy[s]
+                p_t, p_joint = state_probs(
+                    ACT, ocsa_conditional_miss(
+                        cfg, *g, metrics=(m.t_p, m.t_t, m.t_r)),
+                    ocsa_joint_success(cfg, *g, metrics=m))
+                power = rho * ch.g_tr
+                yield capacity_upper(p_joint, power)
+                yield capacity_lower(p_t, p_joint, power, 10.0)
+            t_ok = u[:, 0] < 1.0 - phase1_failure(cfg, ch.g_pt)
+            r_ok = u[:, 1] < 1.0 - phase1_failure(cfg, ch.g_pr)
+            true = ocsa_select_relay(clean, t_ok, r_ok)
+            for s in s2:
+                picked = ocsa_select_relay(noisy[s], t_ok, r_ok)
+                yield ((true != picked) & (t_ok != r_ok)).astype(float)
+
+        stats = list(zip(*parallel_grid_stats(
+            draw, [partial(reference, rho) for rho in self.RHOS],
+            self.KW["n"], self.KW["chunk"])))
         k = len(s2)
         for i in range(len(self.RHOS)):
             # per rho: upper and lower of each noisy cell and the baseline,
@@ -505,10 +513,10 @@ class TestGrid:
             cells = stats[i * (3 * k + 2):(i + 1) * (3 * k + 2)]
             for j in range(k):
                 for e, c in ((est, 2 * j), (base, 2 * k)):
-                    (um, us, _), (lm, ls, _) = cells[c:c + 2]
+                    (um, us), (lm, ls) = cells[c:c + 2]
                     assert [e.upper_mean[i, j], e.lower_mean[i, j]] == [um, lm]
                     assert [e.upper_se[i, j], e.lower_se[i, j]] == [us, ls]
-                mean, se, _ = cells[2 * k + 2 + j]
+                mean, se = cells[2 * k + 2 + j]
                 assert (wrong[0][i, j], wrong[1][i, j]) == (mean, se)
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -526,3 +534,31 @@ class TestGrid:
             one = throughput_loss_mc(ov, rho=1.0, **self.KW)
             assert isinstance(one[0], float)
             assert one == (grid[0][i, j], grid[1][i, j])
+
+
+class TestOnePassMemory:
+    @staticmethod
+    def _peak(n_rho, threads):
+        """Peak traced bytes of an ocsa imperfect_estimates pass over n_rho
+        rho values and three sigma2 levels, two 2.5e4-trial chunks."""
+        rho = np.linspace(1.0, 4.0, 8)[:n_rho, None]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            capacity.imperfect_estimates(
+                MEANS, ACT, rho, t_c=10.0, n=50_000, seed=9,
+                sigma2=[0.0, 0.01, 0.1], threads=threads, chunk=25_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - start
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_peak_does_not_grow_with_rho(self, threads):
+        # a thread holds one rho's detection factors at a time: each
+        # point's arrays are freed when it finishes, before the next rho.
+        # Two threads' peaks coincide only by chance, so the bound is one
+        # thread's one-rho peak per thread.
+        one = self._peak(1, threads=1)
+        assert self._peak(8, threads) <= threads * one + 250_000

@@ -3,6 +3,7 @@
 import math
 import os
 import threading
+import time
 from concurrent.futures import Future
 
 import numpy as np
@@ -135,48 +136,81 @@ class TestChunkStats:
         # exactly as a one-point call on the same values would
         scales = (1.0, 0.5, 3.0)
 
-        def draw(chunk_idx, size):
+        def draw(chunk_idx, start, size):
             return substream(11, 1, chunk_idx).exponential(1.0, size)
 
-        def grid_worker(chunk_idx, start, size):
-            x = draw(chunk_idx, size)
-            return (c * x for c in scales)
-
-        grid = mc.parallel_grid_stats(grid_worker, 30_000, 4096, threads)
-        assert len(grid) == len(scales)
-        for c, (mean, se, n) in zip(scales, grid):
+        points = [lambda x, _scratch, c=c: (c * x,) for c in scales]
+        mean, se = mc.parallel_grid_stats(draw, points, 30_000, 4096, threads)
+        assert mean.dtype == se.dtype == np.float64
+        assert mean.shape == se.shape == (len(scales),)
+        for i, c in enumerate(scales):
             ref = parallel_chunk_stats(
-                lambda i, start, size: c * draw(i, size), 30_000, 4096, threads)
-            np.testing.assert_array_equal(mean, ref[0])
-            np.testing.assert_array_equal(se, ref[1])
-            assert n == ref[2] == 30_000
+                lambda *r: c * draw(*r), 30_000, 4096, threads)
+            np.testing.assert_array_equal(mean[i], ref[0])
+            np.testing.assert_array_equal(se[i], ref[1])
+            assert ref[2] == 30_000
+        # a point may yield several arrays: one point yielding all three
+        # gives what three one-array points give
+        both = mc.parallel_grid_stats(
+            draw, [lambda x, _scratch: (c * x for c in scales)], 30_000,
+            4096, threads)
+        for got, want in zip(both, (mean, se), strict=True):
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_worker_may_reuse_one_buffer(self, threads):
+    def test_point_may_yield_one_scratch_row(self, threads):
         # each yielded array is reduced before the next one is requested, so
-        # a worker may overwrite one buffer per thread for every point, as
-        # the tail-mode evaluators do with their arena rows
+        # a point may overwrite one row of its thread's scratch for every
+        # array, as the tail-mode evaluators do with their arena rows
         scales = (1.0, 0.5, 3.0)
-        scratch = threading.local()
 
-        def draw(chunk_idx, size):
+        def draw(chunk_idx, start, size):
             return substream(12, 1, chunk_idx).exponential(1.0, size)
 
-        def reusing(chunk_idx, start, size):
-            x = draw(chunk_idx, size)
-            buf = arena_row(scratch.__dict__, "values", (size,))
+        def reusing(x, scratch):
+            buf = arena_row(scratch, "values", x.shape)
             for c in scales:
                 yield np.multiply(c, x, out=buf)
 
-        def fresh(chunk_idx, start, size):
-            x = draw(chunk_idx, size)
+        def fresh(x, _scratch):
             return (c * x for c in scales)
 
-        got = mc.parallel_grid_stats(reusing, 30_000, 4096, threads)
-        want = mc.parallel_grid_stats(fresh, 30_000, 4096, threads)
-        assert got == want
-        assert len({mean for mean, _se, _n in got}) == len(scales)
-        assert len({se for _mean, se, _n in got}) == len(scales)
+        got = mc.parallel_grid_stats(draw, [reusing], 30_000, 4096, threads)
+        want = mc.parallel_grid_stats(draw, [fresh], 30_000, 4096, threads)
+        for g, w in zip(got, want, strict=True):
+            np.testing.assert_array_equal(g, w)
+        assert len(set(got[0])) == len(set(got[1])) == len(scales)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_scratch_is_one_dict_per_thread_per_call(self, threads):
+        # each worker thread keeps one scratch dict across all its chunks
+        # and points; the next call starts from fresh dicts
+        def draw(chunk_idx, start, size):
+            time.sleep(0.005)  # lets a second worker thread take chunks
+            return np.zeros(size)
+
+        def point(x, scratch):
+            seen.append((threading.get_ident(), scratch))
+            scratch["uses"] = scratch.get("uses", 0) + 1
+            return (x,)
+
+        n_points, n_chunks = 3, 8
+        calls = []
+        for _ in range(2):
+            seen = []
+            mc.parallel_grid_stats(draw, [point] * n_points, n_chunks * 100,
+                                   100, threads)
+            by_thread = {}
+            for ident, scratch in seen:
+                assert by_thread.setdefault(ident, scratch) is scratch
+            dicts = list(by_thread.values())
+            assert len({id(d) for d in dicts}) == len(dicts) <= threads
+            # every evaluation of the call used one of these dicts
+            assert sum(d["uses"] for d in dicts) == n_points * n_chunks
+            calls.append(dicts)
+        if threads == 2 and (os.cpu_count() or 1) > 1:
+            assert len(calls[0]) == len(calls[1]) == 2
+        assert not {id(d) for d in calls[0]} & {id(d) for d in calls[1]}
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="wrong length"):
@@ -184,21 +218,25 @@ class TestChunkStats:
                                  n=1000, chunk=300)
         with pytest.raises(ValueError, match="wrong length"):
             mc.parallel_grid_stats(
-                lambda i, start, size: (np.zeros(size), np.zeros(size - 1)),
-                n=1000, chunk=300)
-        # one array per point: a (size, 2) value is two points, not one
+                lambda i, start, size: np.zeros(size),
+                [lambda x, _scratch: (x, x[1:])], n=1000, chunk=300)
+        # one array per yield: a (size, 2) value is two arrays, not one
         with pytest.raises(ValueError, match="wrong length"):
             parallel_chunk_stats(lambda i, start, size: np.zeros((size, 2)),
                                  n=1000, chunk=300)
 
     def test_grid_points_must_agree(self):
-        # a chunk that yields fewer points than the others is an error, not
+        # a chunk that yields fewer arrays than the others is an error, not
         # a silently shorter grid
-        def worker(chunk_idx, start, size):
-            return (np.zeros(size) for _ in range(3 if chunk_idx else 2))
+        def draw(chunk_idx, start, size):
+            return chunk_idx, np.zeros(size)
+
+        def point(sample, _scratch):
+            chunk_idx, x = sample
+            return (x for _ in range(3 if chunk_idx else 2))
 
         with pytest.raises(ValueError):
-            mc.parallel_grid_stats(worker, n=1000, chunk=300)
+            mc.parallel_grid_stats(draw, [point], n=1000, chunk=300)
 
 
 class _InlinePool:
