@@ -129,15 +129,25 @@ def state_probs(activity: ActivityModel, miss_t, joint_success):
     return p_t, p_joint
 
 
+def _log2_1p(p, pw):
+    """log2(1 + pw/p) for p > 0, as log2(p + pw) - log2(p), which cannot
+    overflow at tiny p; where pw < 2**-10 p that difference cancels, so
+    log1p(pw/p) / ln 2 overwrites it there."""
+    p, pw = np.broadcast_arrays(p, pw)
+    out = np.log2(p + pw, out=np.empty(p.shape))
+    out -= np.log2(p)
+    small = pw < 2.0 ** -10 * p
+    out[small] = np.log1p(pw[small] / p[small]) / _LN2
+    return out
+
+
 def capacity_upper(p_joint, power):
     """Upper capacity bound; continuous extension gives 0 at p_joint = 0."""
     p = np.asarray(p_joint, dtype=float)
     pw = np.asarray(power, dtype=float)
     if np.any(p < 0) or np.any(pw < 0):
         raise ValueError("capacity_upper: arguments must be nonnegative")
-    safe = np.where(p > 0, p, 1.0)
-    # log2(1 + pw/p) written as a difference to avoid overflow at tiny p
-    out = np.where(p > 0, p * (np.log2(safe + pw) - np.log2(safe)), 0.0)
+    out = np.where(p > 0, p * _log2_1p(np.where(p > 0, p, 1.0), pw), 0.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -159,9 +169,8 @@ def capacity_lower(p_t, p_joint, power, coherence_time):
             "capacity_lower: zero single-node state probability with "
             "positive power"
         )
-    safe = np.where(pt > 0, pt, 1.0)
     penalty = 1.0 / (coherence_time * _LN2)
-    out = pj * (np.log2(safe + pw) - np.log2(safe)) - penalty
+    out = pj * _log2_1p(np.where(pt > 0, pt, 1.0), pw) - penalty
     return float(out) if out.ndim == 0 else out
 
 

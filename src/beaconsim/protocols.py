@@ -212,6 +212,15 @@ def metric_order(metrics: MetricTriple) -> MetricOrder:
     return MetricOrder(t_t > t_p, t_t > t_r, t_r > t_p, t_r > t_t)
 
 
+def _order(metrics, g_pt, g_pr, g_tr) -> MetricOrder:
+    """metric_order of metrics or, without them, of the true metrics read
+    off the gains they sum (t_t > t_p exactly when g_tr > g_pr, and so on),
+    so that rounding the sums never decides a tie."""
+    if metrics is not None:
+        return metric_order(metrics)
+    return MetricOrder(g_tr > g_pr, g_pt > g_pr, g_tr > g_pt, g_pr > g_pt)
+
+
 def select_relay(order: MetricOrder, t_success, r_success) -> np.ndarray:
     """ocsa_select_relay on the metric comparisons instead of the metrics."""
     t_ok = np.asarray(t_success, dtype=bool)
@@ -235,47 +244,23 @@ def ocsa_select_relay(metrics: MetricTriple, t_success, r_success) -> np.ndarray
     return select_relay(metric_order(metrics), t_success, r_success)
 
 
-def _recover_fail(cfg: ProtocolConfig, g_own, g_help):
-    """Failure of the combined observation: d1 uses of the node's own
-    primary link plus d2 uses of the link its helper rebeacons over."""
-    return gaussian_q(np.sqrt(2.0 * cfg.rho * (cfg.d1 * g_own + cfg.d2 * g_help)))
+def _links(cfg: ProtocolConfig, g_own, g_help):
+    """A failed node's recovery failure over the helper link, which adds d2
+    uses to its own d1, and over its own link alone, heard over all d."""
+    helped = np.sqrt(2.0 * cfg.rho * (cfg.d1 * g_own + cfg.d2 * g_help))
+    return [gaussian_q(helped), _fail(cfg.rho, cfg.d, g_own)]
 
 
-def _status(a, b):
-    """First-phase status weights (ss, sf, fs, ff) from the tx (a) and rx
-    (b) failures: s means detected, f failed, tx first."""
-    return (1.0 - a) * (1.0 - b), (1.0 - a) * b, a * (1.0 - b), a * b
+def _ocsa_miss(fs, ff, links):
+    """A node's miss over each of its links, from the weights of
+    own-failed/peer-detected (fs) and both-failed (ff): when both failed,
+    the primary repeats the beacon over the node's own link."""
+    return [np.clip(fs * fail + ff * links[1], 0.0, 1.0) for fail in links]
 
 
-def _ocsa_miss(fs, ff, recover_fail, full_fail):
-    """Own-side ocsa miss from the weights of own-failed/peer-detected (fs)
-    and both-failed (ff), the failed recovery and the failed full-length
-    retry."""
-    return np.clip(fs * recover_fail + ff * full_fail, 0.0, 1.0)
-
-
-def _joint_head(ss, sf, recover_fail_r):
-    """First term of the ocsa joint success: both detected, or rx failed
-    and recovers."""
-    return ss + sf * (1.0 - recover_fail_r)
-
-
-def _joint_tx(fs, recover_fail_t):
-    """Second term of the ocsa joint success: tx failed and recovers."""
-    return fs * (1.0 - recover_fail_t)
-
-
-def _joint_retry(ff, full_fail_t, full_fail_r):
-    """Third term of the ocsa joint success: both failed, and both detect
-    the full-length retry."""
-    return ff * ((1.0 - full_fail_t) * (1.0 - full_fail_r))
-
-
-def _ocsa_joint(head, tx, retry):
-    """ocsa joint success from its three terms, summed in this order."""
-    out = head + tx
-    out += retry
-    return np.clip(out, 0.0, 1.0)
+def _miss_pick(order: MetricOrder, miss):
+    """The tx side's miss: rx relays only when its metric beats both."""
+    return np.where(order.r_over_p & order.r_over_t, *miss)
 
 
 def ocsa_conditional_miss(cfg: ProtocolConfig, g_own, g_peer, g_tr,
@@ -287,25 +272,18 @@ def ocsa_conditional_miss(cfg: ProtocolConfig, g_own, g_peer, g_tr,
     transmits through the whole slot, so the node observes its own primary
     link over all d uses.  When both fail, the primary always transmits.
 
-    ``metrics`` optionally supplies the selection metrics as a tuple
-    ``(m_primary, m_own, m_peer)`` of per-trial values (possibly noisy
-    estimates); by default they are derived from the true gains, in which
-    case the peer wins exactly when ``g_own < min(g_peer, g_tr)``.
+    ``metrics`` optionally supplies a MetricTriple of (possibly noisy)
+    selection metrics in the node's own frame, (t_p, t_own, t_peer); by
+    default they are the true ones, and the peer wins exactly when
+    ``g_own < min(g_peer, g_tr)``.
     """
     go, s1 = _as_float_array(g_own, "ocsa_conditional_miss")
     gp, s2 = _as_float_array(g_peer, "ocsa_conditional_miss")
     gh, s3 = _as_float_array(g_tr, "ocsa_conditional_miss")
-    if metrics is None:
-        peer_relays = (go < gp) & (go < gh)
-    else:
-        m_p, m_own, m_peer = (np.asarray(m, dtype=float) for m in metrics)
-        peer_relays = (m_peer > m_p) & (m_peer > m_own)
-    a = _fail(cfg.rho, cfg.d1, go)
-    b = _fail(cfg.rho, cfg.d1, gp)
-    out = _ocsa_miss(a * (1.0 - b), a * b,
-                     _recover_fail(cfg, go, np.where(peer_relays, gh, go)),
-                     _fail(cfg.rho, cfg.d, go))
-    return _ret(out, s1 and s2 and s3)
+    a, b = _fail(cfg.rho, cfg.d1, go), _fail(cfg.rho, cfg.d1, gp)
+    miss = _ocsa_miss(a * (1.0 - b), a * b, _links(cfg, go, gh))
+    return _ret(_miss_pick(_order(metrics, go, gp, gh), miss),
+                s1 and s2 and s3)
 
 
 def ocsa_joint_success(cfg: ProtocolConfig, g_pt, g_pr, g_tr, metrics=None):
@@ -318,62 +296,54 @@ def ocsa_joint_success(cfg: ProtocolConfig, g_pt, g_pr, g_tr, metrics=None):
     retries on the full-length primary transmission.
 
     ``metrics`` optionally supplies a MetricTriple of (possibly noisy)
-    selection metrics; the winner of each pairwise comparison is then taken
-    from those estimates while the true gains still drive detection.
+    selection metrics, which then pick the links in place of the gains.
     """
     gt, s1 = _as_float_array(g_pt, "ocsa_joint_success")
     gr, s2 = _as_float_array(g_pr, "ocsa_joint_success")
     gh, s3 = _as_float_array(g_tr, "ocsa_joint_success")
-    if metrics is None:
-        helper_sf = np.maximum(gr, gh)
-        helper_fs = np.maximum(gt, gh)
-    else:
-        order = metric_order(metrics)
-        helper_sf = np.where(order.t_over_p, gh, gr)
-        helper_fs = np.where(order.r_over_p, gh, gt)
-    ss, sf, fs, ff = _status(_fail(cfg.rho, cfg.d1, gt),
-                             _fail(cfg.rho, cfg.d1, gr))
-    out = _ocsa_joint(
-        _joint_head(ss, sf, _recover_fail(cfg, gr, helper_sf)),
-        _joint_tx(fs, _recover_fail(cfg, gt, helper_fs)),
-        _joint_retry(ff, _fail(cfg.rho, cfg.d, gt), _fail(cfg.rho, cfg.d, gr)))
-    return _ret(out, s1 and s2 and s3)
+    factors = OcsaFactors(cfg, gt, gr, gh, _fail(cfg.rho, cfg.d1, gt),
+                          _fail(cfg.rho, cfg.d1, gr))
+    return _ret(factors.cells(_order(metrics, gt, gr, gh))[1],
+                s1 and s2 and s3)
 
 
 class OcsaFactors:
-    """The ocsa capacity cells' detection failures for one chunk of drawn
-    gains at one rho, given the first-phase failures a and b
-    (phase1_failure of g_pt and g_pr).
+    """The one ocsa model: its detection failures for gains at one rho,
+    given the first-phase failures a and b (phase1_failure of g_pt, g_pr).
 
-    A metric order only picks, per trial, the link each side recovers over:
-    the helper link or its own.  So the miss and each joint term are kept
-    for both links, and ``cells`` picks per trial; Q and the formulas work
-    element by element, so the picks equal ocsa_conditional_miss (tx side)
-    and ocsa_joint_success bit for bit.
+    A metric order only picks, per trial, the link each failed side
+    recovers over: the helper link or its own.  So the tx-side miss and
+    each joint term are kept for both links, and ``cells`` picks per trial.
+    Over its own link a side hears all d uses, so that recovery is the
+    full-length failure the both-failed retry needs too: 2 + 4 Gaussian
+    tails in all.  Written as Q(sqrt(2 rho (d1 g + d2 g))) it rounds alike
+    when d1 = d2 is a power of two and may differ in the last bit otherwise.
     """
 
     def __init__(self, cfg: ProtocolConfig, g_pt, g_pr, g_tr, a, b):
         # each factor is dropped after its last use: this runs on whole
         # chunks, once per rho
-        ss, sf, fs, ff = _status(a, b)
-        full_t = _fail(cfg.rho, cfg.d, g_pt)
-        self.retry = _joint_retry(ff, full_t, _fail(cfg.rho, cfg.d, g_pr))
-        # tx recovers over the helper link or over its own link
-        self.miss, self.tx = [], []
-        for g_help in (g_tr, g_pt):
-            rec = _recover_fail(cfg, g_pt, g_help)
-            self.miss.append(_ocsa_miss(fs, ff, rec, full_t))
-            self.tx.append(_joint_tx(fs, rec))
-        del fs, ff, full_t, rec
-        self.head = [_joint_head(ss, sf, _recover_fail(cfg, g_pr, g_help))
-                     for g_help in (g_tr, g_pr)]
+        rx = _links(cfg, g_pr, g_tr)
+        ss, sf = (1.0 - a) * (1.0 - b), (1.0 - a) * b
+        self.head = [ss + sf * (1.0 - fail) for fail in rx]
+        heard_r = 1.0 - rx[1]
+        del ss, sf, rx
+        fs, ff = a * (1.0 - b), a * b
+        tx = _links(cfg, g_pt, g_tr)
+        self.retry = ff * ((1.0 - tx[1]) * heard_r)
+        del heard_r
+        self.miss = _ocsa_miss(fs, ff, tx)
+        del ff
+        self.tx = [fs * (1.0 - fail) for fail in tx]
 
     def cells(self, order: MetricOrder):
-        """(tx-side miss, joint success) under the given metric order."""
-        miss_t = np.where(order.r_over_p & order.r_over_t, *self.miss)
-        joint = _ocsa_joint(np.where(order.t_over_p, *self.head),
-                            np.where(order.r_over_p, *self.tx), self.retry)
-        return miss_t, joint
+        """(tx-side miss, joint success) under the given metric order.  For
+        the miss a failed side's peer relays only when its metric beats
+        both others; for the joint, whenever it beats the primary's."""
+        joint = np.where(order.t_over_p, *self.head)
+        joint += np.where(order.r_over_p, *self.tx)
+        joint += self.retry
+        return _miss_pick(order, self.miss), np.clip(joint, 0, 1, out=joint)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import math
 import tracemalloc
 from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,6 +114,20 @@ class TestBounds:
         lo, hi = sorted([p1, p2])
         assert capacity_upper(lo, power) <= capacity_upper(hi, power) + 1e-12
 
+    @pytest.mark.parametrize("p", [1e-3, 0.05, 0.5, 1.0])
+    def test_bounds_keep_relative_accuracy_at_low_snr(self, p):
+        # log2(1 + pw/p) as a difference of logs cancels once pw << p
+        ratio = np.concatenate([10.0 ** np.arange(-300.0, 3.5, 0.5),
+                                2.0 ** np.arange(-12.0, -8.0, 0.125)])
+        pw = ratio * p
+        with mpmath.workdps(50):
+            want = np.array([float(mpmath.log1p(mpmath.mpf(w) / p)
+                                   / mpmath.log(2)) for w in pw])
+        upper = capacity_upper(np.full(pw.shape, p), pw) / p
+        lower = capacity_lower(np.full(pw.shape, p), 1.0, pw, np.inf)
+        for got in (upper, lower):
+            assert np.max(np.abs(got / want - 1.0)) <= 1e-12
+
     def test_state_probs(self):
         p_t, p_joint = state_probs(ACT, miss_t=0.2, joint_success=0.9)
         assert p_t == pytest.approx(0.85 * 0.8, rel=1e-14)
@@ -208,7 +223,7 @@ class TestOutage:
         cfg = ProtocolConfig(rho=rho, d1=1, d2=2)
         g = (ch.g_pt, ch.g_pr, ch.g_tr)
         p_t, p_joint = state_probs(
-            ACT, ocsa_conditional_miss(cfg, *g, metrics=(m.t_p, m.t_t, m.t_r)),
+            ACT, ocsa_conditional_miss(cfg, *g, metrics=m),
             ocsa_joint_success(cfg, *g, metrics=m))
         power = rho * ch.g_tr
         assert up.tobytes() == capacity_upper(p_joint, power).tobytes()
@@ -490,8 +505,7 @@ class TestGrid:
             for s in (*s2, 0.0):  # the noisy cells, then the baseline
                 m = noisy[s]
                 p_t, p_joint = state_probs(
-                    ACT, ocsa_conditional_miss(
-                        cfg, *g, metrics=(m.t_p, m.t_t, m.t_r)),
+                    ACT, ocsa_conditional_miss(cfg, *g, metrics=m),
                     ocsa_joint_success(cfg, *g, metrics=m))
                 power = rho * ch.g_tr
                 yield capacity_upper(p_joint, power)

@@ -591,6 +591,21 @@ sigma2 = [0.0, 1.0]
         assert float(noisy["wrong_relay_mc"]) <= float(
             noisy["wrong_relay_bound"]) + 3 * float(noisy["wrong_relay_se"])
 
+    def test_imperfect_at_vanishing_snr(self, tmp_path):
+        # the capacity bounds keep their relative accuracy as rho -> 0, so
+        # the relative loss still has a positive base at -300 dB
+        cfg = _CHANNEL_MODE.replace('scheme = "csa"', 'scheme = "ocsa"')
+        cfg = cfg.replace("rho_db = [0.0, 10.0]",
+                          "rho_db = [-300.0, -150.0, 0.0]")
+        proc = run_cli("imperfect", config_text=cfg + _CAPACITY
+                       + "sigma2 = [0.0, 0.05]\n", tmp_path=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        rows = parse_csv(proc.stdout)
+        assert len(rows) == 6
+        for row in rows:
+            assert all(np.isfinite(float(v)) for v in row.values())
+        assert float(rows[0]["upper_mean"]) > 0.0
+
     def test_throughput(self, tmp_path):
         cfg = _CHANNEL_MODE.replace("rho_db = [0.0, 10.0]", "rho_db = 0.0")
         cfg = cfg.replace('scheme = "csa"', 'scheme = "ocsa"')

@@ -62,6 +62,16 @@ def _cases():
         cases[f"joint-{scheme}"] = (
             "joint-sweep",
             _RUN + _PAIR + _proto(scheme) + _sweep([0.0, 10.0]))
+    # d1 = 1 < d2 = 2 pins the ocsa own-link recovery, the full-length
+    # failure, where it rounds unlike d1 + d2 uses written as a recovery
+    split = '[protocol]\nscheme = "ocsa"\nd1 = 1\nd2 = 2\n'
+    for side in ("t", "r"):
+        cases[f"miss-ocsa-channel-{side}-d1d2"] = (
+            "miss-sweep", _RUN + _PAIR + split + _sweep([5.0, 15.0], side=side))
+    cases["joint-ocsa-d1d2"] = (
+        "joint-sweep", _RUN + _PAIR + split + _sweep([0.0, 10.0]))
+    cases["ergodic-ocsa-d1d2"] = (
+        "capacity-ergodic", _RUN + _PAIR + split + _CAP + _sweep([0.0, 6.0]))
     for scheme in ("nc", "csa"):
         cases[f"diversity-{scheme}"] = (
             "diversity",

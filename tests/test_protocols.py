@@ -105,11 +105,13 @@ def oracle_select(metrics, t_ok, r_ok):
     return RelayIdentity.PRIMARY
 
 
-def oracle_ocsa_miss_t(rho, d1, d2, g_pt, g_pr, g_tr):
+def oracle_ocsa_miss_t(rho, d1, d2, g_pt, g_pr, g_tr, metrics=None):
+    # metrics: (t_p, t_t, t_r), by default the true ones
     d = d1 + d2
     ft = q(math.sqrt(2.0 * d1 * rho * g_pt))
     fr = q(math.sqrt(2.0 * d1 * rho * g_pr))
-    metrics = (g_pt + g_pr, g_pt + g_tr, g_pr + g_tr)
+    if metrics is None:
+        metrics = (g_pt + g_pr, g_pt + g_tr, g_pr + g_tr)
     total = 0.0
     for t_ok, r_ok in itertools.product([True, False], repeat=2):
         p = (1.0 - ft if t_ok else ft) * (1.0 - fr if r_ok else fr)
@@ -125,29 +127,34 @@ def oracle_ocsa_miss_t(rho, d1, d2, g_pt, g_pr, g_tr):
     return total
 
 
-def oracle_ocsa_joint(rho, d1, d2, g_pt, g_pr, g_tr):
-    # On the single-success branches the surviving node's recovery rides on
-    # the better of its direct primary link and the secondary helper link
-    # (the successful secondary relays exactly when its metric beats the
-    # primary's, which compares those two gains).
+def oracle_ocsa_joint(rho, d1, d2, g_pt, g_pr, g_tr, metrics=None):
+    # On the single-success branches the detecting secondary relays exactly
+    # when its metric beats the primary's (by default the true metrics, so
+    # when the helper link beats the failed node's own primary link);
+    # otherwise the primary repeats the beacon over all d uses.
     d = d1 + d2
     ft = q(math.sqrt(2.0 * d1 * rho * g_pt))
     fr = q(math.sqrt(2.0 * d1 * rho * g_pr))
+    if metrics is None:
+        metrics = (g_pt + g_pr, g_pt + g_tr, g_pr + g_tr)
+    t_p, t_t, t_r = metrics
+
+    def recover(g_own, relayed):
+        if relayed:
+            return 1.0 - q(math.sqrt(2.0 * d1 * rho * g_own + 2.0 * d2 * rho * g_tr))
+        return 1.0 - q(math.sqrt(2.0 * d * rho * g_own))
+
     total = 0.0
     for t_ok, r_ok in itertools.product([True, False], repeat=2):
         p = (1.0 - ft if t_ok else ft) * (1.0 - fr if r_ok else fr)
         if t_ok and r_ok:
             succ = 1.0
         elif t_ok:
-            helper = max(g_pr, g_tr)
-            succ = 1.0 - q(math.sqrt(2.0 * d1 * rho * g_pr + 2.0 * d2 * rho * helper))
+            succ = recover(g_pr, t_t > t_p)
         elif r_ok:
-            helper = max(g_pt, g_tr)
-            succ = 1.0 - q(math.sqrt(2.0 * d1 * rho * g_pt + 2.0 * d2 * rho * helper))
+            succ = recover(g_pt, t_r > t_p)
         else:
-            succ = (1.0 - q(math.sqrt(2.0 * d * rho * g_pt))) * (
-                1.0 - q(math.sqrt(2.0 * d * rho * g_pr))
-            )
+            succ = recover(g_pt, False) * recover(g_pr, False)
         total += p * succ
     return total
 
@@ -470,15 +477,49 @@ class TestOcsaFactors:
                                                               rng)
             for m in (noisy, self.with_ties(noisy)):
                 miss, joint = factors.cells(metric_order(m))
-                want_miss = ocsa_conditional_miss(
-                    cfg, *g, metrics=(m.t_p, m.t_t, m.t_r))
+                want_miss = ocsa_conditional_miss(cfg, *g, metrics=m)
                 want_joint = ocsa_joint_success(cfg, *g, metrics=m)
                 assert miss.tobytes() == want_miss.tobytes()
                 assert joint.tobytes() == want_joint.tobytes()
 
+    @pytest.mark.parametrize("d1, d2", [(1, 1), (1, 2), (2, 1)])
+    def test_noisy_metrics_match_oracle(self, d1, d2):
+        # the kernels and the cells against the branch-enumeration oracle,
+        # which applies each rule to the metrics directly: the peer relays
+        # for the miss when it beats both, for the joint when it beats the
+        # primary
+        rng = np.random.default_rng([11, d1, d2])
+        ch = self.gains(rng, n=1200)
+        g = (ch.g_pt, ch.g_pr, ch.g_tr)
+        clean = compute_metrics(ch)
+        for rho in (0.7, 2.5):
+            cfg = ProtocolConfig(rho=rho, d1=d1, d2=d2)
+            factors = OcsaFactors(cfg, *g, phase1_failure(cfg, ch.g_pt),
+                                  phase1_failure(cfg, ch.g_pr))
+            for sigma2 in (0.01, 0.5):
+                noisy = perturb_metrics(clean, sigma2, rng)
+                for m in (noisy, self.with_ties(noisy)):
+                    want_t, want_r, want_joint = np.array([
+                        (oracle_ocsa_miss_t(rho, d1, d2, gt, gr, gh, (p, t, r)),
+                         oracle_ocsa_miss_t(rho, d1, d2, gr, gt, gh, (p, r, t)),
+                         oracle_ocsa_joint(rho, d1, d2, gt, gr, gh, (p, t, r)))
+                        for gt, gr, gh, p, t, r in zip(*g, m.t_p, m.t_t, m.t_r)
+                    ]).T
+                    miss_r = ocsa_conditional_miss(
+                        cfg, ch.g_pr, ch.g_pt, ch.g_tr,
+                        metrics=MetricTriple(m.t_p, m.t_r, m.t_t))
+                    cells_miss, cells_joint = factors.cells(metric_order(m))
+                    for got, want in (
+                            (ocsa_conditional_miss(cfg, *g, metrics=m), want_t),
+                            (cells_miss, want_t), (miss_r, want_r),
+                            (ocsa_joint_success(cfg, *g, metrics=m), want_joint),
+                            (cells_joint, want_joint)):
+                        np.testing.assert_allclose(got, want, rtol=1e-13,
+                                                   atol=1e-300)
+
     def test_erfc_calls(self, monkeypatch):
-        # one Gaussian tail per distinct factor: the standalone kernels
-        # select the recovery link before taking its tail
+        # one Gaussian tail per distinct factor: a side recovering over its
+        # own link reuses its full-length failure, whatever the cells calls
         calls = []
 
         def counted(x, _orig=protocols.gaussian_q):
@@ -490,7 +531,7 @@ class TestOcsaFactors:
         ch = self.gains(np.random.default_rng(3), n=1200)
         g = (ch.g_pt, ch.g_pr, ch.g_tr)
         m = compute_metrics(ch)
-        for metrics in (None, (m.t_p, m.t_t, m.t_r)):
+        for metrics in (None, m):
             calls.clear()
             ocsa_conditional_miss(cfg, *g, metrics=metrics)
             assert len(calls) == 4
@@ -504,7 +545,8 @@ class TestOcsaFactors:
         for sigma2 in (0.0, 0.1, 1.0):
             factors.cells(metric_order(perturb_metrics(
                 m, sigma2, np.random.default_rng(1))))
-        assert len(calls) == 2 + 6   # a, b and the six other factors
+        # a, b, both sides' full-length failures and helped recoveries
+        assert len(calls) == 2 + 4
 
 
 # ---------------------------------------------------------------------------
