@@ -27,8 +27,11 @@ from functools import partial
 
 import numpy as np
 
-from .channel import MeanGains, compute_metrics, draw_pair_chunk, perturb_metrics
+# perturb_metrics is unused but stays bound: perfbench hooks it here
+from .channel import (MeanGains, add_metric_noise, compute_metrics,  # noqa: F401
+                      draw_pair_chunk, perturb_metrics)
 from .fadeprob import abs_diff_q_mean
+from .numerics import gaussian_q
 # parallel_chunk_stats, ocsa_conditional_miss and ocsa_joint_success are
 # unused but stay bound: perfbench hooks them here
 from .mc import (  # noqa: F401
@@ -53,7 +56,6 @@ from .protocols import (  # noqa: F401
     ocsa_joint_success,
     ocsa_select_relay,
     phase1_failure,
-    select_relay,
 )
 
 __all__ = [
@@ -204,20 +206,63 @@ def _metric_free(scheme: Scheme, cfg: ProtocolConfig, ch):
             csa_joint_success(cfg, ch.g_pt, ch.g_pr, ch.g_tr))
 
 
+def _flip_odds(over_p, over_peer, z_own, sds):
+    """Per noise deviation sd in sds, W: per trial, the probability that
+    metric noise flips whether one side wins the relay choice, given the
+    gains and that side's own standard normal noise draw z_own.
+
+    over_p and over_peer are the side's clean metric leads over the
+    primary's and over its peer's metric, written as the gain differences
+    the metric sums stand for, so rounding never decides a tie; they are
+    overwritten.  In noise units the leads are A = over_p/sd + z_own and
+    B = over_peer/sd + z_own.  The other two noises are independent of
+    z_own, so the noisy win has probability Phi(A) Phi(B): a clean winner
+    loses it with Q(A) + Q(B) - Q(A) Q(B), and a clean loser gains it with
+    Q(-A) Q(-B).  That is 4 Gaussian tails per trial and level.
+    """
+    win = ((over_p > 0) & (over_peer > 0)).astype(float)
+    # Q(s A) and Q(s B), with s = +1 for a clean winner and -1 otherwise
+    sign = win * 2.0
+    sign -= 1.0
+    over_p *= sign
+    over_peer *= sign
+    z_own = np.multiply(z_own, sign, out=sign)
+    x = np.empty_like(z_own)  # each argument, then Q(A) Q(B)
+    out = []
+    for sd in sds:
+        w, q_peer = (gaussian_q(np.add(np.divide(lead, sd, out=x), z_own,
+                                       out=x))
+                     for lead in (over_p, over_peer))
+        both = np.multiply(w, q_peer, out=x)
+        # a loser's W is both, a winner's both + (Q(A) + Q(B) - 2 both)
+        w += q_peer
+        w -= both
+        w -= both
+        w *= win
+        w += both
+        out.append(w)
+    return out
+
+
 def _cells(scheme: Scheme, means: MeanGains, activity: ActivityModel,
            t_c: float, seed: int, d1: int, d2: int, rhos, levels,
            wrong: bool = False, bound: bool = True):
     """(draw, points) of one mc.parallel_grid_stats pass over the dense
-    grid of the distinct rhos and sigma2 levels, one point per rho.  Per
-    level, a point yields the per-trial wrong-relay indicator (ocsa only,
-    levels sorted from 0) if wrong, then the per-trial upper and lower
-    bounds if bound.
+    grid of the distinct rhos and sigma2 levels (sorted), one point per rho.
+    A point yields each level's per-trial wrong-relay probability (ocsa
+    only) if wrong, then each level's per-trial upper and lower bounds if
+    bound.
 
-    The draw gives each chunk's gains, its status uniforms if wrong and,
-    for ocsa, each level's metric order: the noise is drawn once per level
-    and kept only as the comparisons the ocsa rules read.  A point computes
-    its rho's detection failures once for all its cells; they are freed
-    when it finishes.
+    The draw gives each chunk's gains and, for ocsa, one standard normal
+    metric-noise draw z of shape (3, size) that every nonzero level scales
+    by its sd.  Per level it keeps the noisy metric order if bound, and the
+    tx and rx sides' flip odds W_t and W_r (_flip_odds) if wrong; neither
+    depends on rho.  The wrong-relay value is the conditional expectation,
+    given the gains and z, of the indicator that noise changes the relay
+    choice while exactly one secondary detected: (1 - a) b W_t +
+    a (1 - b) W_r, with a and b the first-phase failures at rho.  So no
+    first-phase status is drawn.  A point computes its rho's detection
+    failures once for all its cells; they are freed when it finishes.
     """
     scheme = Scheme(scheme)
     if scheme is Scheme.MUCSA:
@@ -230,40 +275,53 @@ def _cells(scheme: Scheme, means: MeanGains, activity: ActivityModel,
     levels = np.asarray(levels, dtype=float).tolist()
     if min(levels) < 0:
         raise ValueError("sigma2 must be nonnegative")
+    sds = [math.sqrt(s2) for s2 in levels if s2 > 0]
+    zeros = len(levels) - len(sds)  # 0 or 1: the levels are distinct
 
     def draw(idx: int, start: int, size: int):
         ch = draw_pair_chunk(means, seed, idx, size)
-        u = (substream(seed, TAG_STATUS, idx).random((size, 2)) if wrong
-             else None)
         if not ocsa:
-            return ch, u, None
-        clean = compute_metrics(ch)
-        return ch, u, [metric_order(clean if s2 == 0 else perturb_metrics(
-            clean, s2, substream(seed, TAG_METRIC_NOISE, idx)))
-            for s2 in levels]
+            return ch, None, None
+        z = (substream(seed, TAG_METRIC_NOISE, idx).standard_normal((3, size))
+             if sds else None)
+        orders = flips = None
+        if bound:
+            clean = compute_metrics(ch)
+            orders = [metric_order(clean)] * zeros + [
+                metric_order(add_metric_noise(clean, sd, z)) for sd in sds]
+            del clean
+        if wrong and sds:
+            # t_t leads t_p by g_tr - g_pr and t_r by g_pt - g_pr; t_r
+            # leads t_p by g_tr - g_pt and t_t by g_pr - g_pt
+            flips = list(zip(
+                _flip_odds(ch.g_tr - ch.g_pr, ch.g_pt - ch.g_pr, z[1], sds),
+                _flip_odds(ch.g_tr - ch.g_pt, ch.g_pr - ch.g_pt, z[2], sds)))
+        return ch, orders, flips
 
     def point(cfg: ProtocolConfig, sample, _scratch):
-        ch, u, orders = sample
-        power = cfg.rho * ch.g_tr
+        ch, orders, flips = sample
         if not ocsa:
             # the metric-free schemes give every level the same bounds
             yield from tuple(_bounds(activity, _metric_free(scheme, cfg, ch),
-                                     power, t_c)) * len(levels)
+                                     cfg.rho * ch.g_tr, t_c)) * len(levels)
             return
         a = phase1_failure(cfg, ch.g_pt)
         b = phase1_failure(cfg, ch.g_pr)
         if wrong:
-            t_ok, r_ok = u[:, 0] < 1.0 - a, u[:, 1] < 1.0 - b
-            sel_true = select_relay(orders[0], t_ok, r_ok)
-            one_ok = t_ok != r_ok
-        factors = (OcsaFactors(cfg, ch.g_pt, ch.g_pr, ch.g_tr, a, b)
-                   if bound else None)
-        del a, b
-        for order in orders:
-            if wrong:
-                sel = select_relay(order, t_ok, r_ok)
-                yield ((sel_true != sel) & one_ok).astype(float)
-            if bound:
+            # sigma2 = 0 flips nothing; otherwise weigh the two statuses in
+            # which the choice matters: exactly one side detected
+            if zeros:
+                yield np.zeros(len(a))
+            if flips:
+                sf, fs = (1.0 - a) * b, a * (1.0 - b)
+                for w_t, w_r in flips:
+                    yield sf * w_t + fs * w_r
+                del sf, fs
+        if bound:
+            factors = OcsaFactors(cfg, ch.g_pt, ch.g_pr, ch.g_tr, a, b)
+            del a, b
+            power = cfg.rho * ch.g_tr
+            for order in orders:
                 yield from _bounds(activity, factors.cells(order), power, t_c)
 
     return draw, [partial(point, ProtocolConfig(rho=r, d1=d1, d2=d2))
@@ -279,12 +337,16 @@ def _one_pass(scheme: Scheme, means: MeanGains, activity, t_c, n: int,
     rho, sigma2 = np.broadcast_arrays(np.asarray(rho, dtype=float),
                                       np.asarray(sigma2, dtype=float))
     rhos, at_rho = np.unique(rho, return_inverse=True)
-    # a wrong relay is measured against the true choice, at level 0
-    levels = np.unique(np.append(sigma2, [0.0] if wrong else []))
+    levels = np.unique(sigma2)
     stats = parallel_grid_stats(
         *_cells(scheme, means, activity, t_c, seed, d1, d2, rhos, levels,
                 wrong, bound), n, chunk, threads)
-    stats = np.stack(stats, axis=-1).reshape(len(rhos), len(levels), -1, 2)
+    # per rho, every level's wrong-relay cell, then every level's bounds
+    stats = np.stack(stats, axis=-1).reshape(len(rhos), -1, 2)
+    k = len(levels) * wrong
+    stats = np.concatenate(
+        [stats[:, :k].reshape(len(rhos), len(levels), int(wrong), 2),
+         stats[:, k:].reshape(len(rhos), len(levels), 2 * bound, 2)], axis=2)
     return stats[at_rho.reshape(rho.shape), np.searchsorted(levels, sigma2)]
 
 
@@ -316,11 +378,11 @@ def imperfect_capacity(scheme: Scheme, means: MeanGains,
     """Ergodic capacity bounds with noisy relay-selection metrics.
 
     rho and sigma2 broadcast: scalars give float fields, arrays give arrays.
-    The grid runs in one pass: each chunk is drawn once, each distinct
-    noise level once per chunk, and each distinct (rho, sigma2) cell is
-    reduced in chunk order, so its value does not depend on the grid.
-    Noise draws come from a dedicated substream, so sigma2 = 0 reproduces
-    the noiseless estimate bit for bit.
+    The grid runs in one pass: each chunk's gains and metric noise are
+    drawn once, each distinct noise level scales that one noise draw, and
+    each distinct (rho, sigma2) cell is reduced in chunk order, so its value
+    does not depend on the grid.  Noise draws come from a dedicated
+    substream, so sigma2 = 0 reproduces the noiseless estimate bit for bit.
     """
     return _estimate(_one_pass(scheme, means, activity, t_c, n, seed, d1, d2,
                                threads, chunk, rho, sigma2), n)
@@ -428,9 +490,13 @@ def wrong_relay_probability_mc(sigma2, means: MeanGains, rho,
 
     The outcome-relevant statuses are those with exactly one successful
     secondary node: with both successful nothing remains to recover, and
-    with both failed the primary transmits regardless.  Returns (estimate,
-    standard error).  sigma2 and rho broadcast as in imperfect_capacity,
-    whose one-pass rules hold here too.
+    with both failed the primary transmits regardless.  Each trial
+    contributes the conditional probability of that event given its gains
+    and the selecting side's own metric noise (conditional Monte Carlo;
+    see _flip_odds), not the event's 0/1 indicator: the same mean with
+    several times less variance.  Returns (estimate, standard error).
+    sigma2 and rho broadcast as in imperfect_capacity, whose one-pass rules
+    hold here too.
     """
     cells = _one_pass(Scheme.OCSA, means, None, None, n, seed, d1, d2,
                       threads, chunk, rho, sigma2, wrong=True, bound=False)

@@ -8,6 +8,7 @@ directly as exponential variates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,21 +87,28 @@ def compute_metrics(ch: ChannelSet) -> MetricTriple:
     return MetricTriple(ch.g_pt + ch.g_pr, ch.g_pt + ch.g_tr, ch.g_pr + ch.g_tr)
 
 
+def add_metric_noise(metrics: MetricTriple, sd: float, z) -> MetricTriple:
+    """metrics plus sd times the standard normal rows z, in (t_p, t_t, t_r)
+    order."""
+    return MetricTriple(metrics.t_p + sd * z[0], metrics.t_t + sd * z[1],
+                        metrics.t_r + sd * z[2])
+
+
 def perturb_metrics(metrics: MetricTriple, sigma2: float,
                     rng: np.random.Generator) -> MetricTriple:
     """Add independent N(0, sigma2) estimation noise to each metric.
 
     With sigma2 = 0 the input arrays are returned untouched and no draws are
     consumed, so noiseless runs reproduce noisy-pipeline results bit for bit.
+    The noise is sqrt(sigma2) times one standard normal draw of shape (3, n),
+    so any sigma2 scales the same draw (see add_metric_noise).
     """
     if sigma2 < 0:
         raise ValueError("perturb_metrics: sigma2 must be nonnegative")
     if sigma2 == 0.0:
         return metrics
-    sd = float(np.sqrt(sigma2))
-    n = len(metrics.t_p)
-    w = rng.normal(0.0, sd, (3, n))
-    return MetricTriple(metrics.t_p + w[0], metrics.t_t + w[1], metrics.t_r + w[2])
+    z = rng.standard_normal((3, len(metrics.t_p)))
+    return add_metric_noise(metrics, math.sqrt(sigma2), z)
 
 
 @dataclass(frozen=True)

@@ -19,17 +19,22 @@ __all__ = [
     "fit_diversity_slope",
 ]
 
+_SQRT2 = math.sqrt(2.0)
+
 
 def gaussian_q(x):
     """Gaussian tail probability Q(x) = P(Z > x) for standard normal Z.
 
     Accepts scalars or numpy arrays. Q(inf) = 0 and Q(-inf) = 1; NaN input
-    raises ValueError.
+    raises ValueError.  Evaluated as 0.5 * erfc(x / sqrt(2)) in one fresh
+    array, never in x's own buffer.
     """
     arr = np.asarray(x, dtype=float)
     if np.isnan(arr).any():
         raise ValueError("gaussian_q: NaN input")
-    out = 0.5 * erfc(arr / math.sqrt(2.0))
+    out = np.divide(arr, _SQRT2, out=np.empty(arr.shape))
+    erfc(out, out=out)
+    out *= 0.5
     if np.ndim(x) == 0:
         return float(out)
     return out

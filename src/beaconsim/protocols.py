@@ -221,18 +221,6 @@ def _order(metrics, g_pt, g_pr, g_tr) -> MetricOrder:
     return MetricOrder(g_tr > g_pr, g_pt > g_pr, g_tr > g_pt, g_pr > g_pt)
 
 
-def select_relay(order: MetricOrder, t_success, r_success) -> np.ndarray:
-    """ocsa_select_relay on the metric comparisons instead of the metrics."""
-    t_ok = np.asarray(t_success, dtype=bool)
-    r_ok = np.asarray(r_success, dtype=bool)
-    tx_wins = t_ok & order.t_over_p & order.t_over_r
-    rx_wins = ~tx_wins & r_ok & order.r_over_p & order.r_over_t
-    # the wins are disjoint, and PRIMARY is 0
-    return np.asarray(
-        tx_wins.astype(np.int8) * np.int8(RelayIdentity.SECONDARY_TX)
-        + rx_wins.astype(np.int8) * np.int8(RelayIdentity.SECONDARY_RX))
-
-
 def ocsa_select_relay(metrics: MetricTriple, t_success, r_success) -> np.ndarray:
     """Apply the ordered relay-selection rule per trial.
 
@@ -241,7 +229,15 @@ def ocsa_select_relay(metrics: MetricTriple, t_success, r_success) -> np.ndarray
     wins under the same condition; otherwise the primary transmits again.
     Returns an int8 array of RelayIdentity values.
     """
-    return select_relay(metric_order(metrics), t_success, r_success)
+    order = metric_order(metrics)
+    t_ok = np.asarray(t_success, dtype=bool)
+    r_ok = np.asarray(r_success, dtype=bool)
+    tx_wins = t_ok & order.t_over_p & order.t_over_r
+    rx_wins = ~tx_wins & r_ok & order.r_over_p & order.r_over_t
+    # the wins are disjoint, and PRIMARY is 0
+    return np.asarray(
+        tx_wins.astype(np.int8) * np.int8(RelayIdentity.SECONDARY_TX)
+        + rx_wins.astype(np.int8) * np.int8(RelayIdentity.SECONDARY_RX))
 
 
 def _links(cfg: ProtocolConfig, g_own, g_help):
@@ -303,7 +299,7 @@ def ocsa_joint_success(cfg: ProtocolConfig, g_pt, g_pr, g_tr, metrics=None):
     gh, s3 = _as_float_array(g_tr, "ocsa_joint_success")
     factors = OcsaFactors(cfg, gt, gr, gh, _fail(cfg.rho, cfg.d1, gt),
                           _fail(cfg.rho, cfg.d1, gr))
-    return _ret(factors.cells(_order(metrics, gt, gr, gh))[1],
+    return _ret(factors.joint(_order(metrics, gt, gr, gh)),
                 s1 and s2 and s3)
 
 
@@ -313,7 +309,8 @@ class OcsaFactors:
 
     A metric order only picks, per trial, the link each failed side
     recovers over: the helper link or its own.  So the tx-side miss and
-    each joint term are kept for both links, and ``cells`` picks per trial.
+    each joint term are kept for both links, and ``miss`` and ``joint``
+    pick per trial; the two miss arrays are built on the first ``miss``.
     Over its own link a side hears all d uses, so that recovery is the
     full-length failure the both-failed retry needs too: 2 + 4 Gaussian
     tails in all.  Written as Q(sqrt(2 rho (d1 g + d2 g))) it rounds alike
@@ -328,22 +325,31 @@ class OcsaFactors:
         self.head = [ss + sf * (1.0 - fail) for fail in rx]
         heard_r = 1.0 - rx[1]
         del ss, sf, rx
-        fs, ff = a * (1.0 - b), a * b
-        tx = _links(cfg, g_pt, g_tr)
-        self.retry = ff * ((1.0 - tx[1]) * heard_r)
-        del heard_r
-        self.miss = _ocsa_miss(fs, ff, tx)
-        del ff
-        self.tx = [fs * (1.0 - fail) for fail in tx]
+        self._fs, self._ff = a * (1.0 - b), a * b
+        self._fail = _links(cfg, g_pt, g_tr)
+        self.retry = self._ff * ((1.0 - self._fail[1]) * heard_r)
+        self.tx = [self._fs * (1.0 - fail) for fail in self._fail]
+        self._miss = None
 
-    def cells(self, order: MetricOrder):
-        """(tx-side miss, joint success) under the given metric order.  For
-        the miss a failed side's peer relays only when its metric beats
-        both others; for the joint, whenever it beats the primary's."""
+    def miss(self, order: MetricOrder):
+        """The tx-side miss: its failed side's peer relays only when its
+        metric beats both others."""
+        if self._miss is None:
+            self._miss = _ocsa_miss(self._fs, self._ff, self._fail)
+            del self._fs, self._ff, self._fail
+        return _miss_pick(order, self._miss)
+
+    def joint(self, order: MetricOrder):
+        """Joint success: a failed side's peer relays whenever its metric
+        beats the primary's."""
         joint = np.where(order.t_over_p, *self.head)
         joint += np.where(order.r_over_p, *self.tx)
         joint += self.retry
-        return _miss_pick(order, self.miss), np.clip(joint, 0, 1, out=joint)
+        return np.clip(joint, 0, 1, out=joint)
+
+    def cells(self, order: MetricOrder):
+        """(tx-side miss, joint success) under the given metric order."""
+        return self.miss(order), self.joint(order)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ decay that diversity orders rest on from outside the estimators; the
 high-SNR coefficients give the constant C of a miss curve C rho^-D, which a
 slope fit cannot see; the own-fade miss is the limit of a relayed user's
 miss as its own primary mean goes to 0; the per-mask mucsa loop is the
-bit-exact reference for the blocked channel-mode kernel.  Nothing here may
-import ``beaconsim.fadeprob``: an oracle built on the kernels it checks would
-agree with their errors.
+bit-exact reference for the blocked channel-mode kernel; the wrong-relay
+indicator is the plain Monte Carlo estimate that the conditional one must
+agree with.  Nothing here may import ``beaconsim.fadeprob``: an oracle
+built on the kernels it checks would agree with their errors.
 """
 
 from __future__ import annotations
@@ -154,3 +155,39 @@ def mucsa_miss_by_masks(rho: float, d1: int, d2: int, g_p: np.ndarray,
         total += prob * miss
     total += np.prod(fail, axis=0)
     return np.clip(total, 0.0, 1.0)
+
+
+def _relay_pick(t_p, t_t, t_r, t_ok, r_ok) -> np.ndarray:
+    """ocsa relay per trial: 1 (tx) if it detected and its metric strictly
+    beats both others, else 2 (rx) under the same rule, else 0 (primary)."""
+    tx = t_ok & (t_t > t_p) & (t_t > t_r)
+    rx = ~tx & r_ok & (t_r > t_p) & (t_r > t_t)
+    return np.where(tx, 1, np.where(rx, 2, 0))
+
+
+def wrong_relay_indicator(means: Sequence[float], rho: float, d1: int,
+                          sigma2: float, n: int, seed: int,
+                          block: int = 100_000) -> tuple[float, float]:
+    """(mean, se) of the indicator that metric noise changes the ocsa relay
+    choice while exactly one secondary detected in phase one.
+
+    Each trial draws its gains (means in (pt, pr, tr) order), both
+    first-phase statuses and N(0, sigma2) noise on the three metric sums
+    from its own generator, n trials in blocks.  The SE is the Bernoulli
+    one.
+    """
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for start in range(0, n, block):
+        m = min(block, n - start)
+        g_pt, g_pr, g_tr = rng.exponential(means, (m, 3)).T
+        t_ok = rng.random(m) >= _q(np.sqrt(2.0 * d1 * rho * g_pt))
+        r_ok = rng.random(m) >= _q(np.sqrt(2.0 * d1 * rho * g_pr))
+        clean = (g_pt + g_pr, g_pt + g_tr, g_pr + g_tr)
+        noise = math.sqrt(sigma2) * rng.standard_normal((3, m))
+        noisy = [t + w for t, w in zip(clean, noise)]
+        picked = _relay_pick(*noisy, t_ok, r_ok)
+        hits += int(np.count_nonzero(
+            (picked != _relay_pick(*clean, t_ok, r_ok)) & (t_ok != r_ok)))
+    p = hits / n
+    return p, math.sqrt(p * (1.0 - p) / n)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import json
 import math
 import tracemalloc
 from functools import partial
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beaconsim import capacity, channel
+from beaconsim import capacity, channel, cli
 from beaconsim.channel import MeanGains
 from beaconsim.capacity import (
     ActivityModel,
@@ -41,14 +42,15 @@ from beaconsim.mc import (
     TAG_STATUS,
     parallel_grid_stats,
 )
+from beaconsim.numerics import gaussian_q
 from beaconsim.protocols import (
     ProtocolConfig,
     Scheme,
     ocsa_conditional_miss,
     ocsa_joint_success,
-    ocsa_select_relay,
     phase1_failure,
 )
+from oracle import wrong_relay_indicator
 
 MEANS = MeanGains(pt=1.0, pr=2.0, tr=3.0)
 ACT = ActivityModel(p_theta_t=0.85, p_theta_joint=0.7)
@@ -332,6 +334,99 @@ class TestWrongRelay:
                                        seed=31, chunk=8_000, threads=4)
         assert a == b
 
+    @pytest.mark.parametrize("means, rho_db, sigma2, d1", [
+        ((1.0, 2.0, 3.0), 6.0, 0.01, 1),
+        ((1.0, 1.0, 1.0), 0.0, 0.1, 1),
+        ((2.0, 0.5, 1.0), 3.0, 1.0, 2),
+    ])
+    def test_conditional_agrees_with_indicator(self, means, rho_db, sigma2,
+                                               d1):
+        # independent seeds and streams, 1e6 trials each
+        rho = 10.0 ** (rho_db / 10.0)
+        mc, se = wrong_relay_probability_mc(
+            sigma2, MeanGains(*means), rho, n=1_000_000, seed=41, d1=d1,
+            chunk=100_000)
+        ind, ind_se = wrong_relay_indicator(means, rho, d1, sigma2,
+                                            n=1_000_000, seed=43)
+        assert se < ind_se
+        assert abs(mc - ind) <= 4.0 * math.hypot(se, ind_se)
+
+    @pytest.mark.parametrize("side", ["t", "r"])
+    def test_flip_odds_equal_brute_force_average(self, side):
+        # fixed gains and own noise; average the flip over 1e6 draws of the
+        # other two metric noises
+        g_pt = np.array([1.0, 0.9, 0.2, 1.5, 0.6])
+        g_pr = np.array([0.5, 1.0, 0.3, 1.4, 0.2])
+        g_tr = np.array([0.8, 1.2, 0.1, 1.3, 0.7])
+        z_own = np.array([0.3, -0.4, 1.1, 0.0, -1.2])
+        sd = 0.4
+        if side == "t":
+            own, peer = g_pt, g_pr
+        else:
+            own, peer = g_pr, g_pt
+        (w,) = capacity._flip_odds(g_tr - peer, own - peer, z_own, [sd])
+        t_p, t_own, t_peer = g_pt + g_pr, own + g_tr, peer + g_tr
+        rng = np.random.default_rng(47)
+        n = 1_000_000
+        for i in range(len(w)):
+            wins = (t_own[i] > t_p[i]) and (t_own[i] > t_peer[i])
+            z_p, z_peer = sd * rng.standard_normal((2, n))
+            mine = t_own[i] + sd * z_own[i]
+            flips = ((mine > t_p[i] + z_p) & (mine > t_peer[i] + z_peer)
+                     ) != wins
+            se = math.sqrt(w[i] * (1.0 - w[i]) / n)
+            assert 1e-3 < w[i] < 1.0 - 1e-3
+            assert abs(flips.mean() - w[i]) <= 4.0 * se
+
+    @pytest.mark.parametrize("means", [(1.0, 1.0, 1.0)] + [
+        tuple(v if i == j else 1.0 for i in range(3))
+        for v in (1e-30, 1e30) for j in range(3)]
+        + [(1e-30,) * 3, (1e30,) * 3])
+    def test_edge_range(self, means, tmp_path):
+        # the imperfect kind and the library call over extreme noise, SNR
+        # and pair means: finite probabilities, nonnegative SEs, and exact
+        # zeros without noise
+        sigma2 = [0.0, 1e-300, 0.05, 1e6, 1e300]
+        rho_db = [-60.0, 0.0, 60.0]
+        cfg = tmp_path / "edge.ini"
+        cfg.write_text(
+            "[run]\nseed = 61\nn_trials = 2000\n"
+            "[channel]\n" + "".join(f"{k} = {v!r}\n" for k, v in
+                                    zip(("pt", "pr", "tr"), means))
+            + '[protocol]\nscheme = "ocsa"\nd = 2\nalpha = 0.5\n'
+            "[capacity]\np_theta_t = 0.85\np_theta_joint = 0.7\n"
+            f"t_c = 10.0\nsigma2 = {sigma2}\n"
+            f'[sweep]\nrho_db = {rho_db}\nmode = "channel"\n')
+        out = tmp_path / "edge.json"
+        assert cli.main(["imperfect", "--config", str(cfg), "--format",
+                         "json", "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert len(rows) == len(sigma2) * len(rho_db)
+        cells = [(r["sigma2"], r["wrong_relay_mc"], r["wrong_relay_se"])
+                 for r in rows]
+        s2 = np.array(sigma2)[:, None]
+        mc, se = wrong_relay_probability_mc(
+            s2, MeanGains(*means), 10.0 ** (np.array(rho_db) / 10.0),
+            n=2000, seed=61)
+        cells += zip(np.broadcast_to(s2, mc.shape).ravel(), mc.ravel(),
+                     se.ravel())
+        for level, p, p_se in cells:
+            assert 0.0 <= p <= 1.0 and 0.0 <= p_se < math.inf
+            if level == 0.0:
+                assert (p, p_se) == (0.0, 0.0)
+
+    def test_variance_drop_on_benchmark_cell(self):
+        # the capacity-mix config (means 1, 2, 3; d1 = d2 = 1) at 6 dB,
+        # sigma2 = 0.01: the conditional value's per-trial variance over
+        # the indicator's, from their SEs at equal n
+        rho = 10.0 ** 0.6
+        n = 200_000
+        _, se = wrong_relay_probability_mc(0.01, MEANS, rho, n=n, seed=53,
+                                           chunk=50_000)
+        _, ind_se = wrong_relay_indicator((1.0, 2.0, 3.0), rho, 1, 0.01, n,
+                                          seed=59)
+        assert (ind_se / se) ** 2 >= 5.0
+
 
 # ---------------------------------------------------------------------------
 # Throughput with beaconing overhead
@@ -433,16 +528,17 @@ class TestGrid:
                                  **self.KW)
         assert est.upper_mean.shape == (3, 3)
         assert opened(TAG_GAINS) == [0, 1, 2, 3]
-        # two noisy levels; sigma2 = 0 draws no noise
-        assert opened(TAG_METRIC_NOISE) == [0, 0, 1, 1, 2, 2, 3, 3]
+        # one noise draw per chunk, which both noisy levels scale
+        assert opened(TAG_METRIC_NOISE) == [0, 1, 2, 3]
 
     def test_wrong_relay_draws_once(self, monkeypatch):
         opened = self.opened(monkeypatch)
         mc, se = wrong_relay_probability_mc([[0.1], [0.2]], rho=self.RHOS,
                                             **self.KW)
         assert mc.shape == se.shape == (2, 3)
-        assert opened(TAG_GAINS) == opened(TAG_STATUS) == [0, 1, 2, 3]
-        assert opened(TAG_METRIC_NOISE) == [0, 0, 1, 1, 2, 2, 3, 3]
+        # the wrong-relay value integrates the statuses out: none is drawn
+        assert opened(TAG_GAINS) == opened(TAG_METRIC_NOISE) == [0, 1, 2, 3]
+        assert opened(TAG_STATUS) == []
 
     def test_throughput_draws_once(self, monkeypatch):
         opened = self.opened(monkeypatch)
@@ -477,29 +573,38 @@ class TestGrid:
                 grid.lower_mean[i, j], grid.lower_se[i, j], grid.n_trials)
 
     def test_imperfect_estimates_equal_standalone_kernels(self, monkeypatch):
-        # reference cells from the standalone kernels, reduced by the same
-        # parallel_grid_stats; sigma2 repeats a level and includes 0
+        # reference cells from the standalone kernels and the conditional
+        # wrong-relay formula, reduced by the same parallel_grid_stats;
+        # sigma2 repeats a level and includes 0
         s2 = [0.3, 0.0, 0.05, 1.0, 0.01, 0.3, 2.0]
         opened = self.opened(monkeypatch)
         est, base, wrong = capacity.imperfect_estimates(
             activity=ACT, rho=self.RHOS[:, None], t_c=10.0, sigma2=s2,
             **self.KW)
-        # each chunk's draws open once, and each nonzero level's noise once
-        assert opened(TAG_GAINS) == opened(TAG_STATUS) == [0, 1, 2, 3]
-        assert opened(TAG_METRIC_NOISE) == sorted([0, 1, 2, 3] * 5)
+        # each chunk's gains and metric noise open once; no status is drawn
+        assert opened(TAG_GAINS) == opened(TAG_METRIC_NOISE) == [0, 1, 2, 3]
+        assert opened(TAG_STATUS) == []
         seed = self.KW["seed"]
 
         def draw(idx, start, size):
             ch = channel.draw_pair_chunk(MEANS, seed, idx, size)
-            u = channel.substream(seed, TAG_STATUS, idx).random((size, 2))
             clean = channel.compute_metrics(ch)
             noisy = {s: clean if s == 0 else channel.perturb_metrics(
                 clean, s, channel.substream(seed, TAG_METRIC_NOISE, idx))
                 for s in s2}
-            return ch, u, clean, noisy
+            z = channel.substream(seed, TAG_METRIC_NOISE, idx
+                                  ).standard_normal((3, size))
+            return ch, clean, noisy, z
+
+        def flip(lead, over_p, over_peer, z_own, sd):
+            # the chance that noise flips a side's win, given its own noise
+            q_a = gaussian_q(over_p / sd + z_own)
+            q_b = gaussian_q(over_peer / sd + z_own)
+            return np.where(lead, 1.0 - (1.0 - q_a) * (1.0 - q_b),
+                            (1.0 - q_a) * (1.0 - q_b))
 
         def reference(rho, sample, _scratch):
-            ch, u, clean, noisy = sample
+            ch, clean, noisy, z = sample
             g = (ch.g_pt, ch.g_pr, ch.g_tr)
             cfg = ProtocolConfig(rho=rho, d1=1, d2=1)
             for s in (*s2, 0.0):  # the noisy cells, then the baseline
@@ -510,12 +615,19 @@ class TestGrid:
                 power = rho * ch.g_tr
                 yield capacity_upper(p_joint, power)
                 yield capacity_lower(p_t, p_joint, power, 10.0)
-            t_ok = u[:, 0] < 1.0 - phase1_failure(cfg, ch.g_pt)
-            r_ok = u[:, 1] < 1.0 - phase1_failure(cfg, ch.g_pr)
-            true = ocsa_select_relay(clean, t_ok, r_ok)
+            a = phase1_failure(cfg, ch.g_pt)
+            b = phase1_failure(cfg, ch.g_pr)
+            t_p, t_t, t_r = clean.t_p, clean.t_t, clean.t_r
             for s in s2:
-                picked = ocsa_select_relay(noisy[s], t_ok, r_ok)
-                yield ((true != picked) & (t_ok != r_ok)).astype(float)
+                if s == 0:
+                    yield np.zeros(len(a))
+                    continue
+                sd = np.sqrt(s)
+                w_t = flip((t_t > t_p) & (t_t > t_r), t_t - t_p, t_t - t_r,
+                           z[1], sd)
+                w_r = flip((t_r > t_p) & (t_r > t_t), t_r - t_p, t_r - t_t,
+                           z[2], sd)
+                yield (1.0 - a) * b * w_t + a * (1.0 - b) * w_r
 
         stats = list(zip(*parallel_grid_stats(
             draw, [partial(reference, rho) for rho in self.RHOS],
@@ -530,8 +642,12 @@ class TestGrid:
                     (um, us), (lm, ls) = cells[c:c + 2]
                     assert [e.upper_mean[i, j], e.lower_mean[i, j]] == [um, lm]
                     assert [e.upper_se[i, j], e.lower_se[i, j]] == [us, ls]
+                # the formula is written from the metric sums and 1 - Phi
+                # products, so it rounds differently from the program
                 mean, se = cells[2 * k + 2 + j]
-                assert (wrong[0][i, j], wrong[1][i, j]) == (mean, se)
+                assert wrong[0][i, j] == pytest.approx(mean, rel=1e-9, abs=0)
+                assert wrong[1][i, j] == pytest.approx(se, rel=1e-9, abs=0)
+                assert (wrong[0][i, j] > 0) == (s2[j] > 0)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_mc_cells_equal_one_cell_calls(self, threads):

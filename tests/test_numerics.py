@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import erfc
 
 from beaconsim.numerics import fit_diversity_slope, gaussian_q
 from oracle import alternating_binomial_moment, deep_fade_integral
@@ -77,6 +78,23 @@ class TestGaussianQ:
         out = gaussian_q(x)
         assert out.shape == x.shape
         assert out[1] == 0.5
+
+    def test_bits_of_the_textbook_form_and_input_kept(self):
+        # evaluated in place in its own output, Q keeps the bits of
+        # 0.5 * erfc(x / sqrt(2)) and never writes into its argument
+        mag = np.concatenate([[0.0, 5e-324, 2.2e-308 / 3, np.inf],
+                              np.geomspace(1e-300, 40.0, 2001)])
+        x = np.concatenate([mag, -mag]).reshape(2, -1)
+        kept = x.copy()
+        want = 0.5 * erfc(x / math.sqrt(2.0))
+        assert gaussian_q(x).tobytes() == want.tobytes()
+        assert x.tobytes() == kept.tobytes()
+        assert [gaussian_q(float(v)) for v in x.ravel()] == want.ravel().tolist()
+        # a non-contiguous view and a 0-d array come back as fresh values
+        view = x[:, ::3]
+        assert gaussian_q(view).tobytes() == want[:, ::3].tobytes()
+        assert gaussian_q(np.array(1.0)) == 0.5 * erfc(1.0 / math.sqrt(2.0))
+        assert x.tobytes() == kept.tobytes()
 
     @given(st.floats(min_value=-8.0, max_value=8.0, allow_nan=False))
     def test_symmetry(self, x):
