@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -50,15 +50,52 @@ def chunk_ranges(n: int, chunk: int | None = None) -> list[tuple[int, int, int]]
     return out
 
 
+# Worker pools by size, started on first use and kept for the process.  A
+# pool started per call would hand its chunks to new threads while the last
+# call's threads may still be exiting; glibc then gives such a thread a new
+# malloc arena, so peak memory would vary from run to run.  Kept threads
+# keep their arenas.  An idle pool thread only waits on its queue.
+_POOLS: dict[int, ThreadPoolExecutor] = {}
+_POOLS_LOCK = threading.Lock()
+
+
+def _forget_pools() -> None:
+    # a forked child has none of its parent's pool threads
+    global _POOLS_LOCK
+    _POOLS.clear()
+    _POOLS_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pools)
+
+# set while a pool thread runs a chunk: a nested call runs inline, since
+# waiting on its own pool's threads could deadlock
+_IN_POOL = threading.local()
+
+
+def _in_pool(fn, *args):
+    _IN_POOL.active = True
+    try:
+        return fn(*args)
+    finally:
+        _IN_POOL.active = False
+
+
 def _run_chunks(worker: Callable, ranges: Sequence[tuple[int, int, int]],
                 threads: int) -> list:
     # more workers than chunks or CPUs only adds OS threads
     workers = min(threads, len(ranges), os.cpu_count() or 1)
-    if workers <= 1:
+    if workers <= 1 or getattr(_IN_POOL, "active", False):
         return [worker(*r) for r in ranges]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(worker, *r) for r in ranges]
-        return [f.result() for f in futures]
+    with _POOLS_LOCK:
+        pool = _POOLS.get(workers)
+        if pool is None:
+            pool = _POOLS[workers] = ThreadPoolExecutor(max_workers=workers)
+    futures = [pool.submit(_in_pool, worker, *r) for r in ranges]
+    # no chunk outlives the call, even when an earlier one raised
+    wait(futures)
+    return [f.result() for f in futures]
 
 
 def parallel_grid_stats(draw: Callable[[int, int, int], object],

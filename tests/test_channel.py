@@ -271,9 +271,78 @@ class TestWorkerPool:
         # the fake pool starts no thread, so the huge request is safe
         monkeypatch.setattr(_InlinePool, "sizes", [])
         monkeypatch.setattr(mc, "ThreadPoolExecutor", _InlinePool)
+        monkeypatch.setattr(mc, "_POOLS", {})  # pools kept by earlier tests
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         ranges = mc.chunk_ranges(chunks * 10, 10)
         out = mc._run_chunks(lambda idx, start, size: (idx, start, size),
                              ranges, threads)
         assert out == ranges
         assert _InlinePool.sizes == ([] if want is None else [want])
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs")
+    def test_pool_kept_across_calls(self):
+        # the second call runs on the first call's threads, which keep
+        # their malloc arenas
+        def worker(idx, start, size):
+            time.sleep(0.005)  # lets both threads take chunks
+            seen.add(threading.get_ident())
+            return np.zeros(size)
+
+        runs = []
+        for _ in range(2):
+            seen = set()
+            parallel_chunk_stats(worker, 800, 100, 2)
+            runs.append(seen)
+        assert len(runs[0]) == 2
+        assert runs[1] <= runs[0]
+        assert threading.get_ident() not in runs[0]
+
+    def test_raising_chunk_waits_for_the_others(self):
+        # the call does not return while a kept pool thread still runs one
+        # of its chunks
+        done = []
+
+        def worker(idx, start, size):
+            if idx == 0:
+                raise RuntimeError("chunk 0")
+            time.sleep(0.02)
+            done.append(idx)
+            return np.zeros(size)
+
+        with pytest.raises(RuntimeError, match="chunk 0"):
+            parallel_chunk_stats(worker, 400, 100, 2)
+        assert sorted(done) == [1, 2, 3]
+
+    def test_nested_call_runs_inline(self):
+        # a chunk that calls the engine again runs that call on its own
+        # thread instead of waiting for the pool it occupies
+        def inner(idx, start, size):
+            return np.full(size, float(idx))
+
+        def outer(idx, start, size):
+            return np.full(size, parallel_chunk_stats(inner, 300, 100, 2)[0])
+
+        assert parallel_chunk_stats(outer, 400, 100, 2)[0] == 1.0
+
+    @pytest.mark.skipif(not hasattr(os, "fork") or (os.cpu_count() or 1) < 2,
+                        reason="needs fork and 2 CPUs")
+    def test_forked_child_starts_its_own_pool(self):
+        # the parent's kept pool threads do not exist in a forked child
+        def worker(idx, start, size):
+            return np.full(size, float(idx))
+
+        parallel_chunk_stats(worker, 400, 100, 2)
+        pid = os.fork()
+        if pid == 0:
+            ok = parallel_chunk_stats(worker, 400, 100, 2)[0] == 1.5
+            os._exit(0 if ok else 1)
+        for _ in range(200):
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.05)
+        else:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's call did not return in 10 s")
+        assert status == 0
