@@ -49,6 +49,7 @@ from .protocols import (  # noqa: F401
     Scheme,
     csa_conditional_miss,
     csa_joint_success,
+    gain_order,
     metric_order,
     nc_conditional_miss,
     nc_joint_success,
@@ -206,21 +207,23 @@ def _metric_free(scheme: Scheme, cfg: ProtocolConfig, ch):
             csa_joint_success(cfg, ch.g_pt, ch.g_pr, ch.g_tr))
 
 
-def _flip_odds(over_p, over_peer, z_own, sds):
+def _flip_odds(win, over_p, over_peer, z_own, sds):
     """Per noise deviation sd in sds, W: per trial, the probability that
     metric noise flips whether one side wins the relay choice, given the
     gains and that side's own standard normal noise draw z_own.
 
+    win is whether the side wins on the clean metrics, from gain_order.
     over_p and over_peer are the side's clean metric leads over the
     primary's and over its peer's metric, written as the gain differences
-    the metric sums stand for, so rounding never decides a tie; they are
-    overwritten.  In noise units the leads are A = over_p/sd + z_own and
-    B = over_peer/sd + z_own.  The other two noises are independent of
-    z_own, so the noisy win has probability Phi(A) Phi(B): a clean winner
-    loses it with Q(A) + Q(B) - Q(A) Q(B), and a clean loser gains it with
-    Q(-A) Q(-B).  That is 4 Gaussian tails per trial and level.
+    the metric sums stand for (positive exactly where gain_order has the
+    side ahead); they are overwritten.  In noise units the leads are
+    A = over_p/sd + z_own and B = over_peer/sd + z_own.  The other two
+    noises are independent of z_own, so the noisy win has probability
+    Phi(A) Phi(B): a clean winner loses it with Q(A) + Q(B) - Q(A) Q(B),
+    and a clean loser gains it with Q(-A) Q(-B).  That is 4 Gaussian
+    tails per trial and level.
     """
-    win = ((over_p > 0) & (over_peer > 0)).astype(float)
+    win = win.astype(float)
     # Q(s A) and Q(s B), with s = +1 for a clean winner and -1 otherwise
     sign = win * 2.0
     sign -= 1.0
@@ -255,14 +258,16 @@ def _cells(scheme: Scheme, means: MeanGains, activity: ActivityModel,
 
     The draw gives each chunk's gains and, for ocsa, one standard normal
     metric-noise draw z of shape (3, size) that every nonzero level scales
-    by its sd.  Per level it keeps the noisy metric order if bound, and the
-    tx and rx sides' flip odds W_t and W_r (_flip_odds) if wrong; neither
-    depends on rho.  The wrong-relay value is the conditional expectation,
-    given the gains and z, of the indicator that noise changes the relay
-    choice while exactly one secondary detected: (1 - a) b W_t +
-    a (1 - b) W_r, with a and b the first-phase failures at rho.  So no
-    first-phase status is drawn.  A point computes its rho's detection
-    failures once for all its cells; they are freed when it finishes.
+    by its sd.  Per level it keeps the metric order if bound, and the tx
+    and rx sides' flip odds W_t and W_r (_flip_odds) if wrong; neither
+    depends on rho.  The sigma2 = 0 order and the clean winners are the
+    kernels' gain_order; only the nonzero levels sum metrics.  The
+    wrong-relay value is the conditional expectation, given the gains and
+    z, of the indicator that noise changes the relay choice while exactly
+    one secondary detected: (1 - a) b W_t + a (1 - b) W_r, with a and b
+    the first-phase failures at rho.  So no first-phase status is drawn.
+    A point computes its rho's detection failures once for all its cells;
+    they are freed when it finishes.
     """
     scheme = Scheme(scheme)
     if scheme is Scheme.MUCSA:
@@ -284,18 +289,21 @@ def _cells(scheme: Scheme, means: MeanGains, activity: ActivityModel,
             return ch, None, None
         z = (substream(seed, TAG_METRIC_NOISE, idx).standard_normal((3, size))
              if sds else None)
+        clean = gain_order(ch.g_pt, ch.g_pr, ch.g_tr)
         orders = flips = None
         if bound:
-            clean = compute_metrics(ch)
-            orders = [metric_order(clean)] * zeros + [
-                metric_order(add_metric_noise(clean, sd, z)) for sd in sds]
-            del clean
+            metrics = compute_metrics(ch) if sds else None
+            orders = [clean] * zeros + [
+                metric_order(add_metric_noise(metrics, sd, z)) for sd in sds]
+            del metrics
         if wrong and sds:
             # t_t leads t_p by g_tr - g_pr and t_r by g_pt - g_pr; t_r
             # leads t_p by g_tr - g_pt and t_t by g_pr - g_pt
             flips = list(zip(
-                _flip_odds(ch.g_tr - ch.g_pr, ch.g_pt - ch.g_pr, z[1], sds),
-                _flip_odds(ch.g_tr - ch.g_pt, ch.g_pr - ch.g_pt, z[2], sds)))
+                _flip_odds(clean.t_over_p & clean.t_over_r, ch.g_tr - ch.g_pr,
+                           ch.g_pt - ch.g_pr, z[1], sds),
+                _flip_odds(clean.r_over_p & clean.r_over_t, ch.g_tr - ch.g_pt,
+                           ch.g_pr - ch.g_pt, z[2], sds)))
         return ch, orders, flips
 
     def point(cfg: ProtocolConfig, sample, _scratch):

@@ -110,11 +110,13 @@ def split_channel_uses(d: int, alpha: float = 0.5) -> tuple[int, int]:
     return d1, d - d1
 
 
-def _as_float_array(g, name: str) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(g, dtype=float)
-    if np.any(arr < 0):
+def _gains(name: str, *gains) -> tuple[list[np.ndarray], bool]:
+    """The gains as float arrays, checked nonnegative, and whether all of
+    them are scalars."""
+    arrs = [np.asarray(g, dtype=float) for g in gains]
+    if any(np.any(arr < 0) for arr in arrs):
         raise ValueError(f"{name}: gains must be nonnegative")
-    return arr, arr.ndim == 0
+    return arrs, all(arr.ndim == 0 for arr in arrs)
 
 
 def _ret(value, scalar: bool):
@@ -128,7 +130,7 @@ def _fail(rho: float, uses: int, g: np.ndarray):
 
 def phase1_failure(cfg: ProtocolConfig, g):
     """Probability that first-phase detection over gain g fails."""
-    arr, scalar = _as_float_array(g, "phase1_failure")
+    (arr,), scalar = _gains("phase1_failure", g)
     return _ret(_fail(cfg.rho, cfg.d1, arr), scalar)
 
 
@@ -139,16 +141,15 @@ def phase1_failure(cfg: ProtocolConfig, g):
 
 def nc_conditional_miss(cfg: ProtocolConfig, g):
     """Miss probability of a lone node listening for the full beacon."""
-    arr, scalar = _as_float_array(g, "nc_conditional_miss")
+    (arr,), scalar = _gains("nc_conditional_miss", g)
     return _ret(_fail(cfg.rho, cfg.d, arr), scalar)
 
 
 def nc_joint_success(cfg: ProtocolConfig, g_pt, g_pr):
     """Probability that both nodes of the pair detect independently."""
-    at, st = _as_float_array(g_pt, "nc_joint_success")
-    ar, sr = _as_float_array(g_pr, "nc_joint_success")
+    (at, ar), scalar = _gains("nc_joint_success", g_pt, g_pr)
     out = (1.0 - _fail(cfg.rho, cfg.d, at)) * (1.0 - _fail(cfg.rho, cfg.d, ar))
-    return _ret(np.clip(out, 0.0, 1.0), st and sr)
+    return _ret(np.clip(out, 0.0, 1.0), scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -163,31 +164,28 @@ def csa_conditional_miss(cfg: ProtocolConfig, g_own, g_peer, g_tr):
     succeeded but the combined primary-plus-relay observation still fails,
     or (b) the peer failed too (no relay, miss certain).
     """
-    go, s1 = _as_float_array(g_own, "csa_conditional_miss")
-    gp, s2 = _as_float_array(g_peer, "csa_conditional_miss")
-    gh, s3 = _as_float_array(g_tr, "csa_conditional_miss")
+    (go, gp, gh), scalar = _gains("csa_conditional_miss", g_own, g_peer,
+                                  g_tr)
     rho = cfg.rho
     a = _fail(rho, cfg.d1, go)
     b = _fail(rho, cfg.d1, gp)
     combined = gaussian_q(np.sqrt(2.0 * cfg.d1 * rho * go + 2.0 * cfg.d2 * rho * gh))
     out = np.clip(a * (1.0 - b) * combined + a * b, 0.0, 1.0)
-    return _ret(out, s1 and s2 and s3)
+    return _ret(out, scalar)
 
 
 def csa_joint_success(cfg: ProtocolConfig, g_pt, g_pr, g_tr):
     """Probability that both nodes end up detecting under always-on
     rebeaconing: either both succeed in phase one, or exactly one does and
     the other recovers from the combined observation."""
-    gt, s1 = _as_float_array(g_pt, "csa_joint_success")
-    gr, s2 = _as_float_array(g_pr, "csa_joint_success")
-    gh, s3 = _as_float_array(g_tr, "csa_joint_success")
+    (gt, gr, gh), scalar = _gains("csa_joint_success", g_pt, g_pr, g_tr)
     rho = cfg.rho
     a = _fail(rho, cfg.d1, gt)
     b = _fail(rho, cfg.d1, gr)
     rec_r = 1.0 - gaussian_q(np.sqrt(2.0 * cfg.d1 * rho * gr + 2.0 * cfg.d2 * rho * gh))
     rec_t = 1.0 - gaussian_q(np.sqrt(2.0 * cfg.d1 * rho * gt + 2.0 * cfg.d2 * rho * gh))
     out = (1.0 - a) * (1.0 - b) + (1.0 - a) * b * rec_r + a * (1.0 - b) * rec_t
-    return _ret(np.clip(out, 0.0, 1.0), s1 and s2 and s3)
+    return _ret(np.clip(out, 0.0, 1.0), scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +210,10 @@ def metric_order(metrics: MetricTriple) -> MetricOrder:
     return MetricOrder(t_t > t_p, t_t > t_r, t_r > t_p, t_r > t_t)
 
 
-def _order(metrics, g_pt, g_pr, g_tr) -> MetricOrder:
-    """metric_order of metrics or, without them, of the true metrics read
-    off the gains they sum (t_t > t_p exactly when g_tr > g_pr, and so on),
-    so that rounding the sums never decides a tie."""
-    if metrics is not None:
-        return metric_order(metrics)
+def gain_order(g_pt, g_pr, g_tr) -> MetricOrder:
+    """The one noiseless metric order, read off the gains the true metrics
+    sum (t_t > t_p exactly when g_tr > g_pr, and so on), so that rounding
+    the sums never decides a tie."""
     return MetricOrder(g_tr > g_pr, g_pt > g_pr, g_tr > g_pt, g_pr > g_pt)
 
 
@@ -259,48 +255,36 @@ def _miss_pick(order: MetricOrder, miss):
     return np.where(order.r_over_p & order.r_over_t, *miss)
 
 
-def ocsa_conditional_miss(cfg: ProtocolConfig, g_own, g_peer, g_tr,
-                          metrics=None):
+def ocsa_conditional_miss(cfg: ProtocolConfig, g_own, g_peer, g_tr):
     """Miss probability of one node under opportunistic slot assignment.
 
     If the node fails phase one while its peer succeeds, the peer relays
     only when it wins the selection rule; otherwise the primary itself
     transmits through the whole slot, so the node observes its own primary
     link over all d uses.  When both fail, the primary always transmits.
-
-    ``metrics`` optionally supplies a MetricTriple of (possibly noisy)
-    selection metrics in the node's own frame, (t_p, t_own, t_peer); by
-    default they are the true ones, and the peer wins exactly when
-    ``g_own < min(g_peer, g_tr)``.
+    The metrics are the true ones (gain_order), so the peer wins exactly
+    when ``g_own < min(g_peer, g_tr)``.
     """
-    go, s1 = _as_float_array(g_own, "ocsa_conditional_miss")
-    gp, s2 = _as_float_array(g_peer, "ocsa_conditional_miss")
-    gh, s3 = _as_float_array(g_tr, "ocsa_conditional_miss")
+    (go, gp, gh), scalar = _gains("ocsa_conditional_miss", g_own, g_peer,
+                                  g_tr)
     a, b = _fail(cfg.rho, cfg.d1, go), _fail(cfg.rho, cfg.d1, gp)
     miss = _ocsa_miss(a * (1.0 - b), a * b, _links(cfg, go, gh))
-    return _ret(_miss_pick(_order(metrics, go, gp, gh), miss),
-                s1 and s2 and s3)
+    return _ret(_miss_pick(gain_order(go, gp, gh), miss), scalar)
 
 
-def ocsa_joint_success(cfg: ProtocolConfig, g_pt, g_pr, g_tr, metrics=None):
+def ocsa_joint_success(cfg: ProtocolConfig, g_pt, g_pr, g_tr):
     """Probability that both nodes detect under opportunistic assignment.
 
     When exactly one node succeeded, the failed node's recovery rides on
     the stronger of its direct primary link and the secondary helper link,
-    because the successful secondary claims the slot exactly when its
-    metric beats the primary's.  When both failed, each node independently
-    retries on the full-length primary transmission.
-
-    ``metrics`` optionally supplies a MetricTriple of (possibly noisy)
-    selection metrics, which then pick the links in place of the gains.
+    because the successful secondary claims the slot exactly when its true
+    metric beats the primary's (gain_order).  When both failed, each node
+    independently retries on the full-length primary transmission.
     """
-    gt, s1 = _as_float_array(g_pt, "ocsa_joint_success")
-    gr, s2 = _as_float_array(g_pr, "ocsa_joint_success")
-    gh, s3 = _as_float_array(g_tr, "ocsa_joint_success")
+    (gt, gr, gh), scalar = _gains("ocsa_joint_success", g_pt, g_pr, g_tr)
     factors = OcsaFactors(cfg, gt, gr, gh, _fail(cfg.rho, cfg.d1, gt),
                           _fail(cfg.rho, cfg.d1, gr))
-    return _ret(factors.joint(_order(metrics, gt, gr, gh)),
-                s1 and s2 and s3)
+    return _ret(factors.joint(gain_order(gt, gr, gh)), scalar)
 
 
 class OcsaFactors:
@@ -315,6 +299,8 @@ class OcsaFactors:
     full-length failure the both-failed retry needs too: 2 + 4 Gaussian
     tails in all.  Written as Q(sqrt(2 rho (d1 g + d2 g))) it rounds alike
     when d1 = d2 is a power of two and may differ in the last bit otherwise.
+    The standalone kernels pass gain_order, the true metrics' order; noisy
+    metrics reach the model only as the metric_order of a capacity cell.
     """
 
     def __init__(self, cfg: ProtocolConfig, g_pt, g_pr, g_tr, a, b):

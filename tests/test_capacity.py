@@ -44,8 +44,11 @@ from beaconsim.mc import (
 )
 from beaconsim.numerics import gaussian_q
 from beaconsim.protocols import (
+    OcsaFactors,
     ProtocolConfig,
     Scheme,
+    gain_order,
+    metric_order,
     ocsa_conditional_miss,
     ocsa_joint_success,
     phase1_failure,
@@ -209,28 +212,55 @@ class TestErgodic:
 
 
 class TestOutage:
+    @staticmethod
+    def kernel_bounds(cfg, ch, sigma2, seed):
+        """Per-trial (upper, lower) bounds of chunk 0's gains ch: from the
+        standalone kernels at sigma2 = 0, otherwise from the ocsa model
+        under the chunk's noisy metric order."""
+        g = (ch.g_pt, ch.g_pr, ch.g_tr)
+        if sigma2:
+            m = channel.perturb_metrics(
+                channel.compute_metrics(ch), sigma2,
+                channel.substream(seed, TAG_METRIC_NOISE, 0))
+            cells = OcsaFactors(cfg, *g, phase1_failure(cfg, ch.g_pt),
+                                phase1_failure(cfg, ch.g_pr)
+                                ).cells(metric_order(m))
+        else:
+            cells = (ocsa_conditional_miss(cfg, *g),
+                     ocsa_joint_success(cfg, *g))
+        p_t, p_joint = state_probs(ACT, *cells)
+        power = cfg.rho * ch.g_tr
+        return (capacity_upper(p_joint, power),
+                capacity_lower(p_t, p_joint, power, 10.0))
+
     @pytest.mark.parametrize("sigma2", [0.0, 0.3])
     def test_ocsa_draws_equal_standalone_kernels(self, sigma2):
         # the ocsa cells pick from factors kept for both recovery links;
-        # they must give the standalone kernels' bits
+        # noiseless they must give the standalone kernels' bits
         n, seed, rho = 5000, 17, 2.5
         up, lo = capacity_draws(Scheme.OCSA, MEANS, ACT, rho=rho, t_c=10.0,
                                 n=n, seed=seed, d1=1, d2=2, sigma2=sigma2,
                                 chunk=n)
         ch = channel.draw_pair_chunk(MEANS, seed, 0, n)
-        m = channel.compute_metrics(ch)
-        if sigma2:
-            m = channel.perturb_metrics(
-                m, sigma2, channel.substream(seed, TAG_METRIC_NOISE, 0))
-        cfg = ProtocolConfig(rho=rho, d1=1, d2=2)
-        g = (ch.g_pt, ch.g_pr, ch.g_tr)
-        p_t, p_joint = state_probs(
-            ACT, ocsa_conditional_miss(cfg, *g, metrics=m),
-            ocsa_joint_success(cfg, *g, metrics=m))
-        power = rho * ch.g_tr
-        assert up.tobytes() == capacity_upper(p_joint, power).tobytes()
-        assert lo.tobytes() == capacity_lower(p_t, p_joint, power,
-                                              10.0).tobytes()
+        want = self.kernel_bounds(ProtocolConfig(rho=rho, d1=1, d2=2), ch,
+                                  sigma2, seed)
+        assert [up.tobytes(), lo.tobytes()] == [w.tobytes() for w in want]
+
+    def test_noiseless_draws_read_the_kernels_gain_order(self, monkeypatch):
+        # 1e20 + 1 and 1e20 + 2 round alike, so in each rotation two metric
+        # sums tie while their gains differ; the noiseless pick must still
+        # be the kernels' gain comparison, not the rounded sums
+        g = np.array([[1e20, 1.0, 2.0], [2.0, 1e20, 1.0], [1.0, 2.0, 1e20]])
+        ch = channel.ChannelSet(*(np.ascontiguousarray(c) for c in g.T))
+        sums = metric_order(channel.compute_metrics(ch))
+        gains = gain_order(ch.g_pt, ch.g_pr, ch.g_tr)
+        assert [list(o) for o in sums] != [list(o) for o in gains]
+        monkeypatch.setattr(capacity, "draw_pair_chunk",
+                            lambda means, seed, idx, size: ch)
+        draws = capacity_draws(Scheme.OCSA, MEANS, ACT, rho=1.0, t_c=10.0,
+                               n=3, seed=5, sigma2=0.0)
+        want = self.kernel_bounds(ProtocolConfig(rho=1.0), ch, 0.0, 5)
+        assert [d.tobytes() for d in draws] == [w.tobytes() for w in want]
 
     def test_quantiles_match_sorted_draws(self):
         n = 10_000
@@ -360,11 +390,14 @@ class TestWrongRelay:
         g_tr = np.array([0.8, 1.2, 0.1, 1.3, 0.7])
         z_own = np.array([0.3, -0.4, 1.1, 0.0, -1.2])
         sd = 0.4
+        order = gain_order(g_pt, g_pr, g_tr)
         if side == "t":
             own, peer = g_pt, g_pr
+            win = order.t_over_p & order.t_over_r
         else:
             own, peer = g_pr, g_pt
-        (w,) = capacity._flip_odds(g_tr - peer, own - peer, z_own, [sd])
+            win = order.r_over_p & order.r_over_t
+        (w,) = capacity._flip_odds(win, g_tr - peer, own - peer, z_own, [sd])
         t_p, t_own, t_peer = g_pt + g_pr, own + g_tr, peer + g_tr
         rng = np.random.default_rng(47)
         n = 1_000_000
@@ -573,7 +606,8 @@ class TestGrid:
                 grid.lower_mean[i, j], grid.lower_se[i, j], grid.n_trials)
 
     def test_imperfect_estimates_equal_standalone_kernels(self, monkeypatch):
-        # reference cells from the standalone kernels and the conditional
+        # reference cells from the standalone kernels (sigma2 = 0) or the
+        # ocsa model under each noisy metric order, and the conditional
         # wrong-relay formula, reduced by the same parallel_grid_stats;
         # sigma2 repeats a level and includes 0
         s2 = [0.3, 0.0, 0.05, 1.0, 0.01, 0.3, 2.0]
@@ -589,9 +623,9 @@ class TestGrid:
         def draw(idx, start, size):
             ch = channel.draw_pair_chunk(MEANS, seed, idx, size)
             clean = channel.compute_metrics(ch)
-            noisy = {s: clean if s == 0 else channel.perturb_metrics(
+            noisy = {s: channel.perturb_metrics(
                 clean, s, channel.substream(seed, TAG_METRIC_NOISE, idx))
-                for s in s2}
+                for s in s2 if s}
             z = channel.substream(seed, TAG_METRIC_NOISE, idx
                                   ).standard_normal((3, size))
             return ch, clean, noisy, z
@@ -607,11 +641,13 @@ class TestGrid:
             ch, clean, noisy, z = sample
             g = (ch.g_pt, ch.g_pr, ch.g_tr)
             cfg = ProtocolConfig(rho=rho, d1=1, d2=1)
+            factors = OcsaFactors(cfg, *g, phase1_failure(cfg, ch.g_pt),
+                                  phase1_failure(cfg, ch.g_pr))
             for s in (*s2, 0.0):  # the noisy cells, then the baseline
-                m = noisy[s]
-                p_t, p_joint = state_probs(
-                    ACT, ocsa_conditional_miss(cfg, *g, metrics=m),
-                    ocsa_joint_success(cfg, *g, metrics=m))
+                p_t, p_joint = state_probs(ACT, *(
+                    factors.cells(metric_order(noisy[s])) if s else
+                    (ocsa_conditional_miss(cfg, *g),
+                     ocsa_joint_success(cfg, *g))))
                 power = rho * ch.g_tr
                 yield capacity_upper(p_joint, power)
                 yield capacity_lower(p_t, p_joint, power, 10.0)

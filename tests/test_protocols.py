@@ -32,6 +32,7 @@ from beaconsim.protocols import (
     RelayIdentity,
     csa_conditional_miss,
     csa_joint_success,
+    gain_order,
     metric_order,
     mucsa_conditional_miss,
     nc_conditional_miss,
@@ -438,8 +439,8 @@ class TestOpportunistic:
 
 class TestOcsaFactors:
     """The ocsa capacity cells compute each rho's detection failures once
-    for every metric order; they must equal the standalone kernels bit for
-    bit."""
+    for every metric order; under the gain order they must equal the
+    standalone kernels bit for bit, and under noisy orders the oracle."""
 
     @staticmethod
     def gains(rng, n=3000):
@@ -471,23 +472,25 @@ class TestOcsaFactors:
         cfg = ProtocolConfig(rho=10.0 ** (rho_db / 10.0), d1=d1, d2=d2)
         factors = OcsaFactors(cfg, *g, phase1_failure(cfg, ch.g_pt),
                               phase1_failure(cfg, ch.g_pr))
+        want_miss = ocsa_conditional_miss(cfg, *g).tobytes()
+        want_joint = ocsa_joint_success(cfg, *g).tobytes()
         clean = compute_metrics(ch)
+        # the noiseless cells, before and after noisy ones
         for sigma2 in (0.0, 0.01, 0.5, 0.0):
-            noisy = clean if sigma2 == 0 else perturb_metrics(clean, sigma2,
-                                                              rng)
-            for m in (noisy, self.with_ties(noisy)):
-                miss, joint = factors.cells(metric_order(m))
-                want_miss = ocsa_conditional_miss(cfg, *g, metrics=m)
-                want_joint = ocsa_joint_success(cfg, *g, metrics=m)
-                assert miss.tobytes() == want_miss.tobytes()
-                assert joint.tobytes() == want_joint.tobytes()
+            if sigma2:
+                noisy = perturb_metrics(clean, sigma2, rng)
+                for m in (noisy, self.with_ties(noisy)):
+                    factors.cells(metric_order(m))
+                continue
+            miss, joint = factors.cells(gain_order(*g))
+            assert miss.tobytes() == want_miss
+            assert joint.tobytes() == want_joint
 
     @pytest.mark.parametrize("d1, d2", [(1, 1), (1, 2), (2, 1)])
     def test_noisy_metrics_match_oracle(self, d1, d2):
-        # the kernels and the cells against the branch-enumeration oracle,
-        # which applies each rule to the metrics directly: the peer relays
-        # for the miss when it beats both, for the joint when it beats the
-        # primary
+        # the cells against the branch-enumeration oracle, which applies
+        # each rule to the metrics directly: the peer relays for the miss
+        # when it beats both, for the joint when it beats the primary
         rng = np.random.default_rng([11, d1, d2])
         ch = self.gains(rng, n=1200)
         g = (ch.g_pt, ch.g_pr, ch.g_tr)
@@ -499,21 +502,13 @@ class TestOcsaFactors:
             for sigma2 in (0.01, 0.5):
                 noisy = perturb_metrics(clean, sigma2, rng)
                 for m in (noisy, self.with_ties(noisy)):
-                    want_t, want_r, want_joint = np.array([
+                    want_t, want_joint = np.array([
                         (oracle_ocsa_miss_t(rho, d1, d2, gt, gr, gh, (p, t, r)),
-                         oracle_ocsa_miss_t(rho, d1, d2, gr, gt, gh, (p, r, t)),
                          oracle_ocsa_joint(rho, d1, d2, gt, gr, gh, (p, t, r)))
                         for gt, gr, gh, p, t, r in zip(*g, m.t_p, m.t_t, m.t_r)
                     ]).T
-                    miss_r = ocsa_conditional_miss(
-                        cfg, ch.g_pr, ch.g_pt, ch.g_tr,
-                        metrics=MetricTriple(m.t_p, m.t_r, m.t_t))
-                    cells_miss, cells_joint = factors.cells(metric_order(m))
-                    for got, want in (
-                            (ocsa_conditional_miss(cfg, *g, metrics=m), want_t),
-                            (cells_miss, want_t), (miss_r, want_r),
-                            (ocsa_joint_success(cfg, *g, metrics=m), want_joint),
-                            (cells_joint, want_joint)):
+                    cells = factors.cells(metric_order(m))
+                    for got, want in zip(cells, (want_t, want_joint)):
                         np.testing.assert_allclose(got, want, rtol=1e-13,
                                                    atol=1e-300)
 
@@ -530,19 +525,17 @@ class TestOcsaFactors:
         cfg = ProtocolConfig(rho=3.0, d1=1, d2=2)
         ch = self.gains(np.random.default_rng(3), n=1200)
         g = (ch.g_pt, ch.g_pr, ch.g_tr)
-        m = compute_metrics(ch)
-        for metrics in (None, m):
-            calls.clear()
-            ocsa_conditional_miss(cfg, *g, metrics=metrics)
-            assert len(calls) == 4
-        for metrics in (None, m):
-            calls.clear()
-            ocsa_joint_success(cfg, *g, metrics=metrics)
-            assert len(calls) == 6
+        ocsa_conditional_miss(cfg, *g)
+        assert len(calls) == 4
         calls.clear()
+        ocsa_joint_success(cfg, *g)
+        assert len(calls) == 6
+        calls.clear()
+        m = compute_metrics(ch)
         factors = OcsaFactors(cfg, *g, phase1_failure(cfg, ch.g_pt),
                               phase1_failure(cfg, ch.g_pr))
-        for sigma2 in (0.0, 0.1, 1.0):
+        factors.cells(gain_order(*g))
+        for sigma2 in (0.1, 1.0):
             factors.cells(metric_order(perturb_metrics(
                 m, sigma2, np.random.default_rng(1))))
         # a, b, both sides' full-length failures and helped recoveries
