@@ -159,6 +159,7 @@ def _pair_lams(means: MeanGains, side: str) -> tuple[float, float, float]:
 # draw and the points evaluator(rho) that mc.parallel_grid_stats runs.  Tail
 # mode writes a point's values into rows of the thread's scratch arena (see
 # fadeprob.arena_row), so each is only valid until that thread's next use.
+# Far below 0 dB its thresholds z^2/(2 rho) overflow quietly to inf, the limit.
 # ---------------------------------------------------------------------------
 
 
@@ -228,8 +229,9 @@ def _helper_count_tail(spec: SweepSpec, primary, user: int, b_mean: float):
         all_fail = float(np.prod(q_bar))
 
         def values(zz, arena):
-            x_own, x_rec = np.divide(zz, 2.0 * rho,
-                                     out=arena_row(arena, "tail.x", zz.shape))
+            with np.errstate(over="ignore"):
+                x_own, x_rec = np.divide(zz, 2.0 * rho, out=arena_row(
+                    arena, "tail.x", zz.shape))
             total = arena_row(arena, "tail.values", x_own.shape)
             total.fill(all_fail)
             # one call gives the box for every helper count; each row is
@@ -270,6 +272,7 @@ def _miss_values_tail(spec: SweepSpec, side: str, user: int):
     if spec.scheme is Scheme.NC:
 
         def evaluator(rho):
+            @np.errstate(over="ignore")
             def values(zz, arena):
                 # 0.5 * -expm1(-x / (d lam_own)), x = zz / (2 rho), in place
                 x = np.divide(zz[0], 2.0 * rho,
@@ -285,17 +288,11 @@ def _miss_values_tail(spec: SweepSpec, side: str, user: int):
     lams = (lam_own, lam_peer, lam_tr)
 
     def evaluator(rho):
+        @np.errstate(over="ignore")
         def values(zz, arena):
             x = np.divide(zz, 2.0 * rho, out=arena_row(arena, "tail.x",
                                                        zz.shape))
-            p1, p2, p3, p4 = ocsa_fade_regions(x[0], x[1], x[2], d1, d2, lams,
-                                               arena=arena)
-            # 0.25 p1 + 0.25 p3 - 0.125 p2 + 0.125 p4 in that order, each
-            # partial sum written into its second operand's row
-            np.multiply(0.25, p1, out=p1)
-            np.add(p1, np.multiply(0.25, p3, out=p3), out=p3)
-            np.subtract(p3, np.multiply(0.125, p2, out=p2), out=p2)
-            return (np.add(p2, np.multiply(0.125, p4, out=p4), out=p4),)
+            return (ocsa_fade_regions(*x, d1, d2, lams, arena=arena),)
 
         return values
 

@@ -498,6 +498,14 @@ def run_selfcheck() -> tuple[str, bool]:
           res.estimate[0] == res2.estimate[0]
           and res1.estimate[0] == res4.estimate[0])
 
+    # channel mode shares no code with tail mode's fade kernels
+    ocsa = replace(spec, scheme=Scheme.OCSA, rho_db=(0.0,))
+    pairs = [[estimate_miss_curve(replace(ocsa, mode=mode), side=side)
+              for mode in ("tail", "channel")] for side in "tr"]
+    check("ocsa tail vs channel", all(
+        abs(t.estimate[0] - c.estimate[0])
+        <= 4.0 * math.hypot(t.std_error[0], c.std_error[0]) for t, c in pairs))
+
     act = ActivityModel(p_theta_t=0.85, p_theta_joint=0.7)
     up, lo = capacity_draws(Scheme.OCSA, means, act, rho=1.0, t_c=10.0,
                             n=2_000, seed=_SELFCHECK_SEED)

@@ -4,7 +4,8 @@ These joint probabilities are the analytic half of the noise-conditional
 estimators: averaging a product of Gaussian tails over channel gains equals
 averaging, over squared half-normal thresholds, the probability that the
 gains fall in the induced fade region. Every function here evaluates such a
-region probability exactly, vectorized over per-trial thresholds.
+region probability, or (ocsa_fade_regions) the signed sum of them that is
+one scheme's miss, exactly, vectorized over per-trial thresholds.
 
 Scratch arenas.  The tail kernels (exp_erlang_box_prob, ocsa_fade_regions)
 take an optional arena: a dict of named scratch rows (see arena_row) that
@@ -64,11 +65,13 @@ def arena_row(arena: dict, name: str, shape: tuple,
 
 
 def _power(x: np.ndarray, j: int, out: np.ndarray) -> np.ndarray:
-    """x ** j as ndarray.__pow__ evaluates it (np.square for j == 2)."""
+    """x ** j with ndarray.__pow__'s bits: x for j = 1, np.square for 2."""
+    if j == 1:
+        return x
     return np.square(x, out=out) if j == 2 else np.power(x, j, out=out)
 
 
-def _int_exp(beta: float, upper: np.ndarray, p0, out=None,
+def _int_exp(beta: float, upper: np.ndarray, p0, out: np.ndarray,
              arena=None) -> np.ndarray:
     """Stable integral_0^U exp(-p0 - beta t) dt, written into out.
 
@@ -76,21 +79,14 @@ def _int_exp(beta: float, upper: np.ndarray, p0, out=None,
     exponents are nonpositive and no overflow can occur for either sign of
     beta.  upper is an array.  The expm1 form serves |beta U| < 1; the
     difference form (e^(-p0) - e^(-p0 - beta U)) / beta is evaluated only
-    where |beta U| >= 1 (or is NaN).  out (default: an arena row) must not
-    share memory with upper or p0; scratch rows come from arena (default:
-    a private one).
+    where |beta U| >= 1 (or is NaN).  out must not share memory with upper
+    or p0; scratch rows come from arena (default: a private one).
     """
     arena = {} if arena is None else arena
     shape = np.broadcast_shapes(np.shape(upper), np.shape(p0))
-    if out is None:
-        out = arena_row(arena, "int_exp.out", shape)
     bu = np.maximum(upper, 0.0, out=arena_row(arena, "int_exp.bu", shape))
-    p0 = np.asarray(p0, dtype=float)
-    if p0.ndim:
-        e0 = arena_row(arena, "int_exp.e0", shape)
-        np.exp(np.negative(p0, out=e0), out=e0)
-    else:
-        e0 = np.exp(-p0)
+    e0 = arena_row(arena, "int_exp.e0", shape)
+    np.exp(np.negative(p0, out=e0), out=e0)
     if beta == 0.0:
         return np.multiply(e0, bu, out=out)
     np.multiply(beta, bu, out=bu)
@@ -105,10 +101,9 @@ def _int_exp(beta: float, upper: np.ndarray, p0, out=None,
     np.multiply(e0, out, out=out)
     np.divide(out, beta, out=out)
     if large is not None:
-        e0 = np.broadcast_to(e0, shape)[large]
         p0 = np.broadcast_to(p0, shape)[large]
         with np.errstate(over="ignore"):
-            out[large] = (e0 - np.exp(-p0 - bu[large])) / beta
+            out[large] = (e0[large] - np.exp(-p0 - bu[large])) / beta
     return out
 
 
@@ -198,20 +193,25 @@ def exp_sum_box_prob(x1, x2, mu_u: float, mu_w: float) -> np.ndarray:
 
 
 def ocsa_fade_regions(x1, x2, x3, d1: int, d2: int,
-                      lams: Sequence[float],
-                      arena=None) -> tuple[np.ndarray, ...]:
-    """Joint fade probabilities over three independent exponential gains
-    (g1, g2, g3) with means lams, for the regions
+                      lams: Sequence[float], arena=None) -> np.ndarray:
+    """Tail-mode miss of the opportunistic scheme at per-trial thresholds:
+    0.25 P1 + 0.25 P3 - 0.125 P2 + 0.125 P4 over fade regions of three
+    independent exponential gains with means lams, g1 the averaged node's,
 
       P1: d1 g1 <= x1,  d1 g1 + d2 g3 <= x2,  g1 < min(g2, g3)
       P2: P1's region intersected with d1 g2 <= x3
       P3: d1 g1 <= x1,  (d1+d2) g1 <= x2,     not g1 < min(g2, g3)
       P4: d1 g1 <= x1,  (d1+d2) g1 <= x2,  d1 g2 <= x3,  g1 < min(g2, g3)
 
-    These are the four signed pieces of the noise-conditional estimator for
-    the opportunistic scheme, where g1 plays the role of the node whose miss
-    probability is being averaged.  The four results are distinct rows of
-    arena (see the module docstring), at least 1-d.
+    Three of their six integrals cancel in that sum.  With r = 1/lams,
+    I(b, U, p) = int_0^U e^(-p - b t) dt, u = max(0, min(x1/d1, x2/(d1+d2))),
+    w = min(u, max(0, x3/d1)), o3 = r3 x2/d2, beta = r1 + r2 - r3 d1/d2 and
+    gam2 = r1 - r3 d1/d2, it is [0, 1]-clipped (NaN passes through)
+      0.25 (1 - e^(-r1 u) - r1 I(beta, u, o3))
+          + 0.125 r1 (I(beta, w, o3) - I(gam2, w, r2 x3/d1 + o3)).
+    Where o3 overflows (tail mode's thresholds below about -3070 dB), each
+    integral is 0, its limit, so infinite thresholds give 0.25.  The result
+    is a row of arena (see the module docstring), at least 1-d.
     """
     r1, r2, r3 = (1.0 / l for l in lams)
     d = d1 + d2
@@ -222,38 +222,30 @@ def ocsa_fade_regions(x1, x2, x3, d1: int, d2: int,
     def row(name):
         return arena_row(arena, "ocsa." + name, shape)
 
-    alpha = r1 + r2 + r3
     beta = r1 + r2 - r3 * d1 / d2
-    gam1 = r1 + r3
     gam2 = r1 - r3 * d1 / d2
-
-    off3 = row("off3")
-    np.divide(np.multiply(r3, x2, out=off3), d2, out=off3)
-    u = np.minimum(np.divide(x1, d1, out=row("a")),
-                   np.divide(x2, d, out=row("b")), out=row("u"))
-    c3 = np.divide(x3, d1, out=row("c3"))
-    # the term p1 and p3 share, then the one p2 and p4 share
-    shared = _int_exp(alpha, u, 0.0, row("shared"), arena)
-    p1 = _int_exp(beta, u, off3, row("p1"), arena)
-    np.multiply(r1, np.subtract(shared, p1, out=p1), out=p1)
-    p3 = row("p3")
-    np.multiply(-r1, np.maximum(u, 0.0, out=p3), out=p3)
-    np.negative(np.expm1(p3, out=p3), out=p3)
-    np.subtract(p3, np.multiply(r1, shared, out=row("a")), out=p3)
-
-    w = np.minimum(u, c3, out=u)  # u and c3 are not read again
-    r2c3 = np.multiply(r2, c3, out=c3)
-    _int_exp(alpha, w, 0.0, shared, arena)
-    np.subtract(shared, _int_exp(gam1, w, r2c3, row("a"), arena), out=shared)
-    diff = np.subtract(shared, _int_exp(beta, w, off3, row("a"), arena),
-                       out=row("a"))
-    p2 = _int_exp(gam2, w, np.add(r2c3, off3, out=row("b")), row("p2"), arena)
-    np.add(diff, p2, out=p2)
-    np.multiply(r1, p2, out=p2)
-    p4 = np.multiply(r1, shared, out=row("p4"))
-    for p in (p1, p2, p3, p4):
-        np.clip(p, 0.0, 1.0, out=p)  # NaN passes through
-    return p1, p2, p3, p4
+    # huge thresholds overflow to inf, their limit
+    with np.errstate(over="ignore"):
+        off3 = row("off3")
+        np.divide(np.multiply(r3, x2, out=off3), d2, out=off3)
+        u = np.minimum(np.divide(x1, d1, out=row("a")),
+                       np.divide(x2, d, out=row("b")), out=row("u"))
+        out = row("out")
+        np.multiply(-r1, np.maximum(u, 0.0, out=out), out=out)
+        np.negative(np.expm1(out, out=out), out=out)
+        if np.fmax.reduce(off3, axis=None, initial=0.0) == np.inf:
+            u[off3 == np.inf] = 0.0  # not inf - inf where beta u = -inf
+        term = _int_exp(beta, u, off3, row("term"), arena)
+        np.subtract(out, np.multiply(r1, term, out=term), out=term)
+        np.multiply(0.25, term, out=term)
+        c3 = np.divide(x3, d1, out=row("a"))
+        w = np.minimum(u, c3, out=u)
+        diff = _int_exp(beta, w, off3, row("b"), arena)
+        p0 = np.add(np.multiply(r2, c3, out=c3), off3, out=off3)
+        np.subtract(diff, _int_exp(gam2, w, p0, out, arena), out=out)
+        np.multiply(0.125 * r1, out, out=out)
+        np.add(term, out, out=out)
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def abs_diff_q_mean(s: float, mu1: float, mu2: float) -> float:

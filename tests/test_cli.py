@@ -165,6 +165,34 @@ class TestMissSweep:
                                b"-100,0.3749982322,1.666000469e-10\n")
 
 
+    @pytest.mark.parametrize("side", ["t", "r"])
+    @pytest.mark.parametrize("means", [(1.0, 2.0, 3.0), (3.0, 1.0, 0.5)])
+    @pytest.mark.parametrize("scheme, limit", [("nc", b"0.5"),
+                                               ("ocsa", b"0.25")])
+    def test_tail_thresholds_overflow_quietly(self, tmp_path, side, means,
+                                              scheme, limit):
+        # at -3100 dB nearly every threshold z^2 / (2 rho) overflows to
+        # inf, and the rest are ~1e308: each trial gives the rho -> 0
+        # limit, and no warning may reach stderr.  Means (3, 1, 0.5) make
+        # beta and gam2 of ocsa_fade_regions negative.
+        pt, pr, tr = means
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(
+            BASE_CONFIG.replace("pt = 1.0", f"pt = {pt}")
+            .replace("pr = 2.0", f"pr = {pr}").replace("tr = 3.0", f"tr = {tr}")
+            .replace('scheme = "csa"', f'scheme = "{scheme}"')
+            .replace("n_trials = 20000", "n_trials = 2000")
+            .replace("rho_db = [0.0, 10.0]", "rho_db = [-3100.0]")
+            + f'side = "{side}"\n')
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "beaconsim.cli",
+             "miss-sweep", "--config", str(cfg)], capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == b""
+        assert proc.stdout == (b"rho_db,estimate,std_error\n-3100,"
+                               + limit + b",0\n")
+
+
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path):
         a = run_cli("miss-sweep", config_text=BASE_CONFIG, tmp_path=tmp_path)
@@ -692,6 +720,7 @@ mode = "tail"
         proc = run_cli("selfcheck")
         assert proc.returncode == 0, proc.stderr
         assert b"ok" in proc.stdout.lower()
+        assert b"ocsa tail vs channel: ok\n" in proc.stdout
 
 
 class TestProtocolSplit:

@@ -260,7 +260,9 @@ def _erlang_box_reference(x1, x2, a, b, k):
 
 
 def _ocsa_regions_reference(x1, x2, x3, d1, d2, lams):
-    """ocsa_fade_regions as it was before it wrote into arena rows."""
+    """The four region probabilities (P1, P2, P3, P4) of ocsa_fade_regions'
+    docstring, each from its own integrals and clipped to [0, 1]: the
+    region derivation behind the kernel's three-integral form."""
     r1, r2, r3 = (1.0 / l for l in lams)
     d = d1 + d2
     x1, x2, x3 = np.atleast_1d(*(np.asarray(x, dtype=float)
@@ -282,6 +284,34 @@ def _ocsa_regions_reference(x1, x2, x3, d1, d2, lams):
     p2 = r1 * (shared - ie(beta, w, off3) + ie(gam2, w, r2 * c3 + off3))
     p4 = r1 * shared
     return tuple(np.clip(p, 0.0, 1.0) for p in (p1, p2, p3, p4))
+
+
+def _ocsa_four_piece_miss(x1, x2, x3, d1, d2, lams):
+    """0.25 P1 + 0.25 P3 - 0.125 P2 + 0.125 P4 of the reference pieces,
+    summed in that order."""
+    p1, p2, p3, p4 = _ocsa_regions_reference(x1, x2, x3, d1, d2, lams)
+    return ((0.25 * p1 + 0.25 * p3) - 0.125 * p2) + 0.125 * p4
+
+
+def _ocsa_miss_reference(x1, x2, x3, d1, d2, lams):
+    """ocsa_fade_regions with every intermediate a fresh array: the same
+    ufuncs in the same operand order."""
+    r1, r2, r3 = (1.0 / l for l in lams)
+    d = d1 + d2
+    x1, x2, x3 = np.atleast_1d(*(np.asarray(x, dtype=float)
+                                 for x in (x1, x2, x3)))
+    beta = r1 + r2 - r3 * d1 / d2
+    gam2 = r1 - r3 * d1 / d2
+    off3 = r3 * x2 / d2
+    u = np.minimum(x1 / d1, x2 / d)
+    e1 = -np.expm1(-r1 * np.maximum(u, 0.0))
+    u = np.where(off3 == np.inf, 0.0, u)
+    ie = _int_exp_both_branches
+    term = 0.25 * (e1 - r1 * ie(beta, u, off3))
+    c3 = x3 / d1
+    w = np.minimum(u, c3)
+    out = 0.125 * r1 * (ie(beta, w, off3) - ie(gam2, w, r2 * c3 + off3))
+    return np.clip(term + out, 0.0, 1.0)
 
 
 def _thresholds(n, scale, strided, nan_col=2, seed=47):
@@ -323,8 +353,8 @@ class TestArenaKernels:
                            _erlang_box_reference(x1, x2, a, b, k))
             for d1, d2, lams in self.OCSA:
                 self._same(
-                    ocsa_fade_regions(x1, x2, x3, d1, d2, lams, arena=arena),
-                    _ocsa_regions_reference(x1, x2, x3, d1, d2, lams))
+                    [ocsa_fade_regions(x1, x2, x3, d1, d2, lams, arena=arena)],
+                    [_ocsa_miss_reference(x1, x2, x3, d1, d2, lams)])
 
     @pytest.mark.parametrize("strided", [False, True])
     @pytest.mark.parametrize("scale", SCALES)
@@ -353,7 +383,7 @@ class TestArenaKernels:
         again = ocsa_fade_regions(x1, x2, x3, 1, 1, (1.0, 2.0, 3.0),
                                   arena=arena)
         assert exp_erlang_box_prob(x1, x2, 1.0, 0.25, 3, arena=arena) is box
-        assert all(p is q for p, q in zip(first, again))
+        assert again is first
         assert {name: row.ctypes.data for name, row in arena.items()} == rows
         assert arena_row(arena, "box.boxes", (3, 300)) is box
         assert arena_row(arena, "box.boxes", (2, 300)) is not box
@@ -362,13 +392,11 @@ class TestArenaKernels:
         x1, x2, x3 = _thresholds(300, 0.1, False)
         with np.errstate(over="ignore", invalid="ignore"):
             results = [
-                *ocsa_fade_regions(x1, x2, x3, 1, 1, (1.0, 2.0, 3.0)),
-                *ocsa_fade_regions(x1, x2, x3, 1, 1, (1.0, 2.0, 3.0)),
+                ocsa_fade_regions(x1, x2, x3, 1, 1, (1.0, 2.0, 3.0)),
+                ocsa_fade_regions(x1, x2, x3, 1, 1, (1.0, 2.0, 3.0)),
                 exp_erlang_box_prob(x1, x2, 1.0, 0.25, 3),
                 exp_erlang_box_prob(x1, x2, 1.0, 0.25, 3),
                 exp_sum_box_prob(x1, x2, 1.0, 0.25),
-                _int_exp(2.5, x1, 0.0),
-                _int_exp(2.5, x1, 0.0),
             ]
         for p, q in itertools.combinations(results, 2):
             assert not np.shares_memory(p, q)
@@ -393,69 +421,160 @@ class TestIntExp:
         p0 = (0.0 if p0_kind == "zero" else
               np.nan_to_num(max(-beta, 0.0) * np.maximum(upper, 0.0))
               + rng.uniform(0.0, 2.0, upper.size))
-        got = _int_exp(beta, upper, p0)
+        got = _int_exp(beta, upper, p0, np.empty(upper.shape))
         want = _int_exp_both_branches(beta, upper, p0)
         assert got.tobytes() == want.tobytes()
         assert np.isnan(got[edge.size - 1])
         assert got[0] == got[1] == 0.0
 
 
+def _ocsa_miss_mpmath(x1, x2, x3, d1, d2, lams):
+    """The three-integral ocsa miss at mpmath's working precision, the float
+    thresholds taken as exact."""
+    mpf = mpmath.mpf
+    x1, x2, x3 = mpf(x1), mpf(x2), mpf(x3)
+    r1, r2, r3 = (1 / mpf(lam) for lam in lams)
+    off3 = r3 * x2 / d2
+    u = max(min(x1 / d1, x2 / (d1 + d2)), 0)
+    w = max(min(u, x3 / d1), 0)
+
+    def integral(b, upper, p0):
+        if b == 0:
+            return upper * mpmath.exp(-p0)
+        return (mpmath.exp(-p0) - mpmath.exp(-p0 - b * upper)) / b
+
+    beta = r1 + r2 - r3 * d1 / d2
+    gam2 = r1 - r3 * d1 / d2
+    return ((-mpmath.expm1(-r1 * u) - r1 * integral(beta, u, off3)) / 4
+            + r1 * (integral(beta, w, off3)
+                    - integral(gam2, w, r2 * x3 / d1 + off3)) / 8)
+
+
 class TestOcsaFadeRegions:
+    SAMPLED = [
+        (0.8, 1.1, 0.6, 1, 1, (1.0, 2.0, 3.0)),
+        (2.0, 0.5, 3.0, 1, 1, (1.0, 1.0, 1.0)),
+        (0.3, 0.4, 0.2, 2, 1, (0.5, 2.0, 1.0)),
+        (5.0, 6.0, 5.5, 1, 2, (2.0, 0.7, 1.2)),
+    ]
+
     def brute(self, x1, x2, x3, d1, d2, lams, n=600_000, seed=21):
+        """Per-sample indicators of the four regions."""
         rng = np.random.default_rng(seed)
         g1 = rng.exponential(lams[0], n)
         g2 = rng.exponential(lams[1], n)
         g3 = rng.exponential(lams[2], n)
         d = d1 + d2
         sec = (g1 < g2) & (g1 < g3)
-        p1 = np.mean((d1 * g1 <= x1) & (d1 * g1 + d2 * g3 <= x2) & sec)
-        p2 = np.mean((d1 * g1 <= x1) & (d1 * g1 + d2 * g3 <= x2)
-                     & (d1 * g2 <= x3) & (g2 > g1) & (g3 > g1))
-        p3 = np.mean((d1 * g1 <= x1) & (d * g1 <= x2) & ~sec)
-        p4 = np.mean((d1 * g1 <= x1) & (d * g1 <= x2)
-                     & (d1 * g2 <= x3) & (g2 > g1) & (g3 > g1))
+        p1 = (d1 * g1 <= x1) & (d1 * g1 + d2 * g3 <= x2) & sec
+        p2 = ((d1 * g1 <= x1) & (d1 * g1 + d2 * g3 <= x2)
+              & (d1 * g2 <= x3) & (g2 > g1) & (g3 > g1))
+        p3 = (d1 * g1 <= x1) & (d * g1 <= x2) & ~sec
+        p4 = ((d1 * g1 <= x1) & (d * g1 <= x2)
+              & (d1 * g2 <= x3) & (g2 > g1) & (g3 > g1))
         return p1, p2, p3, p4
 
-    @pytest.mark.parametrize("x1,x2,x3,d1,d2,lams", [
-        (0.8, 1.1, 0.6, 1, 1, (1.0, 2.0, 3.0)),
-        (2.0, 0.5, 3.0, 1, 1, (1.0, 1.0, 1.0)),
-        (0.3, 0.4, 0.2, 2, 1, (0.5, 2.0, 1.0)),
-        (5.0, 6.0, 5.5, 1, 2, (2.0, 0.7, 1.2)),
-    ])
+    @pytest.mark.parametrize("x1,x2,x3,d1,d2,lams", SAMPLED)
     def test_against_sampling(self, x1, x2, x3, d1, d2, lams):
         n = 600_000
-        brute = self.brute(x1, x2, x3, d1, d2, lams, n=n)
-        got = ocsa_fade_regions(np.array([x1]), np.array([x2]), np.array([x3]),
-                                d1, d2, lams)
+        brute = [np.mean(b) for b in self.brute(x1, x2, x3, d1, d2, lams, n)]
+        got = _ocsa_regions_reference(x1, x2, x3, d1, d2, lams)
         for b, g in zip(brute, got):
             assert float(g[0]) == pytest.approx(b, abs=mc_tol(b, n))
+
+    @pytest.mark.parametrize("x1,x2,x3,d1,d2,lams", SAMPLED)
+    def test_miss_against_sampling(self, x1, x2, x3, d1, d2, lams):
+        n = 600_000
+        p1, p2, p3, p4 = self.brute(x1, x2, x3, d1, d2, lams, n)
+        vals = 0.25 * p1 - 0.125 * p2 + 0.25 * p3 + 0.125 * p4
+        got = ocsa_fade_regions(np.array([x1]), np.array([x2]),
+                                np.array([x3]), d1, d2, lams)
+        assert got.shape == (1,)
+        assert float(got[0]) == pytest.approx(
+            np.mean(vals), abs=5 * np.std(vals) / math.sqrt(n) + 1e-4)
 
     def test_scalar_thresholds(self):
         lams = (1.0, 2.0, 3.0)
         scalar = ocsa_fade_regions(0.5, 0.6, 0.7, 1, 1, lams)
         array = ocsa_fade_regions(np.array([0.5]), np.array([0.6]),
                                   np.array([0.7]), 1, 1, lams)
-        for s, a in zip(scalar, array):
-            assert s.tobytes() == a.tobytes()
+        assert scalar.shape == (1,)
+        assert scalar.tobytes() == array.tobytes()
 
     def test_unbounded_reduces_to_ordering_probability(self):
         # with all thresholds huge, region 1 is P(g1 is the strict minimum)
         lams = (1.0, 2.0, 3.0)
         r = [1 / l for l in lams]
         big = np.array([1e9])
-        p1 = ocsa_fade_regions(big, big, big, 1, 1, lams)[0]
+        p1 = _ocsa_regions_reference(big, big, big, 1, 1, lams)[0]
         assert float(p1[0]) == pytest.approx(r[0] / sum(r), rel=1e-9)
+
+    @pytest.mark.parametrize("d1, d2, lams", TestArenaKernels.OCSA)
+    def test_unbounded_limit_is_a_quarter(self, d1, d2, lams):
+        # rho -> 0: the thresholds grow without bound, and overflow to inf
+        # below about -3070 dB; beta and gam2 take every sign over the
+        # four cases, and none may form inf - inf or warn
+        big = np.array([1e9, 1e300, np.finfo(float).max, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in itertools.permutations([big, big, big[::-1]]):
+                got = ocsa_fade_regions(*x, d1, d2, lams)
+                assert np.all(got[[1, 2]] == 0.25)
+            assert np.all(ocsa_fade_regions(big, big, big, d1, d2, lams)
+                          == 0.25)
 
     @given(st.floats(0.01, 4.0), st.floats(0.01, 4.0), st.floats(0.01, 4.0))
     @settings(max_examples=60, deadline=None)
     def test_region_containments(self, x1, x2, x3):
         lams = (1.0, 2.0, 3.0)
-        p1, p2, p3, p4 = ocsa_fade_regions(
-            np.array([x1]), np.array([x2]), np.array([x3]), 1, 1, lams)
+        p1, p2, p3, p4 = _ocsa_regions_reference(x1, x2, x3, 1, 1, lams)
         for p in (p1, p2, p3, p4):
             assert 0.0 - 1e-12 <= float(p[0]) <= 1.0
         # adding the x3 constraint only removes mass
         assert float(p2[0]) <= float(p1[0]) + 1e-12
+        for d1, d2, lams in TestArenaKernels.OCSA:
+            miss = float(ocsa_fade_regions(x1, x2, x3, d1, d2, lams)[0])
+            assert 0.0 <= miss <= 1.0
+
+    @pytest.mark.parametrize("scale", [1e-3, 0.1, 3.0, 1e3])
+    def test_matches_four_piece_form(self, scale):
+        # every threshold at least scale: the cancelled integrals agree to
+        # rounding, far from the small-threshold cancellation
+        rng = np.random.default_rng(59)
+        x1, x2, x3 = scale * (1.0 + rng.standard_normal((3, 2000)) ** 2)
+        for d1, d2, lams in TestArenaKernels.OCSA:
+            np.testing.assert_allclose(
+                ocsa_fade_regions(x1, x2, x3, d1, d2, lams),
+                _ocsa_four_piece_miss(x1, x2, x3, d1, d2, lams),
+                rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("rho_db", [0.0, 20.0, 40.0, 60.0])
+    def test_rounding_against_mpmath(self, rho_db):
+        # thresholds z^2 / (2 rho) as tail mode draws them.  Both forms
+        # subtract terms of size r1 u to leave an O(u^2) miss, so each
+        # element's error is measured in units of eps r1 u: it stays below
+        # one unit, and the three-integral form's worst stays within 4x of
+        # the four-piece form's on the same draws.  (Plain relative errors
+        # are set by the one smallest-u draw, where either form's rounding
+        # is luck: over 40 seeds their worst-case ratio reached 9.7.)
+        rng = np.random.default_rng(61)
+        zz = rng.standard_normal((3, 80)) ** 2
+        x1, x2, x3 = zz / (2.0 * 10.0 ** (rho_db / 10.0))
+        with mpmath.workdps(50):
+            for d1, d2, lams in TestArenaKernels.OCSA:
+                exact = [_ocsa_miss_mpmath(*x, d1, d2, lams)
+                         for x in zip(x1, x2, x3)]
+                unit = (np.finfo(float).eps / lams[0]
+                        * np.minimum(x1 / d1, x2 / (d1 + d2)))
+
+                def worst(vals):
+                    return max(float(abs(mpmath.mpf(v) - e)) / s
+                               for v, e, s in zip(vals, exact, unit))
+
+                new = worst(ocsa_fade_regions(x1, x2, x3, d1, d2, lams))
+                assert new <= 1.0
+                assert new <= 4 * worst(
+                    _ocsa_four_piece_miss(x1, x2, x3, d1, d2, lams))
 
 
 class TestAbsDiffQMean:
