@@ -33,11 +33,11 @@ from .channel import (
     draw_pair_chunk,
 )
 # exp_sum_box_prob is unused but stays bound: perfbench hooks it here
-from .fadeprob import (arena_row, exp_erlang_box_prob,  # noqa: F401
-                       exp_q_mean, exp_sum_box_prob, ocsa_fade_regions)
+from .fadeprob import (exp_erlang_box_prob, exp_q_mean,  # noqa: F401
+                       exp_sum_box_prob, ocsa_fade_regions)
 # parallel_chunk_stats is unused but stays bound: perfbench hooks it here
-from .mc import (TAG_THRESHOLDS, parallel_chunk_stats,  # noqa: F401
-                 parallel_grid_stats, substream)
+from .mc import (TAG_THRESHOLDS, Controlled, arena_row,  # noqa: F401
+                 parallel_chunk_stats, parallel_grid_stats, substream)
 from .numerics import fit_diversity_slope
 from .protocols import (
     ProtocolConfig,
@@ -118,7 +118,12 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Estimates with standard errors along a signal-to-noise grid."""
+    """Estimates with standard errors along a signal-to-noise grid.
+
+    estimator is "mean" for a plain average of per-trial values and
+    "ratio" for the channel-mode miss of csa, ocsa and mucsa, a ratio
+    control variate on the node's own phase-one failure (see
+    estimate_miss_curve)."""
 
     scheme: Scheme
     mode: str
@@ -126,6 +131,7 @@ class SweepResult:
     estimate: np.ndarray
     std_error: np.ndarray
     n_trials: int
+    estimator: str = "mean"
 
 
 @dataclass(frozen=True)
@@ -175,15 +181,21 @@ def _tail_draw(spec: SweepSpec, k: int):
     return draw
 
 
-def _channel_values(spec: SweepSpec, kernel):
+def _channel_values(spec: SweepSpec, kernel, lam_own: float | None = None):
     """Per-chunk draw of the gains of the scheme's model, and an evaluator
-    that applies kernel(cfg, ch) at each rho."""
+    that applies kernel(cfg, ch) at each rho.  With lam_own, kernel
+    returns (values, the node's own phase-one failure), and the evaluator
+    yields them as a Controlled cell whose control has the exact mean
+    exp_q_mean(d1 rho, lam_own)."""
     chunk_draw = (draw_multiuser_chunk if spec.scheme is Scheme.MUCSA
                   else draw_pair_chunk)
 
     def evaluator(rho):
         cfg = spec.config(rho)
-        return lambda ch, _arena: (kernel(cfg, ch),)
+        if lam_own is None:
+            return lambda ch, _arena: (kernel(cfg, ch),)
+        mu = exp_q_mean(spec.d1 * rho, lam_own)
+        return lambda ch, _arena: (Controlled(*kernel(cfg, ch), mu),)
 
     return (lambda idx, _start, size:
             chunk_draw(spec.means, spec.seed, idx, size)), evaluator
@@ -193,18 +205,23 @@ def _miss_values_channel(spec: SweepSpec, side: str, user: int):
     if spec.scheme is Scheme.MUCSA:
         _check_user(spec.means, user)
         return _channel_values(
-            spec, lambda cfg, ch: mucsa_conditional_miss(cfg, ch, user))
-    _pair_lams(spec.means, side)  # validates side
+            spec, lambda cfg, ch: mucsa_conditional_miss(
+                cfg, ch, user, with_phase1=True),
+            float(spec.means.primary[user]))
+    lam_own = _pair_lams(spec.means, side)[0]  # validates side
 
-    def kernel(cfg, ch):
+    def gains(ch):
         own, peer = (ch.g_pt, ch.g_pr) if side == "t" else (ch.g_pr, ch.g_pt)
-        if spec.scheme is Scheme.NC:
-            return nc_conditional_miss(cfg, own)
-        if spec.scheme is Scheme.CSA:
-            return csa_conditional_miss(cfg, own, peer, ch.g_tr)
-        return ocsa_conditional_miss(cfg, own, peer, ch.g_tr)
+        return own, peer, ch.g_tr
 
-    return _channel_values(spec, kernel)
+    if spec.scheme is Scheme.NC:
+        # no phase one: the plain mean
+        return _channel_values(
+            spec, lambda cfg, ch: nc_conditional_miss(cfg, gains(ch)[0]))
+    miss = (csa_conditional_miss if spec.scheme is Scheme.CSA
+            else ocsa_conditional_miss)
+    return _channel_values(
+        spec, lambda cfg, ch: miss(cfg, *gains(ch), with_phase1=True), lam_own)
 
 
 def _helper_count_tail(spec: SweepSpec, primary, user: int, b_mean: float):
@@ -315,7 +332,8 @@ def _joint_values_channel(spec: SweepSpec):
 # ---------------------------------------------------------------------------
 
 
-def _run_sweep(spec: SweepSpec, draw, evaluator) -> SweepResult:
+def _run_sweep(spec: SweepSpec, draw, evaluator,
+               estimator: str = "mean") -> SweepResult:
     """Chunks outside, grid points inside: each chunk is drawn once and
     evaluated at every rho, and each point is reduced in chunk order."""
     mean, se = parallel_grid_stats(
@@ -323,7 +341,8 @@ def _run_sweep(spec: SweepSpec, draw, evaluator) -> SweepResult:
         spec.n_trials, spec.chunk, spec.threads)
     return SweepResult(scheme=spec.scheme, mode=spec.mode,
                        rho_db=np.asarray(spec.rho_db, dtype=float),
-                       estimate=mean, std_error=se, n_trials=spec.n_trials)
+                       estimate=mean, std_error=se, n_trials=spec.n_trials,
+                       estimator=estimator)
 
 
 def estimate_miss_curve(spec: SweepSpec, side: str = "t",
@@ -332,9 +351,19 @@ def estimate_miss_curve(spec: SweepSpec, side: str = "t",
 
     ``side`` picks the node for the pair schemes ('t' or 'r'); ``user``
     picks the node for the multiuser scheme.
+
+    In channel mode, csa, ocsa and mucsa use a ratio control variate.  A
+    node misses only if it fails phase one, so each trial's miss m is at
+    most that failure c = Q(sqrt(2 d1 rho g_own)), whose mean mu =
+    exp_q_mean(d1 rho, lam_own) is exact.  The estimate is mu * mean(m) /
+    mean(c), in [0, 1] and biased by O(1/n_trials), with a delta-method
+    standard error (mc.parallel_grid_stats); SweepResult.estimator reads
+    "ratio".  nc, which has no phase one, and tail mode average plainly.
     """
-    factory = _miss_values_channel if spec.mode == "channel" else _miss_values_tail
-    return _run_sweep(spec, *factory(spec, side, user))
+    if spec.mode == "tail":
+        return _run_sweep(spec, *_miss_values_tail(spec, side, user))
+    return _run_sweep(spec, *_miss_values_channel(spec, side, user),
+                      "mean" if spec.scheme is Scheme.NC else "ratio")
 
 
 def estimate_joint_success_curve(spec: SweepSpec) -> SweepResult:

@@ -296,11 +296,19 @@ def _rows(**columns) -> list[dict]:
             for cell in zip(*(c.ravel().tolist() for c in cols))]
 
 
+def _meta(spec: SweepSpec, res, **meta) -> dict:
+    """The meta of a SweepResult; only a curve that is not a plain mean
+    names its estimator."""
+    if res.estimator != "mean":
+        meta["estimator"] = res.estimator
+    return {"scheme": spec.scheme.value, "mode": spec.mode, **meta}
+
+
 def _curve(spec: SweepSpec, res, **meta):
     """The rows and meta of a SweepResult along spec's rho grid."""
     rows = _rows(rho_db=res.rho_db, estimate=res.estimate,
                  std_error=res.std_error)
-    return rows, {"scheme": spec.scheme.value, "mode": spec.mode, **meta}
+    return rows, _meta(spec, res, **meta)
 
 
 def run_miss_sweep(conf: Conf, spec: SweepSpec, user: int):
@@ -319,7 +327,7 @@ def run_diversity(conf: Conf, spec: SweepSpec, user: int):
         spec, side=_sweep_value(conf, "diversity", "side"), user=user)
     rows = _rows(scheme=spec.scheme.value, mode=spec.mode, order=fit.order,
                  residual=fit.residual, n_points=len(spec.rho_db))
-    return rows, {"scheme": spec.scheme.value, "mode": spec.mode}
+    return rows, _meta(spec, fit.result)
 
 
 def _mc_args(spec: SweepSpec) -> dict:
@@ -458,6 +466,13 @@ KINDS = {
 # ---------------------------------------------------------------------------
 
 
+def _agree(pairs) -> bool:
+    """Whether each pair of one-point curves agrees within 4 combined SE."""
+    return all(abs(t.estimate[0] - c.estimate[0])
+               <= 4.0 * math.hypot(t.std_error[0], c.std_error[0])
+               for t, c in pairs)
+
+
 def run_selfcheck() -> tuple[str, bool]:
     """Quick built-in battery; returns (report text, all passed)."""
     from .protocols import (
@@ -502,9 +517,13 @@ def run_selfcheck() -> tuple[str, bool]:
     ocsa = replace(spec, scheme=Scheme.OCSA, rho_db=(0.0,))
     pairs = [[estimate_miss_curve(replace(ocsa, mode=mode), side=side)
               for mode in ("tail", "channel")] for side in "tr"]
-    check("ocsa tail vs channel", all(
-        abs(t.estimate[0] - c.estimate[0])
-        <= 4.0 * math.hypot(t.std_error[0], c.std_error[0]) for t, c in pairs))
+    check("ocsa tail vs channel", _agree(pairs))
+    # channel-mode mucsa runs the ratio control variate
+    mucsa = replace(spec, scheme=Scheme.MUCSA, rho_db=(0.0,),
+                    means=MultiuserMeans.uniform(2, 1.0, 1.5))
+    check("mucsa channel vs tail", _agree([[
+        estimate_miss_curve(replace(mucsa, mode=mode))
+        for mode in ("tail", "channel")]]))
 
     act = ActivityModel(p_theta_t=0.85, p_theta_joint=0.7)
     up, lo = capacity_draws(Scheme.OCSA, means, act, rho=1.0, t_c=10.0,

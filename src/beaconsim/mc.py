@@ -12,12 +12,13 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = ["CHUNK", "substream", "chunk_ranges", "parallel_grid_stats",
-           "parallel_chunk_stats", "parallel_chunk_arrays"]
+__all__ = ["CHUNK", "substream", "chunk_ranges", "arena_row", "Controlled",
+           "parallel_grid_stats", "parallel_chunk_stats",
+           "parallel_chunk_arrays"]
 
 # fixed chunk size; part of the stream layout, so changing it changes results
 CHUNK = 1_000_000
@@ -98,47 +99,114 @@ def _run_chunks(worker: Callable, ranges: Sequence[tuple[int, int, int]],
     return [f.result() for f in futures]
 
 
+class Controlled(NamedTuple):
+    """A grid cell estimated with a ratio control variate: per-trial values,
+    a per-trial control c in [0, 1] with values <= c, and c's exact mean."""
+
+    values: object
+    control: object
+    mean: float
+
+
+def arena_row(arena: dict, name: str, shape: tuple,
+              dtype=float) -> np.ndarray:
+    """The row of arena called name, with this shape and dtype; it is
+    allocated only when it is missing or its shape or dtype changed, so
+    calls on same-size chunks allocate nothing."""
+    row = arena.get(name)
+    if row is None or row.shape != shape or row.dtype != dtype:
+        row = arena[name] = np.empty(shape, dtype)
+    return row
+
+
+def _ratio(mu: float, n: int, s_v: float, s_c: float, s_vv: float,
+           s_cc: float, s_vc: float) -> tuple[float, float]:
+    """mu * mean(v) / mean(c) from the exact sums of n trials, with its
+    delta-method SE sqrt(sum (v - R c)^2) / n, R = mean(v) / mean(c):
+    linearized at c's exact mean mu, the ratio moves as mean(v - R c) does
+    (Cochran, Sampling Techniques, 1977, ch. 6).  0 +- 0 when every
+    control is 0, since then so is every value."""
+    if s_c == 0:
+        return 0.0, 0.0
+    r = s_v / s_c
+    resid = max(s_vv - 2.0 * r * s_vc + r * r * s_cc, 0.0)
+    return mu * r, math.sqrt(resid) / n
+
+
 def parallel_grid_stats(draw: Callable[[int, int, int], object],
                         points: Sequence[Callable[[object, dict], Iterable]],
                         n: int, chunk: int | None = None, threads: int = 1):
-    """Mean and standard error of per-trial values at each grid point.
+    """Estimate and standard error of each cell of a grid of points.
 
     Per chunk, sample = draw(chunk_index, start, size) runs once; then each
-    point(sample, scratch) runs in grid order and yields arrays of shape
-    (size,).  Each array is reduced to its sum and sum of squares as soon
-    as it is yielded, so a point may yield one buffer again after
-    overwriting it (the tail-mode evaluators yield scratch-arena rows);
-    any other shape, such as (size, 2), raises ValueError.  scratch is one
-    dict per worker thread, kept across its chunks and points for the
-    whole call (see fadeprob.arena_row).  Per array, the chunk sums are
-    combined with math.fsum in chunk order, so the result is exact and
-    independent of the thread count.  Returns (mean, std_error): float64
-    arrays with one entry per array a chunk yields.
+    point(sample, scratch) runs in grid order and yields its cells.  A cell
+    is an array of shape (size,), whose estimate is its mean, or a
+    Controlled of two such arrays, whose estimate is the ratio
+    mu * mean(values) / mean(control) (see _ratio).  Each cell is reduced
+    to its sums (sum and sum of squares; for a Controlled, both arrays'
+    sums and sums of squares and their sum of products) as soon as it is
+    yielded, so a point may yield one buffer again after overwriting it
+    (the tail-mode evaluators yield scratch-arena rows); any other shape,
+    such as (size, 2), raises ValueError.  scratch is one dict per worker
+    thread, kept across its chunks and points for the whole call (see
+    arena_row); a Controlled's products are formed in its "mc.product"
+    row.  Per cell, the chunk sums are combined with math.fsum in chunk
+    order, so the result is exact and independent of the thread count.
+    Returns (estimate, std_error): float64 arrays with one entry per cell
+    a chunk yields.
     """
     ranges = chunk_ranges(n, chunk)
     # every thread sees its own __dict__ of a threading.local: its scratch
     local = threading.local()
 
+    def column(vals, size: int) -> np.ndarray:
+        vals = np.asarray(vals, dtype=float)
+        if vals.shape != (size,):
+            raise ValueError("parallel_grid_stats: wrong length or "
+                             f"shape {vals.shape}, not ({size},)")
+        return vals
+
     def stats(chunk_idx: int, start: int, size: int):
         sample = draw(chunk_idx, start, size)
+        scratch = local.__dict__
+
+        def dot(x, y):
+            return np.sum(np.multiply(x, y, out=arena_row(
+                scratch, "mc.product", (size,))))
+
         out = []
         for point in points:
-            for vals in point(sample, local.__dict__):
-                vals = np.asarray(vals, dtype=float)
-                if vals.shape != (size,):
-                    raise ValueError("parallel_grid_stats: wrong length or "
-                                     f"shape {vals.shape}, not ({size},)")
-                out.append((np.sum(vals), np.sum(vals * vals)))
-                del vals  # free this array before the next is computed
+            for cell in point(sample, scratch):
+                if isinstance(cell, Controlled):
+                    v = column(cell.values, size)
+                    c = column(cell.control, size)
+                    out.append((cell.mean, np.sum(v), np.sum(c), dot(v, v),
+                                dot(c, c), dot(v, c)))
+                    del c
+                else:
+                    # a fresh square: a kept scratch row for it raised
+                    # the tail-mode peak RSS and page faults (README)
+                    v = column(cell, size)
+                    out.append((None, np.sum(v), np.sum(v * v)))
+                # free this cell before the next is computed
+                del cell, v
         return out
 
-    # per yielded array: the fsum of its chunk sums and of its squares' sums
-    sums = np.array([[math.fsum(col) for col in zip(*parts)]
-                     for parts in zip(*_run_chunks(stats, ranges, threads),
-                                      strict=True)]).reshape(-1, 2)
-    mean = sums[:, 0] / n
-    var = np.maximum(sums[:, 1] / n - mean * mean, 0.0)
-    return mean, np.sqrt(var / n)
+    # per cell: its control mean (None for a plain mean) and the fsum of
+    # each of its chunk sums
+    cells = [(parts[0][0], [math.fsum(col) for col in zip(
+        *(part[1:] for part in parts), strict=True)])
+        for parts in zip(*_run_chunks(stats, ranges, threads), strict=True)]
+    mean, se = np.empty(len(cells)), np.empty(len(cells))
+    plain = [i for i, (mu, _sums) in enumerate(cells) if mu is None]
+    sums = np.array([cells[i][1] for i in plain]).reshape(-1, 2)
+    m = sums[:, 0] / n
+    mean[plain] = m
+    se[plain] = np.sqrt(np.maximum(sums[:, 1] / n - m * m, 0.0) / n)
+    for i, (mu, cell_sums) in enumerate(cells):
+        if mu is not None:
+            mean[i], se[i] = _ratio(mu, n, *cell_sums)
+    return mean, se
 
 
 def parallel_chunk_stats(worker: Callable[[int, int, int], np.ndarray],

@@ -123,6 +123,13 @@ def _ret(value, scalar: bool):
     return float(value) if scalar else value
 
 
+def _with_phase1(miss, a, scalar: bool, with_phase1: bool):
+    """miss, or (miss, a) when with_phase1; floats for scalar gains."""
+    if with_phase1:
+        return _ret(miss, scalar), _ret(a, scalar)
+    return _ret(miss, scalar)
+
+
 def _fail(rho: float, uses: int, g: np.ndarray):
     """Detection-failure probability from `uses` channel uses over gain g."""
     return gaussian_q(np.sqrt(2.0 * uses * rho * g))
@@ -157,12 +164,15 @@ def nc_joint_success(cfg: ProtocolConfig, g_pt, g_pr):
 # ---------------------------------------------------------------------------
 
 
-def csa_conditional_miss(cfg: ProtocolConfig, g_own, g_peer, g_tr):
+def csa_conditional_miss(cfg: ProtocolConfig, g_own, g_peer, g_tr, *,
+                         with_phase1: bool = False):
     """Miss probability of one node when its peer rebeacons on success.
 
     The node misses if it fails phase one and then either (a) the peer
     succeeded but the combined primary-plus-relay observation still fails,
-    or (b) the peer failed too (no relay, miss certain).
+    or (b) the peer failed too (no relay, miss certain).  with_phase1 also
+    returns the node's own phase-one failure, which bounds the miss:
+    (miss, phase1_failure(cfg, g_own)).
     """
     (go, gp, gh), scalar = _gains("csa_conditional_miss", g_own, g_peer,
                                   g_tr)
@@ -171,7 +181,7 @@ def csa_conditional_miss(cfg: ProtocolConfig, g_own, g_peer, g_tr):
     b = _fail(rho, cfg.d1, gp)
     combined = gaussian_q(np.sqrt(2.0 * cfg.d1 * rho * go + 2.0 * cfg.d2 * rho * gh))
     out = np.clip(a * (1.0 - b) * combined + a * b, 0.0, 1.0)
-    return _ret(out, scalar)
+    return _with_phase1(out, a, scalar, with_phase1)
 
 
 def csa_joint_success(cfg: ProtocolConfig, g_pt, g_pr, g_tr):
@@ -255,7 +265,8 @@ def _miss_pick(order: MetricOrder, miss):
     return np.where(order.r_over_p & order.r_over_t, *miss)
 
 
-def ocsa_conditional_miss(cfg: ProtocolConfig, g_own, g_peer, g_tr):
+def ocsa_conditional_miss(cfg: ProtocolConfig, g_own, g_peer, g_tr, *,
+                          with_phase1: bool = False):
     """Miss probability of one node under opportunistic slot assignment.
 
     If the node fails phase one while its peer succeeds, the peer relays
@@ -263,13 +274,15 @@ def ocsa_conditional_miss(cfg: ProtocolConfig, g_own, g_peer, g_tr):
     transmits through the whole slot, so the node observes its own primary
     link over all d uses.  When both fail, the primary always transmits.
     The metrics are the true ones (gain_order), so the peer wins exactly
-    when ``g_own < min(g_peer, g_tr)``.
+    when ``g_own < min(g_peer, g_tr)``.  with_phase1 returns (miss, the
+    node's own phase-one failure), as in csa_conditional_miss.
     """
     (go, gp, gh), scalar = _gains("ocsa_conditional_miss", g_own, g_peer,
                                   g_tr)
     a, b = _fail(cfg.rho, cfg.d1, go), _fail(cfg.rho, cfg.d1, gp)
     miss = _ocsa_miss(a * (1.0 - b), a * b, _links(cfg, go, gh))
-    return _ret(_miss_pick(gain_order(go, gp, gh), miss), scalar)
+    return _with_phase1(_miss_pick(gain_order(go, gp, gh), miss), a, scalar,
+                        with_phase1)
 
 
 def ocsa_joint_success(cfg: ProtocolConfig, g_pt, g_pr, g_tr):
@@ -358,7 +371,7 @@ def check_user_count(nu: int) -> int:
 
 
 def mucsa_conditional_miss(cfg: ProtocolConfig, mch: MultiuserChannelSet,
-                           user: int) -> np.ndarray:
+                           user: int, *, with_phase1: bool = False):
     """Miss probability of one user with all successful users rebeaconing.
 
     Conditions on which subset of the other users succeeded in phase one:
@@ -373,7 +386,8 @@ def mucsa_conditional_miss(cfg: ProtocolConfig, mch: MultiuserChannelSet,
     numpy call covers a whole block.  Each subset's
     probability is multiplied and its gains added in ascending bit
     position, and the subsets' terms are added in mask order, so the
-    result does not depend on the block size.
+    result does not depend on the block size.  with_phase1 returns (miss,
+    the user's own phase-one failure), as in csa_conditional_miss.
     """
     nu = check_user_count(mch.n_users)
     m_pairs = nu // 2
@@ -426,4 +440,5 @@ def mucsa_conditional_miss(cfg: ProtocolConfig, mch: MultiuserChannelSet,
         for term in prob[1 if high == 0 else 0:]:
             total += term
     total += np.prod(fail, axis=0)
-    return np.clip(total, 0.0, 1.0)
+    return _with_phase1(np.clip(total, 0.0, 1.0), fail[user], False,
+                        with_phase1)

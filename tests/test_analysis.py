@@ -18,7 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from beaconsim import analysis, channel, mc
+from beaconsim import analysis, channel, mc, protocols
 from beaconsim.channel import MeanGains, MultiuserMeans
 from beaconsim.fadeprob import exp_erlang_box_prob, exp_q_mean
 from beaconsim.analysis import (
@@ -378,6 +378,110 @@ class TestOracleLimits:
         want = own_fade_miss(100.0, spec.d1, [1e-20] * (nu - 1),
                              spec.d2 / nu)
         assert abs(res.estimate[0] - want) <= 4.0 * res.std_error[0]
+
+
+def _plain_miss(spec: SweepSpec, side: str, user: int):
+    """The plain mean and SE of the channel-mode miss from the same draws
+    that estimate_miss_curve reduces as Controlled cells."""
+    draw, evaluator = analysis._miss_values_channel(spec, side, user)
+    points = [lambda ch, arena, point=evaluator(db_to_linear(r)):
+              (cell.values for cell in point(ch, arena))
+              for r in spec.rho_db]
+    return mc.parallel_grid_stats(draw, points, spec.n_trials, spec.chunk,
+                                  spec.threads)
+
+
+_CONTROLLED = [
+    *[(scheme, means, side, 0)
+      for scheme in (Scheme.CSA, Scheme.OCSA)
+      for means in (MeanGains(1.0, 2.0, 3.0), MeanGains(3.0, 1.0, 0.5))
+      for side in "tr"],
+    *[(Scheme.MUCSA, MultiuserMeans.uniform(m, 1.0, 1.5), "t", 1)
+      for m in (2, 3)],
+]
+
+
+class TestControlledMiss:
+    """Channel-mode csa, ocsa and mucsa miss: a ratio control variate on
+    the node's own phase-one failure, against the plain mean of the same
+    per-trial values."""
+
+    @pytest.mark.parametrize("scheme, means, side, user", _CONTROLLED)
+    def test_agrees_with_plain_mean(self, scheme, means, side, user):
+        spec = SweepSpec(scheme=scheme, means=means,
+                         rho_db=(-10.0, 0.0, 10.0, 30.0), n_trials=20_000,
+                         seed=5, chunk=5_000)
+        res = estimate_miss_curve(spec, side=side, user=user)
+        assert res.estimator == "ratio"
+        mean, se = _plain_miss(spec, side, user)
+        assert np.all((0.0 <= res.estimate) & (res.estimate <= 1.0))
+        assert np.all(np.abs(res.estimate - mean) <= 4.0 * se)
+        # where the plain SE is resolved, the ratio's is no larger; at
+        # 30 dB one trial carries the plain mean (relative SE ~1), and
+        # the two SE estimates rest on that trial alone
+        resolved = se <= 0.5 * mean
+        assert resolved[:3].all()
+        assert np.all(res.std_error[resolved] <= 1.02 * se[resolved])
+        assert np.all(res.std_error <= 1.1 * se)
+        # below 10 dB the phase-one failure removes a third of the SE or
+        # more
+        assert np.all(res.std_error[:2] <= 0.85 * se[:2])
+
+    def test_plain_mean_where_there_is_no_phase_one(self):
+        for scheme, mode in ((Scheme.NC, "channel"), (Scheme.CSA, "tail")):
+            spec = SweepSpec(scheme=scheme, means=MEANS, rho_db=(0.0,),
+                             n_trials=2_000, seed=3, mode=mode)
+            assert estimate_miss_curve(spec).estimator == "mean"
+        spec = SweepSpec(scheme=Scheme.CSA, means=MEANS, rho_db=(0.0,),
+                         n_trials=2_000, seed=3)
+        assert estimate_joint_success_curve(spec).estimator == "mean"
+
+    def test_every_control_zero(self):
+        # at 300 dB every phase-one failure rounds to 0, and so does every
+        # miss: 0 +- 0, and a RuntimeWarning would be an error (pyproject)
+        for scheme, means in ((Scheme.CSA, MEANS),
+                              (Scheme.MUCSA, MultiuserMeans.uniform(2, 1, 1))):
+            spec = SweepSpec(scheme=scheme, means=means, rho_db=(300.0,),
+                             n_trials=2_000, seed=3)
+            res = estimate_miss_curve(spec)
+            assert res.estimate.tolist() == res.std_error.tolist() == [0.0]
+
+    @pytest.mark.parametrize("scheme, tails", [(Scheme.CSA, 3),
+                                               (Scheme.OCSA, 4)])
+    def test_no_added_gaussian_tail(self, monkeypatch, scheme, tails):
+        # the control is the phase-one failure the kernel computes anyway:
+        # per chunk and point, the kernel's own count of gaussian_q calls
+        calls = []
+
+        def counted(x, _orig=protocols.gaussian_q):
+            calls.append(np.shape(x))
+            return _orig(x)
+
+        monkeypatch.setattr(protocols, "gaussian_q", counted)
+        spec = SweepSpec(scheme=scheme, means=MEANS, rho_db=(0.0, 10.0),
+                         n_trials=3_000, seed=3, chunk=1_000)
+        estimate_miss_curve(spec, side="r")
+        assert calls == [(1_000,)] * (3 * 2 * tails)
+
+    def test_mucsa_adds_no_gaussian_tail(self, monkeypatch):
+        # the user's phase-one failure is a row of the failures the subset
+        # probabilities already take
+        calls = []
+
+        def counted(x, _orig=protocols.gaussian_q):
+            calls.append(np.shape(x))
+            return _orig(x)
+
+        monkeypatch.setattr(protocols, "gaussian_q", counted)
+        mu = MultiuserMeans.uniform(2, 1.0, 1.5)
+        spec = SweepSpec(scheme=Scheme.MUCSA, means=mu, rho_db=(0.0,),
+                         n_trials=1_000, seed=3)
+        ch = channel.draw_multiuser_chunk(mu, 3, 0, 1_000)
+        protocols.mucsa_conditional_miss(spec.config(1.0), ch, 0)
+        plain = len(calls)
+        calls.clear()
+        estimate_miss_curve(spec)
+        assert len(calls) == plain
 
 
 class TestChunkOuterSweep:

@@ -212,6 +212,59 @@ class TestChunkStats:
             assert len(calls[0]) == len(calls[1]) == 2
         assert not {id(d) for d in calls[0]} & {id(d) for d in calls[1]}
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_controlled_cell_is_a_ratio(self, threads):
+        # mu * mean(v) / mean(c), with SE sqrt(sum (v - R c)^2) / n, from
+        # the chunk-ordered fsums; a plain cell beside it keeps its bytes
+        def draw(chunk_idx, start, size):
+            c = substream(13, 1, chunk_idx).random(size)
+            return c, c * substream(13, 2, chunk_idx).random(size)
+
+        def point(sample, _scratch):
+            c, v = sample
+            yield v
+            yield mc.Controlled(v, c, 0.5)
+
+        n = 30_000
+        (plain, ratio), (plain_se, ratio_se) = mc.parallel_grid_stats(
+            draw, [point], n, 4096, threads)
+        want = mc.parallel_grid_stats(draw, [lambda s, _x: (s[1],)], n, 4096,
+                                      threads)
+        assert (plain, plain_se) == (want[0][0], want[1][0])
+        c, v = (np.concatenate(parts) for parts in zip(
+            *(draw(*r) for r in mc.chunk_ranges(n, 4096))))
+        r = v.sum() / c.sum()
+        assert ratio == pytest.approx(0.5 * r, rel=1e-12)
+        assert ratio_se == pytest.approx(
+            math.sqrt(np.sum((v - r * c) ** 2)) / n, rel=1e-9)
+        # v = c u with u uniform: the residual c (u - 1/2) has variance
+        # 1/36 against v's 7/144, an SE cut to 0.76
+        assert ratio_se == pytest.approx(0.76 * plain_se, rel=0.05)
+
+    def test_controlled_cell_with_zero_controls(self):
+        # every control 0 (so every value too): 0 +- 0, with no 0/0
+        zeros = mc.Controlled(np.zeros(300), np.zeros(300), 0.25)
+        with np.errstate(all="raise"):
+            got = mc.parallel_grid_stats(lambda i, start, size: None,
+                                         [lambda _s, _x: (zeros,)], 900, 300)
+        assert [a.tolist() for a in got] == [[0.0], [0.0]]
+
+    def test_controlled_products_use_one_scratch_row(self):
+        # a Controlled's squares and co-moment are formed in the thread's
+        # "mc.product" row; a plain cell's square is a fresh temporary
+        draw = lambda i, start, size: np.full(size, 0.5)  # noqa: E731
+        for controlled in (False, True):
+            seen = []
+
+            def point(x, scratch):
+                seen.append(scratch)
+                yield mc.Controlled(x, x, 1.0) if controlled else x
+
+            mc.parallel_grid_stats(draw, [point], 1_000, 250)
+            rows = {k: v.shape for k, v in seen[0].items()
+                    if k.startswith("mc.")}
+            assert rows == ({"mc.product": (250,)} if controlled else {})
+
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="wrong length"):
             parallel_chunk_stats(lambda i, start, size: np.zeros(size + 1),

@@ -193,6 +193,31 @@ class TestMissSweep:
                                + limit + b",0\n")
 
 
+    @pytest.mark.parametrize("scheme", ["csa", "mucsa"])
+    def test_channel_ratio_with_every_control_zero(self, tmp_path, scheme):
+        # at +300 dB every phase-one failure, the control of the channel-
+        # mode ratio estimator, rounds to 0, and so does every miss: the
+        # estimate is 0 +- 0, with no 0/0 and no warning on stderr
+        text = _CHANNEL_MODE.replace("n_trials = 20000", "n_trials = 2000")
+        text = text.replace("rho_db = [0.0, 10.0]", "rho_db = [300.0]")
+        if scheme == "mucsa":
+            text = text.replace(_CHANNEL, "").replace(
+                'scheme = "csa"', 'scheme = "mucsa"') + _MUCSA_USER.replace(
+                    "user = 4", "user = 3")
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "beaconsim.cli",
+             "miss-sweep", "--config", str(cfg), "--format", "json"],
+            capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == b""
+        doc = json.loads(proc.stdout)
+        assert doc["meta"]["estimator"] == "ratio"
+        assert doc["rows"] == [{"rho_db": 300.0, "estimate": 0.0,
+                                "std_error": 0.0}]
+
+
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path):
         a = run_cli("miss-sweep", config_text=BASE_CONFIG, tmp_path=tmp_path)
@@ -721,6 +746,7 @@ mode = "tail"
         assert proc.returncode == 0, proc.stderr
         assert b"ok" in proc.stdout.lower()
         assert b"ocsa tail vs channel: ok\n" in proc.stdout
+        assert b"mucsa channel vs tail: ok\n" in proc.stdout
 
 
 class TestProtocolSplit:

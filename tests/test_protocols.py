@@ -578,6 +578,20 @@ class TestDominance:
 
     @given(g1=gain_st, g2=gain_st, g3=gain_st, rho=rho_st)
     @settings(max_examples=300, deadline=None)
+    def test_miss_within_own_phase1_failure(self, g1, g2, g3, rho):
+        # the control of the channel-mode ratio estimator: with_phase1
+        # adds the node's own phase-one failure, which bounds its miss,
+        # and leaves the miss's bits alone
+        cfg = ProtocolConfig(rho=rho)
+        a = phase1_failure(cfg, g1)
+        for kernel in (csa_conditional_miss, ocsa_conditional_miss):
+            miss, fail = kernel(cfg, g1, g2, g3, with_phase1=True)
+            assert type(miss) is type(fail) is float
+            assert miss == kernel(cfg, g1, g2, g3) and fail == a
+            assert miss <= a * (1.0 + 1e-12)
+
+    @given(g1=gain_st, g2=gain_st, g3=gain_st, rho=rho_st)
+    @settings(max_examples=300, deadline=None)
     def test_opportunistic_joint_dominates(self, g1, g2, g3, rho):
         cfg = ProtocolConfig(rho=rho)
         oj = ocsa_joint_success(cfg, g1, g2, g3)
@@ -657,6 +671,21 @@ class TestMultiuser:
             mucsa_conditional_miss(cfg, mch, 2)
         with pytest.raises(ValueError):
             mucsa_conditional_miss(cfg, mch, -1)
+
+    def test_with_phase1(self):
+        # the user's own phase-one failure bounds its miss; the miss keeps
+        # its bits
+        mch = _multiuser_draw(2, 500, 5)
+        g_p = mch.g_p
+        cfg = ProtocolConfig(rho=2.0)
+        for user in range(4):
+            miss, fail = mucsa_conditional_miss(cfg, mch, user,
+                                                with_phase1=True)
+            np.testing.assert_array_equal(
+                miss, mucsa_conditional_miss(cfg, mch, user))
+            np.testing.assert_array_equal(fail,
+                                          phase1_failure(cfg, g_p[user]))
+            assert np.all(miss <= fail * (1.0 + 1e-12))
 
 
 def _multiuser_draw(m_pairs, n, seed):
