@@ -33,10 +33,10 @@ from .channel import (
     draw_pair_chunk,
 )
 # exp_sum_box_prob is unused but stays bound: perfbench hooks it here
-from .fadeprob import (exp_erlang_box_prob, exp_q_mean,  # noqa: F401
-                       exp_sum_box_prob, ocsa_fade_regions)
+from .fadeprob import (arena_row, exp_erlang_box_prob,  # noqa: F401
+                       exp_q_mean, exp_sum_box_prob, ocsa_fade_regions)
 # parallel_chunk_stats is unused but stays bound: perfbench hooks it here
-from .mc import (TAG_THRESHOLDS, Controlled, arena_row,  # noqa: F401
+from .mc import (TAG_THRESHOLDS, Controlled,  # noqa: F401
                  parallel_chunk_stats, parallel_grid_stats, substream)
 from .numerics import fit_diversity_slope
 from .protocols import (
@@ -182,11 +182,12 @@ def _tail_draw(spec: SweepSpec, k: int):
 
 
 def _channel_values(spec: SweepSpec, kernel, lam_own: float | None = None):
-    """Per-chunk draw of the gains of the scheme's model, and an evaluator
-    that applies kernel(cfg, ch) at each rho.  With lam_own, kernel
-    returns (values, the node's own phase-one failure), and the evaluator
-    yields them as a Controlled cell whose control has the exact mean
-    exp_q_mean(d1 rho, lam_own)."""
+    """Per-chunk draw of the gains of the scheme's model, an evaluator that
+    applies kernel(cfg, ch) at each rho, and the estimator's name.  With
+    lam_own, kernel returns (values, the node's own phase-one failure),
+    and the evaluator yields them as a Controlled cell whose control has
+    the exact mean exp_q_mean(d1 rho, lam_own): a "ratio" estimator;
+    without, a plain "mean"."""
     chunk_draw = (draw_multiuser_chunk if spec.scheme is Scheme.MUCSA
                   else draw_pair_chunk)
 
@@ -197,8 +198,9 @@ def _channel_values(spec: SweepSpec, kernel, lam_own: float | None = None):
         mu = exp_q_mean(spec.d1 * rho, lam_own)
         return lambda ch, _arena: (Controlled(*kernel(cfg, ch), mu),)
 
-    return (lambda idx, _start, size:
-            chunk_draw(spec.means, spec.seed, idx, size)), evaluator
+    return ((lambda idx, _start, size:
+             chunk_draw(spec.means, spec.seed, idx, size)), evaluator,
+            "mean" if lam_own is None else "ratio")
 
 
 def _miss_values_channel(spec: SweepSpec, side: str, user: int):
@@ -360,10 +362,8 @@ def estimate_miss_curve(spec: SweepSpec, side: str = "t",
     standard error (mc.parallel_grid_stats); SweepResult.estimator reads
     "ratio".  nc, which has no phase one, and tail mode average plainly.
     """
-    if spec.mode == "tail":
-        return _run_sweep(spec, *_miss_values_tail(spec, side, user))
-    return _run_sweep(spec, *_miss_values_channel(spec, side, user),
-                      "mean" if spec.scheme is Scheme.NC else "ratio")
+    factory = _miss_values_channel if spec.mode == "channel" else _miss_values_tail
+    return _run_sweep(spec, *factory(spec, side, user))
 
 
 def estimate_joint_success_curve(spec: SweepSpec) -> SweepResult:

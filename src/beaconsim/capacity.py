@@ -140,8 +140,7 @@ def _log2_1p(p, pw):
     out = np.log2(p + pw, out=np.empty(p.shape))
     out -= np.log2(p)
     small = pw < 2.0 ** -10 * p
-    if small.any():
-        out[small] = np.log1p(pw[small] / p[small]) / _LN2
+    out[small] = np.log1p(pw[small] / p[small]) / _LN2
     return out
 
 
@@ -447,10 +446,9 @@ def outage_capacity(scheme: Scheme, means: MeanGains,
     upper, lower = capacity_draws(scheme, means, activity, rho, t_c, n, seed,
                                   d1=d1, d2=d2, sigma2=sigma2,
                                   threads=threads, chunk=chunk)
-    # the order statistics alone: one partial sort per bound
+    upper.sort()
+    lower.sort()
     idx = [int(math.floor(e * n)) for e in eps]
-    upper.partition(idx)
-    lower.partition(idx)
     return OutageResult(
         epsilons=eps,
         upper=upper[idx],

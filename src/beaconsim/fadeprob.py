@@ -8,7 +8,7 @@ region probability, or (ocsa_fade_regions) the signed sum of them that is
 one scheme's miss, exactly, vectorized over per-trial thresholds.
 
 Scratch arenas.  The tail kernels (exp_erlang_box_prob, ocsa_fade_regions)
-take an optional arena: a dict of named scratch rows (see mc.arena_row) that
+take an optional arena: a dict of named scratch rows (see arena_row) that
 one thread reuses across calls, so that a sweep does not allocate, and
 fault in, dozens of chunk-size temporaries per call.  Every intermediate
 and every result is written into an arena row with out=, by the same
@@ -28,8 +28,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy.special import erfcx
-
-from .mc import arena_row
 
 __all__ = [
     "exp_q_mean",
@@ -53,6 +51,17 @@ def exp_q_mean(coeff: float, lam: float) -> float:
         raise ValueError("exp_q_mean: need coeff >= 0 and lam > 0")
     s = coeff * lam
     return 0.5 / (1.0 + s + math.sqrt(s) * math.sqrt(1.0 + s))
+
+
+def arena_row(arena: dict, name: str, shape: tuple,
+              dtype=float) -> np.ndarray:
+    """The row of arena called name, with this shape and dtype; it is
+    allocated only when it is missing or its shape or dtype changed, so
+    calls on same-size chunks allocate nothing."""
+    row = arena.get(name)
+    if row is None or row.shape != shape or row.dtype != dtype:
+        row = arena[name] = np.empty(shape, dtype)
+    return row
 
 
 def _power(x: np.ndarray, j: int, out: np.ndarray) -> np.ndarray:

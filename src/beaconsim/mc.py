@@ -16,7 +16,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = ["CHUNK", "substream", "chunk_ranges", "arena_row", "Controlled",
+__all__ = ["CHUNK", "substream", "chunk_ranges", "Controlled",
            "parallel_grid_stats", "parallel_chunk_stats",
            "parallel_chunk_arrays"]
 
@@ -108,17 +108,6 @@ class Controlled(NamedTuple):
     mean: float
 
 
-def arena_row(arena: dict, name: str, shape: tuple,
-              dtype=float) -> np.ndarray:
-    """The row of arena called name, with this shape and dtype; it is
-    allocated only when it is missing or its shape or dtype changed, so
-    calls on same-size chunks allocate nothing."""
-    row = arena.get(name)
-    if row is None or row.shape != shape or row.dtype != dtype:
-        row = arena[name] = np.empty(shape, dtype)
-    return row
-
-
 def _ratio(mu: float, n: int, s_v: float, s_c: float, s_vv: float,
            s_cc: float, s_vc: float) -> tuple[float, float]:
     """mu * mean(v) / mean(c) from the exact sums of n trials, with its
@@ -149,11 +138,10 @@ def parallel_grid_stats(draw: Callable[[int, int, int], object],
     (the tail-mode evaluators yield scratch-arena rows); any other shape,
     such as (size, 2), raises ValueError.  scratch is one dict per worker
     thread, kept across its chunks and points for the whole call (see
-    arena_row); a Controlled's products are formed in its "mc.product"
-    row.  Per cell, the chunk sums are combined with math.fsum in chunk
-    order, so the result is exact and independent of the thread count.
-    Returns (estimate, std_error): float64 arrays with one entry per cell
-    a chunk yields.
+    fadeprob.arena_row).  Per cell, the chunk sums are combined with
+    math.fsum in chunk order, so the result is exact and independent of
+    the thread count.  Returns (estimate, std_error): float64 arrays with
+    one entry per cell a chunk yields.
     """
     ranges = chunk_ranges(n, chunk)
     # every thread sees its own __dict__ of a threading.local: its scratch
@@ -168,24 +156,16 @@ def parallel_grid_stats(draw: Callable[[int, int, int], object],
 
     def stats(chunk_idx: int, start: int, size: int):
         sample = draw(chunk_idx, start, size)
-        scratch = local.__dict__
-
-        def dot(x, y):
-            return np.sum(np.multiply(x, y, out=arena_row(
-                scratch, "mc.product", (size,))))
-
         out = []
         for point in points:
-            for cell in point(sample, scratch):
+            for cell in point(sample, local.__dict__):
                 if isinstance(cell, Controlled):
                     v = column(cell.values, size)
                     c = column(cell.control, size)
-                    out.append((cell.mean, np.sum(v), np.sum(c), dot(v, v),
-                                dot(c, c), dot(v, c)))
+                    out.append((cell.mean, np.sum(v), np.sum(c),
+                                np.sum(v * v), np.sum(c * c), np.sum(v * c)))
                     del c
                 else:
-                    # a fresh square: a kept scratch row for it raised
-                    # the tail-mode peak RSS and page faults (README)
                     v = column(cell, size)
                     out.append((None, np.sum(v), np.sum(v * v)))
                 # free this cell before the next is computed

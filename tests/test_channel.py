@@ -249,22 +249,6 @@ class TestChunkStats:
                                          [lambda _s, _x: (zeros,)], 900, 300)
         assert [a.tolist() for a in got] == [[0.0], [0.0]]
 
-    def test_controlled_products_use_one_scratch_row(self):
-        # a Controlled's squares and co-moment are formed in the thread's
-        # "mc.product" row; a plain cell's square is a fresh temporary
-        draw = lambda i, start, size: np.full(size, 0.5)  # noqa: E731
-        for controlled in (False, True):
-            seen = []
-
-            def point(x, scratch):
-                seen.append(scratch)
-                yield mc.Controlled(x, x, 1.0) if controlled else x
-
-            mc.parallel_grid_stats(draw, [point], 1_000, 250)
-            rows = {k: v.shape for k, v in seen[0].items()
-                    if k.startswith("mc.")}
-            assert rows == ({"mc.product": (250,)} if controlled else {})
-
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="wrong length"):
             parallel_chunk_stats(lambda i, start, size: np.zeros(size + 1),
