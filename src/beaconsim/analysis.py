@@ -143,42 +143,48 @@ class DiversityFit:
     result: SweepResult
 
 
-def _check_user(means: MultiuserMeans, user: int) -> int:
-    """The checked user count of means, once user is checked to index one."""
-    nu = check_user_count(means.n_users)
-    if not 0 <= user < nu:
-        raise ValueError("user index out of range")
-    return nu
-
-
-def _pair_lams(means: MeanGains, side: str) -> tuple[float, float, float]:
-    """Mean gains as (own primary, peer primary, helper) for one side."""
+def _frame(side: str, pt, pr, tr):
+    """(own primary, peer primary, helper) for one side of the pair: of the
+    mean gains, or of a chunk's drawn gains."""
     if side == "t":
-        return means.pt, means.pr, means.tr
+        return pt, pr, tr
     if side == "r":
-        return means.pr, means.pt, means.tr
+        return pr, pt, tr
     raise ValueError("side must be 't' or 'r'")
 
 
 # ---------------------------------------------------------------------------
-# Per-chunk draws and per-rho evaluators, returned as (draw, evaluator): the
-# draw and the points evaluator(rho) that mc.parallel_grid_stats runs.  Tail
-# mode writes a point's values into rows of the thread's scratch arena (see
-# fadeprob.arena_row), so each is only valid until that thread's next use.
-# Far below 0 dB its thresholds z^2/(2 rho) overflow quietly to inf, the limit.
+# Per-chunk draws and per-rho evaluators, returned as (draw, evaluator,
+# estimator name): the draw and the points evaluator(rho) that
+# mc.parallel_grid_stats runs.  Tail mode writes a point's values into rows
+# of the thread's scratch arena (see fadeprob.arena_row), so each is only
+# valid until that thread's next use.
 # ---------------------------------------------------------------------------
 
 
-def _tail_draw(spec: SweepSpec, k: int):
-    """Per-chunk draw of k values z^2 per trial, one contiguous row each;
-    the thresholds at rho are z^2 / (2 rho)."""
+def _tail_values(spec: SweepSpec, k: int, values_at):
+    """Per-chunk draw of k values z^2 per trial, one contiguous row each,
+    and an evaluator whose point at rho writes the thresholds x = z^2 /
+    (2 rho) into the arena's "tail.x" row and returns values_at(rho)(x,
+    arena).  Far below 0 dB the thresholds overflow to inf, the limit:
+    overflow is quiet over the whole point."""
 
     def draw(idx, _start, size):
         z = substream(spec.seed, TAG_THRESHOLDS, idx).standard_normal((size, k))
         z *= z
         return z.T.copy()
 
-    return draw
+    def evaluator(rho):
+        values = values_at(rho)
+
+        @np.errstate(over="ignore")
+        def point(zz, arena):
+            return values(np.divide(zz, 2.0 * rho, out=arena_row(
+                arena, "tail.x", zz.shape)), arena)
+
+        return point
+
+    return draw, evaluator, "mean"
 
 
 def _channel_values(spec: SweepSpec, kernel, lam_own: float | None = None):
@@ -203,29 +209,6 @@ def _channel_values(spec: SweepSpec, kernel, lam_own: float | None = None):
             "mean" if lam_own is None else "ratio")
 
 
-def _miss_values_channel(spec: SweepSpec, side: str, user: int):
-    if spec.scheme is Scheme.MUCSA:
-        _check_user(spec.means, user)
-        return _channel_values(
-            spec, lambda cfg, ch: mucsa_conditional_miss(
-                cfg, ch, user, with_phase1=True),
-            float(spec.means.primary[user]))
-    lam_own = _pair_lams(spec.means, side)[0]  # validates side
-
-    def gains(ch):
-        own, peer = (ch.g_pt, ch.g_pr) if side == "t" else (ch.g_pr, ch.g_pt)
-        return own, peer, ch.g_tr
-
-    if spec.scheme is Scheme.NC:
-        # no phase one: the plain mean
-        return _channel_values(
-            spec, lambda cfg, ch: nc_conditional_miss(cfg, gains(ch)[0]))
-    miss = (csa_conditional_miss if spec.scheme is Scheme.CSA
-            else ocsa_conditional_miss)
-    return _channel_values(
-        spec, lambda cfg, ch: miss(cfg, *gains(ch), with_phase1=True), lam_own)
-
-
 def _helper_count_tail(spec: SweepSpec, primary, user: int, b_mean: float):
     """Tail-mode miss of one user whose peers that detect in phase one each
     add a relay term of mean b_mean; primary holds every user's primary-link
@@ -234,7 +217,7 @@ def _helper_count_tail(spec: SweepSpec, primary, user: int, b_mean: float):
     d1 = spec.d1
     a_mean = d1 * float(primary[user])
 
-    def evaluator(rho):
+    def values_at(rho):
         q_bar = np.array([exp_q_mean(d1 * rho, lam) for lam in primary])
         # weights[k]: probability that exactly k of the other users succeed
         # in phase one (failed own detection is part of the dualized box
@@ -247,10 +230,8 @@ def _helper_count_tail(spec: SweepSpec, primary, user: int, b_mean: float):
             weights[0] *= q
         all_fail = float(np.prod(q_bar))
 
-        def values(zz, arena):
-            with np.errstate(over="ignore"):
-                x_own, x_rec = np.divide(zz, 2.0 * rho, out=arena_row(
-                    arena, "tail.x", zz.shape))
+        def values(x, arena):
+            x_own, x_rec = x
             total = arena_row(arena, "tail.values", x_own.shape)
             total.fill(all_fail)
             # one call gives the box for every helper count; each row is
@@ -264,17 +245,25 @@ def _helper_count_tail(spec: SweepSpec, primary, user: int, b_mean: float):
 
         return values
 
-    return _tail_draw(spec, 2), evaluator
+    return _tail_values(spec, 2, values_at)
 
 
-def _miss_values_tail(spec: SweepSpec, side: str, user: int):
+def _miss_values(spec: SweepSpec, side: str, user: int):
+    """(draw, evaluator, estimator name) of one node's miss in spec.mode;
+    the node is side's for the pair schemes and user's for mucsa."""
     d1, d2 = spec.d1, spec.d2
-    d = d1 + d2
     means = spec.means
+    tail = spec.mode == "tail"
     if spec.scheme is Scheme.MUCSA:
-        nu = _check_user(means, user)
-        off = ~np.eye(nu, dtype=bool)
-        inter_vals = np.unique(means.inter[off])
+        nu = check_user_count(means.n_users)
+        if not 0 <= user < nu:
+            raise ValueError("user index out of range")
+        if not tail:
+            return _channel_values(
+                spec, lambda cfg, ch: mucsa_conditional_miss(
+                    cfg, ch, user, with_phase1=True),
+                float(means.primary[user]))
+        inter_vals = np.unique(means.inter[~np.eye(nu, dtype=bool)])
         if inter_vals.size != 1:
             raise ValueError(
                 "tail mode requires identical inter-user mean gains "
@@ -282,40 +271,35 @@ def _miss_values_tail(spec: SweepSpec, side: str, user: int):
             )
         # each helper relays at rho / (2M), so one helper term has mean
         # (d2 / 2M) lam_uu
-        b_mean = (d2 / nu) * float(inter_vals[0])
-        return _helper_count_tail(spec, means.primary, user, b_mean)
+        return _helper_count_tail(spec, means.primary, user,
+                                  (d2 / nu) * float(inter_vals[0]))
 
-    lam_own, lam_peer, lam_tr = _pair_lams(means, side)
+    lam_own, lam_peer, lam_tr = lams = _frame(side, means.pt, means.pr,
+                                              means.tr)
+    if not tail:
+        if spec.scheme is Scheme.NC:
+            # no phase one: the plain mean
+            return _channel_values(spec, lambda cfg, ch: nc_conditional_miss(
+                cfg, _frame(side, ch.g_pt, ch.g_pr, ch.g_tr)[0]))
+        miss = (csa_conditional_miss if spec.scheme is Scheme.CSA
+                else ocsa_conditional_miss)
+        return _channel_values(spec, lambda cfg, ch: miss(
+            cfg, *_frame(side, ch.g_pt, ch.g_pr, ch.g_tr), with_phase1=True),
+            lam_own)
     if spec.scheme is Scheme.CSA:
         return _helper_count_tail(spec, (lam_own, lam_peer), 0, d2 * lam_tr)
     if spec.scheme is Scheme.NC:
 
-        def evaluator(rho):
-            @np.errstate(over="ignore")
-            def values(zz, arena):
-                # 0.5 * -expm1(-x / (d lam_own)), x = zz / (2 rho), in place
-                x = np.divide(zz[0], 2.0 * rho,
-                              out=arena_row(arena, "tail.values", zz[0].shape))
-                np.divide(np.negative(x, out=x), d * lam_own, out=x)
-                np.negative(np.expm1(x, out=x), out=x)
-                return (np.multiply(0.5, x, out=x),)
+        def nc_values(x, _arena):
+            # 0.5 * -expm1(-x / (d lam_own)), in place
+            x = np.negative(x[0], out=x[0])
+            np.divide(x, (d1 + d2) * lam_own, out=x)
+            np.negative(np.expm1(x, out=x), out=x)
+            return (np.multiply(0.5, x, out=x),)
 
-            return values
-
-        return _tail_draw(spec, 1), evaluator
-
-    lams = (lam_own, lam_peer, lam_tr)
-
-    def evaluator(rho):
-        @np.errstate(over="ignore")
-        def values(zz, arena):
-            x = np.divide(zz, 2.0 * rho, out=arena_row(arena, "tail.x",
-                                                       zz.shape))
-            return (ocsa_fade_regions(*x, d1, d2, lams, arena=arena),)
-
-        return values
-
-    return _tail_draw(spec, 3), evaluator
+        return _tail_values(spec, 1, lambda _rho: nc_values)
+    return _tail_values(spec, 3, lambda _rho: lambda x, arena: (
+        ocsa_fade_regions(*x, d1, d2, lams, arena=arena),))
 
 
 def _joint_values_channel(spec: SweepSpec):
@@ -362,8 +346,7 @@ def estimate_miss_curve(spec: SweepSpec, side: str = "t",
     standard error (mc.parallel_grid_stats); SweepResult.estimator reads
     "ratio".  nc, which has no phase one, and tail mode average plainly.
     """
-    factory = _miss_values_channel if spec.mode == "channel" else _miss_values_tail
-    return _run_sweep(spec, *factory(spec, side, user))
+    return _run_sweep(spec, *_miss_values(spec, side, user))
 
 
 def estimate_joint_success_curve(spec: SweepSpec) -> SweepResult:

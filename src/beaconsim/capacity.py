@@ -249,19 +249,19 @@ def _flip_odds(win, over_p, over_peer, z_own, sds):
 
 def _cells(scheme: Scheme, means: MeanGains, activity: ActivityModel,
            t_c: float, seed: int, d1: int, d2: int, rhos, levels,
-           wrong: bool = False, bound: bool = True):
+           wrong: bool = False):
     """(draw, points) of one mc.parallel_grid_stats pass over the dense
     grid of the distinct rhos and sigma2 levels (sorted), one point per rho.
     A point yields each level's per-trial wrong-relay probability (ocsa
     only) if wrong, then each level's per-trial upper and lower bounds if
-    bound.
+    an activity model is given.
 
     The draw gives each chunk's gains and, for ocsa, one standard normal
     metric-noise draw z of shape (3, size) that every nonzero level scales
-    by its sd.  Per level it keeps the metric order if bound, and the tx
-    and rx sides' flip odds W_t and W_r (_flip_odds) if wrong; neither
-    depends on rho.  The sigma2 = 0 order and the clean winners are the
-    kernels' gain_order; only the nonzero levels sum metrics.  The
+    by its sd.  Per level it keeps the metric order if it yields bounds,
+    and the tx and rx sides' flip odds W_t and W_r (_flip_odds) if wrong;
+    neither depends on rho.  The sigma2 = 0 order and the clean winners are
+    the kernels' gain_order; only the nonzero levels sum metrics.  The
     wrong-relay value is the conditional expectation, given the gains and
     z, of the indicator that noise changes the relay choice while exactly
     one secondary detected: (1 - a) b W_t + a (1 - b) W_r, with a and b
@@ -282,6 +282,7 @@ def _cells(scheme: Scheme, means: MeanGains, activity: ActivityModel,
         raise ValueError("sigma2 must be nonnegative")
     sds = [math.sqrt(s2) for s2 in levels if s2 > 0]
     zeros = len(levels) - len(sds)  # 0 or 1: the levels are distinct
+    bound = activity is not None
 
     def draw(idx: int, start: int, size: int):
         ch = draw_pair_chunk(means, seed, idx, size)
@@ -338,7 +339,7 @@ def _cells(scheme: Scheme, means: MeanGains, activity: ActivityModel,
 
 def _one_pass(scheme: Scheme, means: MeanGains, activity, t_c, n: int,
               seed: int, d1: int, d2: int, threads: int, chunk: int | None,
-              rho, sigma2, wrong: bool = False, bound: bool = True):
+              rho, sigma2, wrong: bool = False):
     """(mean, se) pair of each broadcast (rho, sigma2) cell from one pass
     of _cells: an array of shape (grid..., kind, 2), the kinds in _cells'
     order."""
@@ -348,13 +349,14 @@ def _one_pass(scheme: Scheme, means: MeanGains, activity, t_c, n: int,
     levels = np.unique(sigma2)
     stats = parallel_grid_stats(
         *_cells(scheme, means, activity, t_c, seed, d1, d2, rhos, levels,
-                wrong, bound), n, chunk, threads)
+                wrong), n, chunk, threads)
     # per rho, every level's wrong-relay cell, then every level's bounds
     stats = np.stack(stats, axis=-1).reshape(len(rhos), -1, 2)
     k = len(levels) * wrong
     stats = np.concatenate(
         [stats[:, :k].reshape(len(rhos), len(levels), int(wrong), 2),
-         stats[:, k:].reshape(len(rhos), len(levels), 2 * bound, 2)], axis=2)
+         stats[:, k:].reshape(len(rhos), len(levels),
+                              2 * (activity is not None), 2)], axis=2)
     return stats[at_rho.reshape(rho.shape), np.searchsorted(levels, sigma2)]
 
 
@@ -507,7 +509,7 @@ def wrong_relay_probability_mc(sigma2, means: MeanGains, rho,
     hold here too.
     """
     cells = _one_pass(Scheme.OCSA, means, None, None, n, seed, d1, d2,
-                      threads, chunk, rho, sigma2, wrong=True, bound=False)
+                      threads, chunk, rho, sigma2, wrong=True)
     return _mean_se(cells[..., 0, :])
 
 
@@ -572,10 +574,16 @@ def throughput_loss_bound(ov: OverheadParams) -> float:
 
     In terms of w1 = t_fb / t_cr and w2 = beta / (t_cr * lambda_pt):
     w1 / (1 + w1) + (1 + w1) * (exp(w2 / (1 + w1)) - 1), exact (zero) when
-    both overheads vanish.
+    both overheads vanish.  The relative loss is below 1, so the bound is
+    capped at 1; the closed form is not evaluated once w2 / (1 + w1) >= 1,
+    where its second term alone exceeds 1 (and expm1 overflows from about
+    709.8).
     """
     w1, w2 = ov.w1, ov.w2
-    return w1 / (1.0 + w1) + (1.0 + w1) * math.expm1(w2 / (1.0 + w1))
+    y = w2 / (1.0 + w1)
+    if y >= 1.0:
+        return 1.0
+    return min(w1 / (1.0 + w1) + (1.0 + w1) * math.expm1(y), 1.0)
 
 
 def throughput_loss_mc(ov, means: MeanGains, rho: float,

@@ -116,7 +116,10 @@ def exp_erlang_box_prob(x1, x2, a: float, b: float, k: int,
     x1 and x2 are arrays of per-trial thresholds. The Erlang sum models j
     independent equal-mean relay links entering one combined detection.
     One recurrence serves every size: box_j is box_(j-1) less one more term.
-    The result is a row of arena (see the module docstring).
+    A term whose exponential is 0 is 0, so thresholds whose powers
+    overflow, or that are infinite, give the limit and no NaN (infinite
+    thresholds give 1).  The result is a row of arena (see the module
+    docstring).
     """
     if a <= 0 or b <= 0:
         raise ValueError("exp_erlang_box_prob: scales must be positive")
@@ -133,7 +136,6 @@ def exp_erlang_box_prob(x1, x2, a: float, b: float, k: int,
     m = row("m")
     np.maximum(np.minimum(x1, x2, out=m), 0.0, out=m)
     hi = np.maximum(x1, 0.0, out=row("hi"))
-    lo = np.subtract(hi, m, out=row("lo"))
     # -m / a; it overflows to -inf when a is tiny next to m, and
     # e^(-inf) = 0 is then the right limit of both exponentials below
     e_lo = np.negative(m, out=row("e_lo"))
@@ -142,6 +144,17 @@ def exp_erlang_box_prob(x1, x2, a: float, b: float, k: int,
     out = np.expm1(e_lo, out=row("out"))
     np.negative(out, out=out)
     boxes = arena_row(arena, "box.boxes", (k,) + shape)
+    top = np.fmax.reduce(hi, axis=None, initial=0.0)
+    inf_x1 = None
+    if top == np.inf:
+        # where x1 is infinite, u + T_j <= x1 always holds and every box is
+        # out = P(u <= m): those trials run at x1 = m = 0, which forms no
+        # inf - inf, and take out's value at the end
+        inf_x1 = hi == np.inf
+        out_inf = out[inf_x1]
+        hi[inf_x1] = m[inf_x1] = 0.0
+        top = np.fmax.reduce(hi, axis=None, initial=0.0)
+    lo = np.subtract(hi, m, out=row("lo"))
 
     # remaining terms integrate the Erlang tail against the u density:
     #   sum_j (1/(j! b^j a)) int_{x1-m}^{x1} s^j exp(c s - x1/a) ds,
@@ -152,8 +165,14 @@ def exp_erlang_box_prob(x1, x2, a: float, b: float, k: int,
     t1, t2, integral = row("t1"), row("t2"), row("integral")
     width = np.subtract(hi, lo, out=t1)
     near_equal = abs(c) * float(np.fmax.reduce(width, initial=0.0)) < 1e-8
+    with np.errstate(over="ignore"):
+        overflow = (2.0 * top) ** k == np.inf
     if near_equal:
-        mid = np.multiply(0.5, np.add(lo, hi, out=t2), out=t2)
+        if overflow:  # lo + hi may overflow; their halves do not
+            np.multiply(0.5, hi, out=t2)
+            mid = np.add(np.multiply(0.5, lo, out=t1), t2, out=t2)
+        else:
+            mid = np.multiply(0.5, np.add(lo, hi, out=t2), out=t2)
         mid_exp = np.negative(np.subtract(hi, mid, out=e_lo), out=e_lo)
         np.divide(mid_exp, a, out=mid_exp)
         np.subtract(mid_exp, np.divide(mid, b, out=t1), out=mid_exp)
@@ -164,6 +183,11 @@ def exp_erlang_box_prob(x1, x2, a: float, b: float, k: int,
         e_hi = np.negative(hi, out=row("e_hi"))
         np.divide(e_hi, b, out=e_hi)
         np.exp(e_hi, out=e_hi)
+    if overflow:
+        # a term whose exponential is 0 is 0, also where its power
+        # overflows: zeroing its base changes no finite product
+        hi[(mid_exp if near_equal else e_hi) == 0.0] = 0.0
+        lo[(mid_exp if near_equal else e_lo) == 0.0] = 0.0
     fact = 1.0
     for j in range(k):
         # integral = int_{x1-m}^{x1} s^j exp(c s - x1/a) ds
@@ -184,6 +208,8 @@ def exp_erlang_box_prob(x1, x2, a: float, b: float, k: int,
         np.subtract(out, np.divide(integral, fact * b ** j * a, out=t1),
                     out=out)
         np.maximum(out, 0.0, out=boxes[j, ...])
+    if inf_x1 is not None:
+        boxes[:, inf_x1] = out_inf
     return boxes
 
 

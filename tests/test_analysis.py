@@ -383,7 +383,7 @@ class TestOracleLimits:
 def _plain_miss(spec: SweepSpec, side: str, user: int):
     """The plain mean and SE of the channel-mode miss from the same draws
     that estimate_miss_curve reduces as Controlled cells."""
-    draw, evaluator, _estimator = analysis._miss_values_channel(
+    draw, evaluator, _estimator = analysis._miss_values(
         spec, side, user)
     points = [lambda ch, arena, point=evaluator(db_to_linear(r)):
               (cell.values for cell in point(ch, arena))

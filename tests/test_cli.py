@@ -165,32 +165,53 @@ class TestMissSweep:
                                b"-100,0.3749982322,1.666000469e-10\n")
 
 
-    @pytest.mark.parametrize("side", ["t", "r"])
-    @pytest.mark.parametrize("means", [(1.0, 2.0, 3.0), (3.0, 1.0, 0.5)])
-    @pytest.mark.parametrize("scheme, limit", [("nc", b"0.5"),
-                                               ("ocsa", b"0.25")])
-    def test_tail_thresholds_overflow_quietly(self, tmp_path, side, means,
-                                              scheme, limit):
+    @pytest.mark.parametrize("scheme, means, side, rho_db, limit", [
+        *[pytest.param(scheme, means, side, -3100.0, limit,
+                       id=f"{scheme}-{limit.decode()}-means{i}-{side}")
+          for scheme, limit in (("nc", b"0.5"), ("ocsa", b"0.25"),
+                                ("csa", b"0.375"))
+          for i, means in enumerate([(1.0, 2.0, 3.0), (3.0, 1.0, 0.5)])
+          for side in "tr"],
+        # mucsa: means is m_pairs, and the limit is
+        # 0.5^(2M) + 0.25 (1 - 0.5^(2M - 1))
+        *[pytest.param("mucsa", m, "t", rho_db, limit,
+                       id=f"mucsa-{limit.decode()}-m{m}-{rho_db:g}")
+          for m, rho_db, limit in ((2, -1600.0, b"0.28125"),
+                                   (2, -3100.0, b"0.28125"),
+                                   (4, -520.0, b"0.251953125"))],
+    ])
+    def test_tail_thresholds_overflow_quietly(self, tmp_path, scheme, means,
+                                              side, rho_db, limit):
         # at -3100 dB nearly every threshold z^2 / (2 rho) overflows to
-        # inf, and the rest are ~1e308: each trial gives the rho -> 0
-        # limit, and no warning may reach stderr.  Means (3, 1, 0.5) make
-        # beta and gam2 of ocsa_fade_regions negative.
-        pt, pr, tr = means
+        # inf, and the rest are ~1e308; mucsa's Erlang box raises them to
+        # powers up to 2M - 1, which overflow from -1600 dB (M = 2) and
+        # -520 dB (M = 4).  Each trial gives the rho -> 0 limit, and no
+        # warning may reach stderr.  Means (3, 1, 0.5) make beta and gam2
+        # of ocsa_fade_regions negative.
+        if scheme == "mucsa":
+            kind = "multiuser"
+            text = _MULTIUSER_CONFIG.replace("m_pairs = 2",
+                                             f"m_pairs = {means}")
+        else:
+            kind = "miss-sweep"
+            pt, pr, tr = means
+            text = (BASE_CONFIG.replace("pt = 1.0", f"pt = {pt}")
+                    .replace("pr = 2.0", f"pr = {pr}")
+                    .replace("tr = 3.0", f"tr = {tr}")
+                    .replace('scheme = "csa"', f'scheme = "{scheme}"')
+                    + f'side = "{side}"\n')
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(
-            BASE_CONFIG.replace("pt = 1.0", f"pt = {pt}")
-            .replace("pr = 2.0", f"pr = {pr}").replace("tr = 3.0", f"tr = {tr}")
-            .replace('scheme = "csa"', f'scheme = "{scheme}"')
-            .replace("n_trials = 20000", "n_trials = 2000")
-            .replace("rho_db = [0.0, 10.0]", "rho_db = [-3100.0]")
-            + f'side = "{side}"\n')
+            text.replace("n_trials = 20000", "n_trials = 2000")
+            .replace("n_trials = 5000", "n_trials = 2000")
+            .replace("rho_db = [0.0, 10.0]", f"rho_db = [{rho_db}]"))
         proc = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "beaconsim.cli",
-             "miss-sweep", "--config", str(cfg)], capture_output=True)
+            [sys.executable, "-W", "error", "-m", "beaconsim.cli", kind,
+             "--config", str(cfg)], capture_output=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == b""
-        assert proc.stdout == (b"rho_db,estimate,std_error\n-3100,"
-                               + limit + b",0\n")
+        assert proc.stdout == (b"rho_db,estimate,std_error\n"
+                               + f"{rho_db:g},".encode() + limit + b",0\n")
 
 
     @pytest.mark.parametrize("scheme", ["csa", "mucsa"])
@@ -678,6 +699,19 @@ w2 = [0.0, 0.3]
         for row in rows:
             assert float(row["loss_mc"]) <= float(row["loss_bound"]) + 3 * float(
                 row["loss_se"])
+
+    @pytest.mark.parametrize("w1", ["0.0", "1e6"])
+    def test_throughput_bound_capped_at_one(self, tmp_path, w1):
+        # the closed form exceeds 1 (at w1 = 0, w2 = 1e6 its expm1
+        # overflows); a relative loss is below 1, so the bound reads 1
+        cfg = _THROUGHPUT_CONFIG.replace(
+            _THROUGHPUT, f"\n[throughput]\nw1 = [{w1}]\nw2 = [1e6]\n")
+        proc = run_cli("throughput", "--format", "json", config_text=cfg,
+                       tmp_path=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        (row,) = json.loads(proc.stdout)["rows"]
+        assert row["loss_bound"] == 1.0
+        assert row["loss_mc"] <= row["loss_bound"]
 
     def test_throughput_reports_configured_weights(self, tmp_path):
         # (w t_cr) / t_cr does not round back to w for t_cr = 0.7

@@ -194,6 +194,24 @@ class TestExpErlangBox:
             assert (exp_sum_box_prob(0.5, 0.6, 1.0, 2.0).tobytes()
                     == array[0].tobytes())
 
+    @pytest.mark.parametrize("a, b", [(1.0, 3.0), (3.0, 0.5), (1.0, 1.0)])
+    def test_unbounded_thresholds(self, a, b):
+        # rho -> 0 in tail mode: thresholds whose powers overflow, or that
+        # are inf, may form no inf - inf or inf * 0 (overflow itself is
+        # quiet under the tail point's errstate).  Where x1 is inf the box
+        # is P(u <= x2); a == b takes the near-equal form.  A finite trial
+        # keeps its bits beside them
+        huge = np.array([0.5, 1e160, 1e300, np.finfo(float).max, np.inf])
+        x2 = np.array([0.5, 2.0, 1e300, np.inf, 0.7])
+        with np.errstate(over="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = exp_erlang_box_prob(huge, huge, a, b, 7)
+            assert np.all(got[:, 1:] == 1.0)
+            inf_x1 = exp_erlang_box_prob(np.full(5, np.inf), x2, a, b, 3)
+            assert np.all(inf_x1 == -np.expm1(-x2 / a))
+        alone = exp_erlang_box_prob(huge[:1], huge[:1], a, b, 7)
+        assert got[:, :1].tobytes() == alone.tobytes()
+
     def test_nan_threshold_with_equal_means(self):
         # a == b needs the near-equal form (c = 0); a NaN width must not
         # hide the finite widths from the chunk-wide switch
