@@ -362,6 +362,10 @@ def estimate_joint_success_curve(spec: SweepSpec) -> SweepResult:
     return _run_sweep(spec, *_joint_values_channel(spec))
 
 
+class _ZeroMiss(ValueError):
+    """A miss estimate of exactly 0, which the CLI refuses as a config."""
+
+
 def estimate_diversity(spec: SweepSpec, side: str = "t",
                        user: int = 0) -> DiversityFit:
     """Fit the power-law decay order of the averaged miss curve.
@@ -374,10 +378,10 @@ def estimate_diversity(spec: SweepSpec, side: str = "t",
     result = estimate_miss_curve(spec, side=side, user=user)
     zero = np.flatnonzero(result.estimate == 0)
     if zero.size:
-        raise ValueError(
+        raise _ZeroMiss(
             "estimate_diversity: the miss estimate at rho_db = "
             f"{spec.rho_db[zero[0]]:g} is exactly 0, so no slope can be "
-            "fitted; use tail mode")
+            "fitted; use tail mode (sweep.mode) or a lower sweep.rho_db")
     rho = db_to_linear(np.asarray(spec.rho_db))
     order, residual = fit_diversity_slope(rho, result.estimate)
     return DiversityFit(order=order, residual=residual, result=result)

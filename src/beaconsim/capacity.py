@@ -301,10 +301,10 @@ def _cells(scheme: Scheme, means: MeanGains, activity: ActivityModel,
             # t_t leads t_p by g_tr - g_pr and t_r by g_pt - g_pr; t_r
             # leads t_p by g_tr - g_pt and t_t by g_pr - g_pt
             flips = list(zip(
-                _flip_odds(clean.t_over_p & clean.t_over_r, ch.g_tr - ch.g_pr,
-                           ch.g_pt - ch.g_pr, z[1], sds),
-                _flip_odds(clean.r_over_p & clean.r_over_t, ch.g_tr - ch.g_pt,
-                           ch.g_pr - ch.g_pt, z[2], sds)))
+                _flip_odds(clean.t_wins, ch.g_tr - ch.g_pr, ch.g_pt - ch.g_pr,
+                           z[1], sds),
+                _flip_odds(clean.r_wins, ch.g_tr - ch.g_pt, ch.g_pr - ch.g_pt,
+                           z[2], sds)))
         return ch, orders, flips
 
     def point(cfg: ProtocolConfig, sample, _scratch):
@@ -592,8 +592,8 @@ def throughput_loss_mc(ov, means: MeanGains, rho: float,
                        chunk: int | None = None) -> tuple:
     """Monte Carlo mean of the per-frame relative throughput loss.
 
-    Each trial samples channel gains and first-phase outcomes, runs the
-    relay selection, and charges the beaconing overhead against the
+    Each trial samples channel gains and first-phase outcomes, selects the
+    relay by gain_order, and charges the beaconing overhead against the
     selected relay's metric.  Returns (estimate, standard error), as floats
     for one OverheadParams ov and as arrays for an array-like of them, whose
     cells share each chunk's draws and relay selection.
@@ -606,7 +606,7 @@ def throughput_loss_mc(ov, means: MeanGains, rho: float,
         ch = draw_pair_chunk(means, seed, idx, size)
         u = substream(seed, TAG_STATUS, idx).random((size, 2))
         metrics = compute_metrics(ch)
-        sel = ocsa_select_relay(metrics,
+        sel = ocsa_select_relay(gain_order(ch.g_pt, ch.g_pr, ch.g_tr),
                                 u[:, 0] < 1.0 - phase1_failure(cfg, ch.g_pt),
                                 u[:, 1] < 1.0 - phase1_failure(cfg, ch.g_pr))
         return np.where(sel == RelayIdentity.SECONDARY_TX, metrics.t_t,

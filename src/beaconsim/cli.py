@@ -34,6 +34,7 @@ import numpy as np
 
 from .analysis import (
     SweepSpec,
+    _ZeroMiss,
     db_to_linear,
     estimate_diversity,
     estimate_joint_success_curve,
@@ -605,7 +606,7 @@ def main(argv=None) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-    except ConfigError as exc:
+    except (ConfigError, _ZeroMiss) as exc:
         print(f"beaconsim: config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

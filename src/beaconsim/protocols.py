@@ -205,41 +205,43 @@ def csa_joint_success(cfg: ProtocolConfig, g_pt, g_pr, g_tr):
 
 
 class MetricOrder(NamedTuple):
-    """The metric comparisons the ocsa rules read, one bool per trial."""
+    """The two ocsa relay rules per trial: a secondary beats the primary
+    (joint recovery), and it beats both others (miss, ocsa_select_relay)."""
 
     t_over_p: np.ndarray  # t_t > t_p
-    t_over_r: np.ndarray  # t_t > t_r
     r_over_p: np.ndarray  # t_r > t_p
-    r_over_t: np.ndarray  # t_r > t_t
+    t_wins: np.ndarray  # t_t > t_p and t_t > t_r
+    r_wins: np.ndarray  # t_r > t_p and t_r > t_t
 
 
 def metric_order(metrics: MetricTriple) -> MetricOrder:
-    t_p = np.asarray(metrics.t_p, dtype=float)
-    t_t = np.asarray(metrics.t_t, dtype=float)
-    t_r = np.asarray(metrics.t_r, dtype=float)
-    return MetricOrder(t_t > t_p, t_t > t_r, t_r > t_p, t_r > t_t)
+    t_p, t_t, t_r = (np.asarray(m, dtype=float)
+                     for m in (metrics.t_p, metrics.t_t, metrics.t_r))
+    t_over_p, r_over_p = t_t > t_p, t_r > t_p
+    return MetricOrder(t_over_p, r_over_p, t_over_p & (t_t > t_r),
+                       r_over_p & (t_r > t_t))
 
 
 def gain_order(g_pt, g_pr, g_tr) -> MetricOrder:
-    """The one noiseless metric order, read off the gains the true metrics
-    sum (t_t > t_p exactly when g_tr > g_pr, and so on), so that rounding
-    the sums never decides a tie."""
-    return MetricOrder(g_tr > g_pr, g_pt > g_pr, g_tr > g_pt, g_pr > g_pt)
+    """The one noiseless metric order: the true metrics are t_p = S - g_tr,
+    t_t = S - g_pr and t_r = S - g_pt for S the gain sum, so they order as
+    the negated gains, and no rounding of S decides a tie."""
+    return metric_order(MetricTriple(-g_tr, -g_pr, -g_pt))
 
 
-def ocsa_select_relay(metrics: MetricTriple, t_success, r_success) -> np.ndarray:
+def ocsa_select_relay(metrics: MetricTriple | MetricOrder, t_success,
+                      r_success) -> np.ndarray:
     """Apply the ordered relay-selection rule per trial.
 
-    The transmitter-side secondary wins if it detected and its metric
-    strictly exceeds both others; failing that, the receiver-side secondary
-    wins under the same condition; otherwise the primary transmits again.
-    Returns an int8 array of RelayIdentity values.
+    A secondary wins if it detected and its metric strictly exceeds both
+    others (at most one can); otherwise the primary transmits again.  The
+    metrics may be given as their MetricOrder, e.g. gain_order for the true
+    ones.  Returns an int8 array of RelayIdentity values.
     """
-    order = metric_order(metrics)
-    t_ok = np.asarray(t_success, dtype=bool)
-    r_ok = np.asarray(r_success, dtype=bool)
-    tx_wins = t_ok & order.t_over_p & order.t_over_r
-    rx_wins = ~tx_wins & r_ok & order.r_over_p & order.r_over_t
+    order = (metrics if isinstance(metrics, MetricOrder)
+             else metric_order(metrics))
+    tx_wins = np.asarray(t_success, dtype=bool) & order.t_wins
+    rx_wins = np.asarray(r_success, dtype=bool) & order.r_wins
     # the wins are disjoint, and PRIMARY is 0
     return np.asarray(
         tx_wins.astype(np.int8) * np.int8(RelayIdentity.SECONDARY_TX)
@@ -260,11 +262,6 @@ def _ocsa_miss(fs, ff, links):
     return [np.clip(fs * fail + ff * links[1], 0.0, 1.0) for fail in links]
 
 
-def _miss_pick(order: MetricOrder, miss):
-    """The tx side's miss: rx relays only when its metric beats both."""
-    return np.where(order.r_over_p & order.r_over_t, *miss)
-
-
 def ocsa_conditional_miss(cfg: ProtocolConfig, g_own, g_peer, g_tr, *,
                           with_phase1: bool = False):
     """Miss probability of one node under opportunistic slot assignment.
@@ -281,8 +278,8 @@ def ocsa_conditional_miss(cfg: ProtocolConfig, g_own, g_peer, g_tr, *,
                                   g_tr)
     a, b = _fail(cfg.rho, cfg.d1, go), _fail(cfg.rho, cfg.d1, gp)
     miss = _ocsa_miss(a * (1.0 - b), a * b, _links(cfg, go, gh))
-    return _with_phase1(_miss_pick(gain_order(go, gp, gh), miss), a, scalar,
-                        with_phase1)
+    return _with_phase1(np.where(gain_order(go, gp, gh).r_wins, *miss), a,
+                        scalar, with_phase1)
 
 
 def ocsa_joint_success(cfg: ProtocolConfig, g_pt, g_pr, g_tr):
@@ -331,16 +328,14 @@ class OcsaFactors:
         self._miss = None
 
     def miss(self, order: MetricOrder):
-        """The tx-side miss: its failed side's peer relays only when its
-        metric beats both others."""
+        """The tx-side miss: a failed tx recovers over rx when rx wins."""
         if self._miss is None:
             self._miss = _ocsa_miss(self._fs, self._ff, self._fail)
             del self._fs, self._ff, self._fail
-        return _miss_pick(order, self._miss)
+        return np.where(order.r_wins, *self._miss)
 
     def joint(self, order: MetricOrder):
-        """Joint success: a failed side's peer relays whenever its metric
-        beats the primary's."""
+        """Joint success: a detecting peer relays if it beats the primary."""
         joint = np.where(order.t_over_p, *self.head)
         joint += np.where(order.r_over_p, *self.tx)
         joint += self.retry

@@ -393,10 +393,10 @@ class TestWrongRelay:
         order = gain_order(g_pt, g_pr, g_tr)
         if side == "t":
             own, peer = g_pt, g_pr
-            win = order.t_over_p & order.t_over_r
+            win = order.t_wins
         else:
             own, peer = g_pr, g_pt
-            win = order.r_over_p & order.r_over_t
+            win = order.r_wins
         (w,) = capacity._flip_odds(win, g_tr - peer, own - peer, z_own, [sd])
         t_p, t_own, t_peer = g_pt + g_pr, own + g_tr, peer + g_tr
         rng = np.random.default_rng(47)

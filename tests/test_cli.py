@@ -536,14 +536,18 @@ t_c = 10.0
         assert b"diversity needs two distinct sweep.rho_db values" \
             in proc.stderr
 
-    def test_diversity_zero_estimate_is_numeric_error(self, tmp_path):
-        # channel mode never sees a csa miss this deep, so both points read 0
+    def test_diversity_zero_estimate_is_config_error(self, tmp_path):
+        # channel mode never sees a csa miss this deep, so both points read
+        # 0: the grid and mode are refused, naming both keys
         proc = run_cli("diversity", "--set", "sweep.mode='channel'",
                        "--set", "sweep.rho_db=[60.0, 80.0]",
                        config_text=BASE_CONFIG, tmp_path=tmp_path)
-        assert proc.returncode == 3, proc.stderr
-        assert (b"the miss estimate at rho_db = 60 is exactly 0, so no slope "
-                b"can be fitted; use tail mode") in proc.stderr
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == (
+            b"beaconsim: config error: estimate_diversity: the miss estimate "
+            b"at rho_db = 60 is exactly 0, so no slope can be fitted; use "
+            b"tail mode (sweep.mode) or a lower sweep.rho_db\n")
+        assert proc.stdout == b""
 
     def test_out_of_memory(self, tmp_path, monkeypatch, capsys):
         # the runner raises instead of allocating, so nothing is exhausted

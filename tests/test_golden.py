@@ -9,8 +9,16 @@ stream layout and every estimator, so a refactor that is meant to keep the
 results must leave them unchanged.
 
 The stored files were produced with the numpy and scipy versions in
-``VERSIONS``, on Python 3.11.7.  Other library versions may change the last
-bits of some values, so regeneration with
+``VERSIONS``, on Python 3.11.7, with numpy dispatching to its AVX-512
+(``X86_V4``) kernels.  Byte identity holds for the same versions *and* the
+same SIMD dispatch level: with AVX-512 dispatch turned off
+(``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`` in the
+environment), ``exp``, ``expm1``, ``log1p`` and ``power`` round 1 ulp
+differently on some elements, and the 9 tail-mode cases
+``diversity-{csa,mucsa,ocsa-r}``, ``miss-{csa,ocsa}-tail-{t,r}`` and
+``multiuser-tail{,-m4}`` fail while the other 43 pass.
+``numpy.show_runtime()`` prints a machine's level.  Other library versions
+may change the last bits of some values, so regeneration with
 ``python tests/test_golden.py [NAME...]`` (no name: every case) refuses to
 run under any other versions.  Regenerate only when a change is meant to
 move the numbers, and say so in the change log.

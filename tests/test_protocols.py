@@ -367,6 +367,32 @@ class TestRelaySelection:
         flag = np.array([True])
         assert ocsa_select_relay(m, flag, flag)[0] == RelayIdentity.PRIMARY
 
+    def test_true_metrics_pick_by_gains_not_rounded_sums(self):
+        # t_t = 1 + 2e-17 and t_p = 1 + 1e-17 both round to 1.0, but tx's
+        # true metric beats both: g_tr > g_pr and g_pt > g_pr
+        g = [np.array([v]) for v in (1.0, 1e-17, 2e-17)]
+        tx, rx = np.array([True]), np.array([False])
+        assert ocsa_select_relay(gain_order(*g), tx, rx)[0] == \
+            RelayIdentity.SECONDARY_TX
+        assert ocsa_select_relay(compute_metrics(ChannelSet(*g)), tx, rx)[0] \
+            == RelayIdentity.PRIMARY
+
+    def test_rules_read_off_gains_and_exact_sums(self):
+        # small integer gains tie often, and their metric sums are exact
+        rng = np.random.default_rng(12)
+        g_pt, g_pr, g_tr = rng.integers(0, 4, (3, 400)).astype(float)
+        order = gain_order(g_pt, g_pr, g_tr)
+        np.testing.assert_array_equal(order.t_over_p, g_tr > g_pr)
+        np.testing.assert_array_equal(order.r_over_p, g_tr > g_pt)
+        np.testing.assert_array_equal(order.t_wins,
+                                      (g_tr > g_pr) & (g_pt > g_pr))
+        np.testing.assert_array_equal(order.r_wins,
+                                      (g_tr > g_pt) & (g_pr > g_pt))
+        assert not np.any(order.t_wins & order.r_wins)
+        sums = metric_order(compute_metrics(ChannelSet(g_pt, g_pr, g_tr)))
+        for got, want in zip(sums, order):
+            np.testing.assert_array_equal(got, want)
+
     def test_vector_matches_oracle(self):
         rng = np.random.default_rng(11)
         n = 500
