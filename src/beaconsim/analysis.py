@@ -378,10 +378,11 @@ def estimate_diversity(spec: SweepSpec, side: str = "t",
     result = estimate_miss_curve(spec, side=side, user=user)
     zero = np.flatnonzero(result.estimate == 0)
     if zero.size:
+        tail = "tail mode (sweep.mode) or " if spec.mode == "channel" else ""
         raise _ZeroMiss(
             "estimate_diversity: the miss estimate at rho_db = "
             f"{spec.rho_db[zero[0]]:g} is exactly 0, so no slope can be "
-            "fitted; use tail mode (sweep.mode) or a lower sweep.rho_db")
+            f"fitted; use {tail}a lower sweep.rho_db")
     rho = db_to_linear(np.asarray(spec.rho_db))
     order, residual = fit_diversity_slope(rho, result.estimate)
     return DiversityFit(order=order, residual=residual, result=result)

@@ -252,21 +252,21 @@ def _cells(scheme: Scheme, means: MeanGains, activity: ActivityModel,
            wrong: bool = False):
     """(draw, points) of one mc.parallel_grid_stats pass over the dense
     grid of the distinct rhos and sigma2 levels (sorted), one point per rho.
-    A point yields each level's per-trial wrong-relay probability (ocsa
-    only) if wrong, then each level's per-trial upper and lower bounds if
-    an activity model is given.
+    A point yields its cells in (rho, sigma2, kind) order: per level, the
+    per-trial wrong-relay probability (ocsa only) if wrong, then the
+    per-trial upper and lower bounds if an activity model is given.
 
-    The draw gives each chunk's gains and, for ocsa, one standard normal
-    metric-noise draw z of shape (3, size) that every nonzero level scales
-    by its sd.  Per level it keeps the metric order if it yields bounds,
-    and the tx and rx sides' flip odds W_t and W_r (_flip_odds) if wrong;
-    neither depends on rho.  The sigma2 = 0 order and the clean winners are
-    the kernels' gain_order; only the nonzero levels sum metrics.  The
-    wrong-relay value is the conditional expectation, given the gains and
-    z, of the indicator that noise changes the relay choice while exactly
-    one secondary detected: (1 - a) b W_t + a (1 - b) W_r, with a and b
-    the first-phase failures at rho.  So no first-phase status is drawn.
-    A point computes its rho's detection failures once for all its cells;
+    The draw gives each chunk's gains and, for ocsa, one entry per level:
+    its metric order if bounds are asked for, and the tx and rx sides' flip
+    odds (W_t, W_r) (_flip_odds) if the wrong-relay cell is; neither depends
+    on rho.  Sigma2 = 0 is the kernels' gain_order and flips nothing (no
+    odds, a zero cell).  The nonzero levels scale one standard normal
+    metric-noise draw z of shape (3, size) by their sd.  The wrong-relay
+    value is the conditional expectation, given the gains and z, of the
+    indicator that noise changes the relay choice while exactly one
+    secondary detected: (1 - a) b W_t + a (1 - b) W_r, with a and b the
+    first-phase failures at rho.  So no first-phase status is drawn.  A
+    point computes its rho's detection failures once for all its cells;
     they are freed when it finishes.
     """
     scheme = Scheme(scheme)
@@ -280,35 +280,38 @@ def _cells(scheme: Scheme, means: MeanGains, activity: ActivityModel,
     levels = np.asarray(levels, dtype=float).tolist()
     if min(levels) < 0:
         raise ValueError("sigma2 must be nonnegative")
-    sds = [math.sqrt(s2) for s2 in levels if s2 > 0]
-    zeros = len(levels) - len(sds)  # 0 or 1: the levels are distinct
+    sds = [math.sqrt(s2) for s2 in levels]
+    noisy = [sd for sd in sds if sd]
     bound = activity is not None
 
     def draw(idx: int, start: int, size: int):
         ch = draw_pair_chunk(means, seed, idx, size)
         if not ocsa:
-            return ch, None, None
-        z = (substream(seed, TAG_METRIC_NOISE, idx).standard_normal((3, size))
-             if sds else None)
+            return ch, None
         clean = gain_order(ch.g_pt, ch.g_pr, ch.g_tr)
-        orders = flips = None
-        if bound:
-            metrics = compute_metrics(ch) if sds else None
-            orders = [clean] * zeros + [
-                metric_order(add_metric_noise(metrics, sd, z)) for sd in sds]
-            del metrics
-        if wrong and sds:
-            # t_t leads t_p by g_tr - g_pr and t_r by g_pt - g_pr; t_r
-            # leads t_p by g_tr - g_pt and t_t by g_pr - g_pt
-            flips = list(zip(
-                _flip_odds(clean.t_wins, ch.g_tr - ch.g_pr, ch.g_pt - ch.g_pr,
-                           z[1], sds),
-                _flip_odds(clean.r_wins, ch.g_tr - ch.g_pt, ch.g_pr - ch.g_pt,
-                           z[2], sds)))
-        return ch, orders, flips
+        orders = flips = ()
+        if noisy:
+            z = substream(seed, TAG_METRIC_NOISE, idx).standard_normal(
+                (3, size))
+            if bound:
+                metrics = compute_metrics(ch)
+                orders = [metric_order(add_metric_noise(metrics, sd, z))
+                          for sd in noisy]
+                del metrics
+            if wrong:
+                # t_t leads t_p by g_tr - g_pr and t_r by g_pt - g_pr; t_r
+                # leads t_p by g_tr - g_pt and t_t by g_pr - g_pt
+                flips = list(zip(
+                    _flip_odds(clean.t_wins, ch.g_tr - ch.g_pr,
+                               ch.g_pt - ch.g_pr, z[1], noisy),
+                    _flip_odds(clean.r_wins, ch.g_tr - ch.g_pt,
+                               ch.g_pr - ch.g_pt, z[2], noisy)))
+        orders, flips = iter(orders), iter(flips)
+        return ch, [(next(orders, None), next(flips, None)) if sd
+                    else (clean, None) for sd in sds]
 
     def point(cfg: ProtocolConfig, sample, _scratch):
-        ch, orders, flips = sample
+        ch, entries = sample
         if not ocsa:
             # the metric-free schemes give every level the same bounds
             yield from tuple(_bounds(activity, _metric_free(scheme, cfg, ch),
@@ -316,22 +319,20 @@ def _cells(scheme: Scheme, means: MeanGains, activity: ActivityModel,
             return
         a = phase1_failure(cfg, ch.g_pt)
         b = phase1_failure(cfg, ch.g_pr)
-        if wrong:
-            # sigma2 = 0 flips nothing; otherwise weigh the two statuses in
-            # which the choice matters: exactly one side detected
-            if zeros:
-                yield np.zeros(len(a))
-            if flips:
-                sf, fs = (1.0 - a) * b, a * (1.0 - b)
-                for w_t, w_r in flips:
-                    yield sf * w_t + fs * w_r
-                del sf, fs
+        if wrong and noisy:
+            # the choice matters in two statuses: exactly one side detected
+            sf, fs = (1.0 - a) * b, a * (1.0 - b)
         if bound:
             factors = OcsaFactors(cfg, ch.g_pt, ch.g_pr, ch.g_tr, a, b)
-            del a, b
             power = cfg.rho * ch.g_tr
-            for order in orders:
-                yield from _bounds(activity, factors.cells(order), power, t_c)
+        del a, b
+        for order, odds in entries:
+            if wrong:
+                yield (np.zeros(len(ch.g_tr)) if odds is None
+                       else sf * odds[0] + fs * odds[1])
+            if bound:
+                yield from _bounds(activity, factors.cells(order), power,
+                                   t_c)
 
     return draw, [partial(point, ProtocolConfig(rho=r, d1=d1, d2=d2))
                   for r in np.asarray(rhos, dtype=float).tolist()]
@@ -350,13 +351,7 @@ def _one_pass(scheme: Scheme, means: MeanGains, activity, t_c, n: int,
     stats = parallel_grid_stats(
         *_cells(scheme, means, activity, t_c, seed, d1, d2, rhos, levels,
                 wrong), n, chunk, threads)
-    # per rho, every level's wrong-relay cell, then every level's bounds
-    stats = np.stack(stats, axis=-1).reshape(len(rhos), -1, 2)
-    k = len(levels) * wrong
-    stats = np.concatenate(
-        [stats[:, :k].reshape(len(rhos), len(levels), int(wrong), 2),
-         stats[:, k:].reshape(len(rhos), len(levels),
-                              2 * (activity is not None), 2)], axis=2)
+    stats = np.stack(stats, -1).reshape(len(rhos), len(levels), -1, 2)
     return stats[at_rho.reshape(rho.shape), np.searchsorted(levels, sigma2)]
 
 

@@ -606,15 +606,22 @@ class TestGrid:
                 grid.lower_mean[i, j], grid.lower_se[i, j], grid.n_trials)
 
     def test_imperfect_estimates_equal_standalone_kernels(self, monkeypatch):
+        # sigma2 repeats a level, with and without 0, so wrong-relay cells
+        # and bounds interleave per level either way; the estimates run at
+        # 1 and 2 threads
+        for s2 in ([0.3, 0.0, 0.05, 1.0, 0.01, 0.3, 2.0], [0.3, 0.05, 0.3]):
+            for threads in (1, 2):
+                self.check_imperfect_estimates(monkeypatch, s2, threads)
+
+    def check_imperfect_estimates(self, monkeypatch, s2, threads):
         # reference cells from the standalone kernels (sigma2 = 0) or the
         # ocsa model under each noisy metric order, and the conditional
-        # wrong-relay formula, reduced by the same parallel_grid_stats;
-        # sigma2 repeats a level and includes 0
-        s2 = [0.3, 0.0, 0.05, 1.0, 0.01, 0.3, 2.0]
+        # wrong-relay formula, reduced by the same 1-thread
+        # parallel_grid_stats
         opened = self.opened(monkeypatch)
         est, base, wrong = capacity.imperfect_estimates(
             activity=ACT, rho=self.RHOS[:, None], t_c=10.0, sigma2=s2,
-            **self.KW)
+            threads=threads, **self.KW)
         # each chunk's gains and metric noise open once; no status is drawn
         assert opened(TAG_GAINS) == opened(TAG_METRIC_NOISE) == [0, 1, 2, 3]
         assert opened(TAG_STATUS) == []

@@ -548,6 +548,20 @@ t_c = 10.0
             b"at rho_db = 60 is exactly 0, so no slope can be fitted; use "
             b"tail mode (sweep.mode) or a lower sweep.rho_db\n")
         assert proc.stdout == b""
+        # tail mode reads an exactly-0 ocsa miss at 300 dB with pt = 1e30:
+        # only the grid is named, since the mode already is tail
+        proc = run_cli("diversity", "--set", "run.seed=1",
+                       "--set", "run.n_trials=2000", "--set", "channel.pt=1e30",
+                       "--set", "protocol.scheme='ocsa'",
+                       "--set", "sweep.side='r'",
+                       "--set", "sweep.rho_db=[150.0, 300.0]",
+                       config_text=BASE_CONFIG, tmp_path=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == (
+            b"beaconsim: config error: estimate_diversity: the miss estimate "
+            b"at rho_db = 300 is exactly 0, so no slope can be fitted; use "
+            b"a lower sweep.rho_db\n")
+        assert proc.stdout == b""
 
     def test_out_of_memory(self, tmp_path, monkeypatch, capsys):
         # the runner raises instead of allocating, so nothing is exhausted
