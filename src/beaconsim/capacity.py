@@ -160,7 +160,7 @@ def capacity_lower(p_t, p_joint, power, coherence_time):
     Undefined when the single-node state probability is zero but power is
     available, since the rate expression then has no meaning.
     """
-    if coherence_time <= 0:
+    if not coherence_time > 0:
         raise ValueError("capacity_lower: coherence_time must be positive")
     pt = np.asarray(p_t, dtype=float)
     pj = np.asarray(p_joint, dtype=float)
@@ -278,7 +278,7 @@ def _cells(scheme: Scheme, means: MeanGains, activity: ActivityModel,
         raise TypeError("means must be a MeanGains instance")
     ocsa = scheme is Scheme.OCSA
     levels = np.asarray(levels, dtype=float).tolist()
-    if min(levels) < 0:
+    if not all(s2 >= 0 for s2 in levels):
         raise ValueError("sigma2 must be nonnegative")
     sds = [math.sqrt(s2) for s2 in levels]
     noisy = [sd for sd in sds if sd]
@@ -477,7 +477,7 @@ def wrong_relay_bound(sigma2: float, means: MeanGains) -> float:
     helper link against each primary link, and the relevant status
     branches carry total probability bounded by 1/3 each.
     """
-    if sigma2 < 0:
+    if not sigma2 >= 0:
         raise ValueError("wrong_relay_bound: sigma2 must be nonnegative")
     s = math.sqrt(2.0 * sigma2)
     return (
@@ -526,13 +526,13 @@ class OverheadParams:
     lambda_pt: float = 1.0
 
     def __post_init__(self):
-        if self.t_cr <= 0:
+        if not self.t_cr > 0:
             raise ValueError("OverheadParams: t_cr must be positive")
-        if self.t_fb < 0:
+        if not self.t_fb >= 0:
             raise ValueError("OverheadParams: t_fb must be nonnegative")
-        if self.beta < 0:
+        if not self.beta >= 0:
             raise ValueError("OverheadParams: beta must be nonnegative")
-        if self.lambda_pt <= 0:
+        if not self.lambda_pt > 0:
             raise ValueError("OverheadParams: lambda_pt must be positive")
 
     @property

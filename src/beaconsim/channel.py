@@ -103,7 +103,7 @@ def perturb_metrics(metrics: MetricTriple, sigma2: float,
     The noise is sqrt(sigma2) times one standard normal draw of shape (3, n),
     so any sigma2 scales the same draw (see add_metric_noise).
     """
-    if sigma2 < 0:
+    if not sigma2 >= 0:
         raise ValueError("perturb_metrics: sigma2 must be nonnegative")
     if sigma2 == 0.0:
         return metrics
@@ -126,10 +126,10 @@ class MultiuserMeans:
             raise ValueError("MultiuserMeans: primary must have length 2M")
         if q.shape != (p.size, p.size):
             raise ValueError("MultiuserMeans: inter must be (2M, 2M)")
-        if (p <= 0).any():
+        if not (p > 0).all():
             raise ValueError("MultiuserMeans: primary means must be positive")
         off = ~np.eye(p.size, dtype=bool)
-        if (q[off] <= 0).any():
+        if not (q[off] > 0).all():
             raise ValueError("MultiuserMeans: inter means must be positive")
         if not np.array_equal(q, q.T):
             raise ValueError("MultiuserMeans: inter matrix must be symmetric")
@@ -144,7 +144,7 @@ class MultiuserMeans:
     def uniform(cls, m_pairs: int, primary: float, inter: float) -> "MultiuserMeans":
         if m_pairs < 1:
             raise ValueError("MultiuserMeans: need at least one pair")
-        if primary <= 0 or inter <= 0:
+        if not (primary > 0 and inter > 0):
             raise ValueError("MultiuserMeans: means must be positive")
         n = 2 * m_pairs
         q = np.full((n, n), float(inter))

@@ -612,7 +612,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"beaconsim: i/o error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, RuntimeWarning) as exc:
         print(f"beaconsim: numeric error: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:

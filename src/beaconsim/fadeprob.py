@@ -47,7 +47,7 @@ def exp_q_mean(coeff: float, lam: float) -> float:
     relative accuracy as s grows (the difference form cancels from ~80 dB
     and rounds to 0 from ~155 dB), and it needs no division by s.
     """
-    if coeff < 0 or lam <= 0:
+    if not (coeff >= 0 and lam > 0):
         raise ValueError("exp_q_mean: need coeff >= 0 and lam > 0")
     s = coeff * lam
     return 0.5 / (1.0 + s + math.sqrt(s) * math.sqrt(1.0 + s))
@@ -121,7 +121,7 @@ def exp_erlang_box_prob(x1, x2, a: float, b: float, k: int,
     thresholds give 1).  The result is a row of arena (see the module
     docstring).
     """
-    if a <= 0 or b <= 0:
+    if not (a > 0 and b > 0):
         raise ValueError("exp_erlang_box_prob: scales must be positive")
     if k < 1:
         raise ValueError("exp_erlang_box_prob: k must be >= 1")
@@ -281,7 +281,7 @@ def abs_diff_q_mean(s: float, mu1: float, mu2: float) -> float:
     and each exponential piece integrates against Q in closed form via the
     scaled complementary error function.
     """
-    if s < 0 or mu1 <= 0 or mu2 <= 0:
+    if not (s >= 0 and mu1 > 0 and mu2 > 0):
         raise ValueError("abs_diff_q_mean: need s >= 0 and positive means")
     if s == 0.0:
         return 0.0

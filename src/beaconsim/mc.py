@@ -108,13 +108,19 @@ class Controlled(NamedTuple):
     mean: float
 
 
-def _ratio(mu: float, n: int, s_v: float, s_c: float, s_vv: float,
-           s_cc: float, s_vc: float) -> tuple[float, float]:
-    """mu * mean(v) / mean(c) from the exact sums of n trials, with its
-    delta-method SE sqrt(sum (v - R c)^2) / n, R = mean(v) / mean(c):
-    linearized at c's exact mean mu, the ratio moves as mean(v - R c) does
-    (Cochran, Sampling Techniques, 1977, ch. 6).  0 +- 0 when every
-    control is 0, since then so is every value."""
+def _finish(mu: float | None, n: int, s_v: float, s_vv: float,
+            *control: float) -> tuple[float, float]:
+    """A cell's (estimate, SE) from the exact sums of its n trials: those
+    of v and v * v, then for a ratio cell those of c, c * c and v * c.  A
+    plain cell (mu None) gives mean(v) +- sqrt(var(v) / n); a ratio cell
+    mu * mean(v) / mean(c) with its delta-method SE sqrt(sum (v - R c)^2)
+    / n, R = mean(v) / mean(c): linearized at c's exact mean mu, the ratio
+    moves as mean(v - R c) does (Cochran, Sampling Techniques, 1977,
+    ch. 6).  0 +- 0 when every control is 0, since then so is every value."""
+    if mu is None:
+        m = s_v / n
+        return m, math.sqrt(max(s_vv / n - m * m, 0.0) / n)
+    s_c, s_cc, s_vc = control
     if s_c == 0:
         return 0.0, 0.0
     r = s_v / s_c
@@ -131,7 +137,7 @@ def parallel_grid_stats(draw: Callable[[int, int, int], object],
     point(sample, scratch) runs in grid order and yields its cells.  A cell
     is an array of shape (size,), whose estimate is its mean, or a
     Controlled of two such arrays, whose estimate is the ratio
-    mu * mean(values) / mean(control) (see _ratio).  Each cell is reduced
+    mu * mean(values) / mean(control) (see _finish).  Each cell is reduced
     to its sums (sum and sum of squares; for a Controlled, both arrays'
     sums and sums of squares and their sum of products) as soon as it is
     yielded, so a point may yield one buffer again after overwriting it
@@ -162,8 +168,8 @@ def parallel_grid_stats(draw: Callable[[int, int, int], object],
                 if isinstance(cell, Controlled):
                     v = column(cell.values, size)
                     c = column(cell.control, size)
-                    out.append((cell.mean, np.sum(v), np.sum(c),
-                                np.sum(v * v), np.sum(c * c), np.sum(v * c)))
+                    out.append((cell.mean, np.sum(v), np.sum(v * v),
+                                np.sum(c), np.sum(c * c), np.sum(v * c)))
                     del c
                 else:
                     v = column(cell, size)
@@ -172,21 +178,12 @@ def parallel_grid_stats(draw: Callable[[int, int, int], object],
                 del cell, v
         return out
 
-    # per cell: its control mean (None for a plain mean) and the fsum of
-    # each of its chunk sums
-    cells = [(parts[0][0], [math.fsum(col) for col in zip(
-        *(part[1:] for part in parts), strict=True)])
+    # per cell: its control mean (None for a plain mean), then the fsum of
+    # each of its chunk sums, finished into (estimate, SE)
+    cells = [_finish(parts[0][0], n, *(math.fsum(col) for col in zip(
+        *(part[1:] for part in parts), strict=True)))
         for parts in zip(*_run_chunks(stats, ranges, threads), strict=True)]
-    mean, se = np.empty(len(cells)), np.empty(len(cells))
-    plain = [i for i, (mu, _sums) in enumerate(cells) if mu is None]
-    sums = np.array([cells[i][1] for i in plain]).reshape(-1, 2)
-    m = sums[:, 0] / n
-    mean[plain] = m
-    se[plain] = np.sqrt(np.maximum(sums[:, 1] / n - m * m, 0.0) / n)
-    for i, (mu, cell_sums) in enumerate(cells):
-        if mu is not None:
-            mean[i], se[i] = _ratio(mu, n, *cell_sums)
-    return mean, se
+    return tuple(np.array(cells, dtype=float).reshape(-1, 2).T.copy())
 
 
 def parallel_chunk_stats(worker: Callable[[int, int, int], np.ndarray],

@@ -1,8 +1,8 @@
 """Accepted input means exit 0: the corner-case contract of the CLI.
 
-Every kind runs every scheme, mode and side that ``cli.KINDS`` lists, at
--300, 0 and 300 dB, over pair means from 1e-30 to 1e30 and over extreme
-capacity, noise and overhead settings.  Each run goes through ``cli.main``
+Every kind runs every scheme, mode and side that ``cli.KINDS`` lists, from
+-300 to 300 dB, over pair means from 1e-30 to 1e30, mucsa at 1 to 3 pairs
+and extreme capacity, noise and overhead settings.  Each run goes through ``cli.main``
 in process with every warning an error.  A run must either exit 0 with
 finite values, probabilities in [0, 1] and nonnegative SEs, or exit 2 with
 one ``beaconsim: config error:`` line.
@@ -18,11 +18,13 @@ import pytest
 
 from beaconsim import cli
 
-RHO_DB = [-300.0, 0.0, 300.0]
+RHO_DB = [-300.0, -150.0, -60.0, 0.0, 60.0, 150.0, 300.0]
 PAIR_MEANS = [(1.0, 2.0, 3.0), (1e-30, 2.0, 3.0), (1e30, 2.0, 3.0),
-              (1e-30,) * 3, (1e30,) * 3]
-# mucsa at M = 2: (primary, inter) mean gains
-MULTI_MEANS = [(1.0, 1.0), (1e-30, 1.0), (1e30, 1e30)]
+              (1e-8, 2.0, 3.0), (1e8, 2.0, 3.0), (1.0, 1e-8, 3.0),
+              (1.0, 2.0, 1e8), (1e-30,) * 3, (1e30,) * 3]
+# mucsa: pair counts M, and (primary, inter) mean gains
+M_PAIRS = [1, 2, 3]
+MULTI_MEANS = [(1.0, 1.0), (1e-30, 1.0), (1e30, 1e30), (1e-8, 1e8)]
 T_C = [10.0, 1e300]
 OUTAGE_SIGMA2 = [0.0, 0.05, 1e6]  # ocsa only: nc and csa read no noise
 IMPERFECT_SIGMA2 = [0.0, 0.05, 1e300]
@@ -47,8 +49,8 @@ def _configs(kind: str, t_cs):
                 "protocol": {"scheme": scheme.value},
                 "sweep": {"rho_db": RHO_DB, "mode": mode, "side": side}}
         if scheme.value == "mucsa":
-            gains = [("multiuser", {"m_pairs": 2, "primary": p, "inter": i})
-                     for p, i in MULTI_MEANS]
+            gains = [("multiuser", {"m_pairs": m, "primary": p, "inter": i})
+                     for m in M_PAIRS for p, i in MULTI_MEANS]
         else:
             gains = [("channel", dict(zip(("pt", "pr", "tr"), m)))
                      for m in PAIR_MEANS]
@@ -130,11 +132,11 @@ def test_accepted_input_exits_0_or_2(kind, tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.xfail(strict=True, raises=RuntimeWarning, reason=(
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "ROADMAP item 12, step 2: at t_c = 1e-300 the per-trial lower bound is "
     "about -1.44e300 and its square overflows in the engine's sums; with "
-    "warnings as errors that raises, and without them the run exits 3 with "
-    "'lower_se = nan is not finite'"))
+    "warnings as errors the run exits 3 with 'overflow encountered in "
+    "multiply', and without them with 'lower_se = nan is not finite'"))
 @pytest.mark.parametrize("kind", ["capacity-ergodic", "imperfect"])
 def test_tiny_coherence_time_exits_0_or_2(kind, tmp_path, capsys):
     assert _run_grid(kind, [1e-300], tmp_path, capsys) == []

@@ -98,8 +98,9 @@ class TestBounds:
             capacity_lower(0.0, 0.0, 1.0, 10.0)
 
     def test_lower_rejects_bad_coherence(self):
-        with pytest.raises(ValueError):
-            capacity_lower(0.5, 0.3, 1.0, 0.0)
+        for t_c in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                capacity_lower(0.5, 0.3, 1.0, t_c)
 
     @given(
         pt=st.floats(0.01, 1.0),
@@ -323,8 +324,17 @@ class TestImperfect:
         assert loss >= -3.0 * math.hypot(base.upper_se, noisy.upper_se)
 
     def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            imperfect_capacity(Scheme.OCSA, sigma2=-1.0, **self.KW)
+        # NaN noise fails every metric comparison, so the primary would
+        # always relay; a NaN level after a valid one must not hide either
+        for sigma2 in (-1.0, math.nan, [0.05, math.nan]):
+            with pytest.raises(ValueError, match="sigma2 must be nonnegative"):
+                imperfect_capacity(Scheme.OCSA, sigma2=sigma2, **self.KW)
+        for sigma2 in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="sigma2 must be nonnegative"):
+                outage_capacity(Scheme.OCSA, epsilons=(0.1,), sigma2=sigma2,
+                                **self.KW)
+            with pytest.raises(ValueError, match="sigma2 must be nonnegative"):
+                wrong_relay_bound(sigma2, MEANS)
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +489,13 @@ class TestThroughput:
             OverheadParams(t_cr=1.0, t_fb=-0.1, beta=0.1)
         with pytest.raises(ValueError):
             OverheadParams(t_cr=1.0, t_fb=0.1, beta=-0.1)
+        nan = math.nan
+        for kw in (dict(t_cr=nan, t_fb=0.1, beta=0.1),
+                   dict(t_cr=1.0, t_fb=nan, beta=0.1),
+                   dict(t_cr=1.0, t_fb=0.1, beta=nan),
+                   dict(t_cr=1.0, t_fb=0.1, beta=0.1, lambda_pt=nan)):
+            with pytest.raises(ValueError):
+                OverheadParams(**kw)
 
     def test_throughput_frozen(self):
         ov = OverheadParams(t_cr=1.0, t_fb=0.2, beta=0.1)

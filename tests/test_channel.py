@@ -80,8 +80,9 @@ class TestMetrics:
 
     def test_perturb_negative_variance_rejected(self):
         m = MetricTriple(np.zeros(4), np.zeros(4), np.zeros(4))
-        with pytest.raises(ValueError):
-            perturb_metrics(m, -1.0, substream(1, 99))
+        for sigma2 in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                perturb_metrics(m, sigma2, substream(1, 99))
 
 
 class TestMultiuser:
@@ -108,6 +109,13 @@ class TestMultiuser:
             MultiuserMeans.uniform(0, 1.0, 1.0)
         with pytest.raises(ValueError):
             MultiuserMeans.uniform(2, -1.0, 1.0)
+        with pytest.raises(ValueError, match="means must be positive"):
+            MultiuserMeans.uniform(2, math.nan, 1.0)
+        with pytest.raises(ValueError, match="inter means must be positive"):
+            MultiuserMeans(np.ones(2), np.array([[1.0, math.nan],
+                                                 [math.nan, 1.0]]))
+        with pytest.raises(ValueError, match="primary means must be positive"):
+            MultiuserMeans(np.array([1.0, math.nan]), np.ones((2, 2)))
 
 
 class TestChunkStats:

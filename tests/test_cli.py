@@ -85,8 +85,8 @@ mode = "tail"
 """
 
 
-def run_cli(*args, config_text=None, tmp_path=None):
-    argv = [sys.executable, "-m", "beaconsim.cli", *args]
+def run_cli(*args, config_text=None, tmp_path=None, flags=()):
+    argv = [sys.executable, *flags, "-m", "beaconsim.cli", *args]
     if config_text is not None:
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(config_text)
@@ -519,14 +519,18 @@ t_c = 10.0
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_non_finite_result_is_numeric_error(self, tmp_path, fmt):
-        # the lower bound's 1/t_c penalty overflows its standard error
-        proc = run_cli("capacity-ergodic", "--format", fmt,
-                       "--set", "capacity.t_c=1e-300",
-                       config_text=_CHANNEL_MODE + _CAPACITY,
-                       tmp_path=tmp_path)
-        assert proc.returncode == 3, proc.stderr
-        assert b"numeric error: lower_se = nan is not finite" in proc.stderr
-        assert proc.stdout == b""
+        # the lower bound's 1/t_c penalty overflows its standard error; with
+        # every warning an error, the overflow itself is the numeric error
+        for flags, msg in [((), b"lower_se = nan is not finite"),
+                           (("-W", "error"),
+                            b"overflow encountered in multiply")]:
+            proc = run_cli("capacity-ergodic", "--format", fmt,
+                           "--set", "capacity.t_c=1e-300",
+                           config_text=_CHANNEL_MODE + _CAPACITY,
+                           tmp_path=tmp_path, flags=flags)
+            assert proc.returncode == 3, proc.stderr
+            assert b"beaconsim: numeric error: " + msg in proc.stderr
+            assert proc.stdout == b""
 
     @pytest.mark.parametrize("rho_db", ["[10.0]", "[10.0, 10.0]"])
     def test_diversity_needs_two_distinct_rho(self, tmp_path, rho_db):

@@ -30,6 +30,23 @@ def mc_tol(p_hat, n, nsig=5.0):
     return nsig * math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / n) + 1e-4
 
 
+@pytest.mark.parametrize("call", [
+    lambda bad: exp_q_mean(bad, 1.0),
+    lambda bad: exp_q_mean(1.0, bad),
+    lambda bad: abs_diff_q_mean(bad, 1.0, 2.0),
+    lambda bad: abs_diff_q_mean(1.0, bad, 2.0),
+    lambda bad: exp_erlang_box_prob(np.ones(3), np.ones(3), bad, 1.0, 1),
+    lambda bad: exp_erlang_box_prob(np.ones(3), np.ones(3), 1.0, bad, 1),
+], ids=["exp_q_mean-coeff", "exp_q_mean-lam", "abs_diff_q_mean-s",
+        "abs_diff_q_mean-mu1", "exp_erlang_box_prob-a",
+        "exp_erlang_box_prob-b"])
+@pytest.mark.parametrize("bad", [-1.0, math.nan])
+def test_scalar_parameters_validated(call, bad):
+    # NaN passes a check written as x < 0 and yields NaN probabilities
+    with pytest.raises(ValueError):
+        call(bad)
+
+
 class TestExpQMean:
     def test_closed_form_value(self):
         # E[Q(sqrt(2 c g))], g ~ Exp(lam): (1/2)[1 - (1 + 1/(c lam))^(-1/2)]

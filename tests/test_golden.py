@@ -14,9 +14,9 @@ The stored files were produced with the numpy and scipy versions in
 same SIMD dispatch level: with AVX-512 dispatch turned off
 (``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`` in the
 environment), ``exp``, ``expm1``, ``log1p`` and ``power`` round 1 ulp
-differently on some elements, and the 9 tail-mode cases
-``diversity-{csa,mucsa,ocsa-r}``, ``miss-{csa,ocsa}-tail-{t,r}`` and
-``multiuser-tail{,-m4}`` fail while the other 43 pass.
+differently on some elements, and the 9 tail-mode cases in
+``DISPATCH_DEPENDENT`` differ while the other 43 keep their bytes
+(``test_dispatch_dependent_goldens`` checks this set).
 ``numpy.show_runtime()`` prints a machine's level.  Other library versions
 may change the last bits of some values, so regeneration with
 ``python tests/test_golden.py [NAME...]`` (no name: every case) refuses to
@@ -26,6 +26,7 @@ move the numbers, and say so in the change log.
 
 from __future__ import annotations
 
+import os
 import pathlib
 import re
 import subprocess
@@ -39,6 +40,11 @@ from beaconsim.mc import TAG_GAINS, TAG_METRIC_NOISE, TAG_STATUS
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
+# the cases whose bytes depend on numpy's SIMD dispatch level (see above)
+DISPATCH_DEPENDENT = frozenset({
+    "diversity-csa", "diversity-mucsa", "diversity-ocsa-r",
+    "miss-csa-tail-t", "miss-csa-tail-r", "miss-ocsa-tail-t",
+    "miss-ocsa-tail-r", "multiuser-tail", "multiuser-tail-m4"})
 
 _RUN = "[run]\nseed = 2024\nn_trials = 30000\nchunk = 7000\n"
 _PAIR = "[channel]\npt = 1.0\npr = 2.0\ntr = 3.0\n"
@@ -222,6 +228,24 @@ def test_imperfect_draws_once_per_chunk(name, tmp_path, monkeypatch):
     assert by_tag == {TAG_GAINS: chunks, TAG_STATUS: [],
                       TAG_METRIC_NOISE: chunks if noisy else []}
     assert len(opened) == len(chunks) * (1 + noisy)
+
+
+def test_dispatch_dependent_goldens(tmp_path):
+    # render every case with AVX-512 dispatch off: exactly the listed cases
+    # differ (on a CPU without AVX-512 the variable changes nothing and the
+    # same cases differ); naming any other feature makes numpy warn
+    code = ("import pathlib, sys; "
+            f"sys.path.insert(0, {str(pathlib.Path(__file__).parent)!r}); "
+            "import test_golden as g; "
+            "print(*(n for n in sorted(g.CASES) if g._render(n, "
+            f"pathlib.Path({str(tmp_path)!r})) "
+            "!= (g.GOLDEN / f'{n}.json').read_bytes()))")
+    env = {**os.environ,
+           "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) == DISPATCH_DEPENDENT
 
 
 def test_regeneration_refuses_other_versions():
