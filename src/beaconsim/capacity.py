@@ -148,7 +148,7 @@ def capacity_upper(p_joint, power):
     """Upper capacity bound; continuous extension gives 0 at p_joint = 0."""
     p = np.asarray(p_joint, dtype=float)
     pw = np.asarray(power, dtype=float)
-    if np.any(p < 0) or np.any(pw < 0):
+    if not ((p >= 0).all() and (pw >= 0).all()):
         raise ValueError("capacity_upper: arguments must be nonnegative")
     out = np.where(p > 0, p * _log2_1p(np.where(p > 0, p, 1.0), pw), 0.0)
     return float(out) if out.ndim == 0 else out
@@ -165,7 +165,7 @@ def capacity_lower(p_t, p_joint, power, coherence_time):
     pt = np.asarray(p_t, dtype=float)
     pj = np.asarray(p_joint, dtype=float)
     pw = np.asarray(power, dtype=float)
-    if np.any(pt < 0) or np.any(pj < 0) or np.any(pw < 0):
+    if not ((pt >= 0).all() and (pj >= 0).all() and (pw >= 0).all()):
         raise ValueError("capacity_lower: arguments must be nonnegative")
     if np.any((pt == 0) & (pw > 0)):
         raise ValueError(
@@ -344,6 +344,9 @@ def _one_pass(scheme: Scheme, means: MeanGains, activity, t_c, n: int,
     """(mean, se) pair of each broadcast (rho, sigma2) cell from one pass
     of _cells: an array of shape (grid..., kind, 2), the kinds in _cells'
     order."""
+    for name, grid in (("rho", rho), ("sigma2", sigma2)):
+        if not np.size(grid):
+            raise ValueError(f"{name} grid must not be empty")
     rho, sigma2 = np.broadcast_arrays(np.asarray(rho, dtype=float),
                                       np.asarray(sigma2, dtype=float))
     rhos, at_rho = np.unique(rho, return_inverse=True)
@@ -458,7 +461,7 @@ def relative_capacity_loss(base: CapacityEstimate,
                            degraded: CapacityEstimate):
     """Relative drop of the upper-bound mean caused by estimation noise;
     array fields broadcast."""
-    if np.any(np.asarray(base.upper_mean) <= 0):
+    if not (np.asarray(base.upper_mean) > 0).all():
         raise ValueError("relative_capacity_loss: base estimate must be positive")
     return (base.upper_mean - degraded.upper_mean) / base.upper_mean
 

@@ -51,7 +51,7 @@ def fit_diversity_slope(rho: Iterable[float], p: Iterable[float]) -> tuple[float
     p = np.asarray(list(p), dtype=float)
     if rho.shape != p.shape or rho.size < 2:
         raise ValueError("fit_diversity_slope: need >= 2 matching points")
-    if (rho <= 0).any() or (p <= 0).any():
+    if not ((rho > 0).all() and (p > 0).all()):
         raise ValueError("fit_diversity_slope: rho and p must be positive")
     x = np.log(rho)
     if x.min() == x.max():

@@ -28,7 +28,9 @@ MULTI_MEANS = [(1.0, 1.0), (1e-30, 1.0), (1e30, 1e30), (1e-8, 1e8)]
 T_C = [10.0, 1e300]
 OUTAGE_SIGMA2 = [0.0, 0.05, 1e6]  # ocsa only: nc and csa read no noise
 IMPERFECT_SIGMA2 = [0.0, 0.05, 1e300]
-OVERHEAD = [0.0, 1e6]  # throughput w1 and w2
+# throughput w1 and w2: w2/(1 + w1) on both sides of 1, where
+# throughput_loss_bound caps, and of ~709.8, where math.expm1 overflows
+OVERHEAD = [0.0, 1e-8, 0.5, 709.0, 710.0, 1e6]
 # the miss, joint and multiuser kinds report probabilities
 PROBABILITY_KINDS = ("miss-sweep", "joint-sweep", "multiuser")
 

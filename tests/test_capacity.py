@@ -6,6 +6,7 @@ import gc
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 from functools import partial
 
 import mpmath
@@ -96,6 +97,15 @@ class TestBounds:
     def test_lower_rejects_zero_state_with_power(self):
         with pytest.raises(ValueError):
             capacity_lower(0.0, 0.0, 1.0, 10.0)
+
+    def test_bounds_reject_negative_or_nan(self):
+        for bad in (-1.0, math.nan):
+            for args in ((bad, 1.0), (0.5, bad)):
+                with pytest.raises(ValueError, match="must be nonnegative"):
+                    capacity_upper(*args)
+            for args in ((bad, 0.3, 1.0), (0.5, bad, 1.0), (0.5, 0.3, bad)):
+                with pytest.raises(ValueError, match="must be nonnegative"):
+                    capacity_lower(*args, 10.0)
 
     def test_lower_rejects_bad_coherence(self):
         for t_c in (0.0, math.nan):
@@ -322,6 +332,9 @@ class TestImperfect:
         assert noisy.upper_mean <= base.upper_mean + tol
         loss = relative_capacity_loss(base, noisy)
         assert loss >= -3.0 * math.hypot(base.upper_se, noisy.upper_se)
+        for bad in (0.0, math.nan):
+            with pytest.raises(ValueError, match="must be positive"):
+                relative_capacity_loss(replace(base, upper_mean=bad), noisy)
 
     def test_negative_sigma_rejected(self):
         # NaN noise fails every metric comparison, so the primary would
@@ -335,6 +348,16 @@ class TestImperfect:
                                 **self.KW)
             with pytest.raises(ValueError, match="sigma2 must be nonnegative"):
                 wrong_relay_bound(sigma2, MEANS)
+        # an empty grid is refused by name, not by a failed reshape
+        kw = dict(self.KW, n=100)
+        with pytest.raises(ValueError, match="^sigma2 grid"):
+            imperfect_capacity(Scheme.OCSA, sigma2=[], **kw)
+        with pytest.raises(ValueError, match="^sigma2 grid"):
+            capacity.imperfect_estimates(sigma2=[], **kw)
+        with pytest.raises(ValueError, match="^sigma2 grid"):
+            wrong_relay_probability_mc([], MEANS, rho=1.0, n=100, seed=1)
+        with pytest.raises(ValueError, match="^rho grid"):
+            ergodic_capacity(Scheme.OCSA, **dict(kw, rho=[]))
 
 
 # ---------------------------------------------------------------------------

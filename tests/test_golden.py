@@ -1,38 +1,33 @@
 """Golden CLI outputs: every kind, byte for byte.
 
-Each case runs ``beaconsim.cli.main`` in-process with ``--format json`` (full
-float precision) at one and at two threads and compares the output file with
-the stored copy under ``tests/golden/``; only the meta ``threads`` field may
-differ.  The trial count (30000) is not a multiple of
-the chunk size (7000), so the last chunk is a short one.  The files pin the
-stream layout and every estimator, so a refactor that is meant to keep the
-results must leave them unchanged.
+Each case runs ``beaconsim.cli.main`` with ``--format json`` (full float
+precision) at one and at two threads and compares the output with the copy
+in ``tests/golden/``; only the meta ``threads`` field may differ.  30000
+trials in chunks of 7000 leave a short last chunk.  The files pin the
+stream layout and every estimator, so a refactor meant to keep the results
+must leave them unchanged.
 
-The stored files were produced with the numpy and scipy versions in
-``VERSIONS``, on Python 3.11.7, with numpy dispatching to its AVX-512
-(``X86_V4``) kernels.  Byte identity holds for the same versions *and* the
-same SIMD dispatch level: with AVX-512 dispatch turned off
-(``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`` in the
-environment), ``exp``, ``expm1``, ``log1p`` and ``power`` round 1 ulp
-differently on some elements, and the 9 tail-mode cases in
-``DISPATCH_DEPENDENT`` differ while the other 43 keep their bytes
-(``test_dispatch_dependent_goldens`` checks this set).
-``numpy.show_runtime()`` prints a machine's level.  Other library versions
-may change the last bits of some values, so regeneration with
-``python tests/test_golden.py [NAME...]`` (no name: every case) refuses to
-run under any other versions.  Regenerate only when a change is meant to
-move the numbers, and say so in the change log.
+The bytes hold for the numpy and scipy versions in ``VERSIONS`` at one SIMD
+dispatch level (numpy's AVX-512 ``exp``, ``expm1``, ``log1p`` and ``power``
+round 1 ulp unlike its AVX2 ones), so one subprocess renders every case at
+``X86_V3`` (``PINNED``) on any CPU and refuses any other level.  ``python
+tests/test_golden.py [NAME...]`` (no name: every case) regenerates through
+it, under those versions only, when a change is meant to move the numbers;
+say so in the change log.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__ as cpu
 
 from beaconsim import capacity, channel
 from beaconsim.cli import KINDS, Conf, main
@@ -40,11 +35,8 @@ from beaconsim.mc import TAG_GAINS, TAG_METRIC_NOISE, TAG_STATUS
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
-# the cases whose bytes depend on numpy's SIMD dispatch level (see above)
-DISPATCH_DEPENDENT = frozenset({
-    "diversity-csa", "diversity-mucsa", "diversity-ocsa-r",
-    "miss-csa-tail-t", "miss-csa-tail-r", "miss-ocsa-tail-t",
-    "miss-ocsa-tail-r", "multiuser-tail", "multiuser-tail-m4"})
+# cap numpy at X86_V3 (AVX2); a name that is no dispatch target makes it warn
+PINNED = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
 
 _RUN = "[run]\nseed = 2024\nn_trials = 30000\nchunk = 7000\n"
 _PAIR = "[channel]\npt = 1.0\npr = 2.0\ntr = 3.0\n"
@@ -164,14 +156,42 @@ def _render(name: str, tmp_dir: pathlib.Path, threads: int = 1) -> bytes:
     return out.read_bytes()
 
 
+def _render_here(out: str) -> None:
+    """Render every case at 1 and 2 threads into out, at X86_V3 only."""
+    if not cpu["X86_V3"] or cpu["X86_V4"]:
+        sys.exit(f"goldens need X86_V3: {cpu['X86_V3']=}, {cpu['X86_V4']=}")
+    for name in CASES:
+        for threads in (1, 2):
+            pathlib.Path(out, f"{name}.{threads}").write_bytes(
+                _render(name, pathlib.Path(out), threads))
+
+
+@functools.cache
+def _render_pinned() -> dict[str, tuple[bytes, bytes]]:
+    """Every case's (1-thread, 2-thread) renders from _render_here, run in
+    a subprocess with PINNED in its environment."""
+    with tempfile.TemporaryDirectory() as out:
+        code = (f"import sys; sys.path.insert(0, {str(GOLDEN.parent)!r}); "
+                f"import test_golden; test_golden._render_here({out!r})")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, **PINNED},
+                              capture_output=True, text=True)
+        if proc.returncode:
+            raise RuntimeError(f"pinned render failed:\n{proc.stderr}")
+        return {name: tuple(pathlib.Path(out, f"{name}.{threads}").read_bytes()
+                            for threads in (1, 2)) for name in CASES}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name, tmp_path):
     want = (GOLDEN / f"{name}.json").read_bytes()
-    assert _render(name, tmp_path) == want
     # five chunks, so two threads really split the work
     assert want.count(b'"threads": 1') == 1
-    assert (_render(name, tmp_path, threads=2)
-            == want.replace(b'"threads": 1', b'"threads": 2'))
+    two = want.replace(b'"threads": 1', b'"threads": 2')
+    assert _render_pinned()[name] == (want, two)
+    # at the machine's own dispatch level the thread counts agree too
+    native = [_render(name, tmp_path, threads) for threads in (1, 2)]
+    assert native[1] == native[0].replace(b'"threads": 1', b'"threads": 2')
 
 
 def test_every_scheme_of_every_kind_has_a_case():
@@ -230,24 +250,6 @@ def test_imperfect_draws_once_per_chunk(name, tmp_path, monkeypatch):
     assert len(opened) == len(chunks) * (1 + noisy)
 
 
-def test_dispatch_dependent_goldens(tmp_path):
-    # render every case with AVX-512 dispatch off: exactly the listed cases
-    # differ (on a CPU without AVX-512 the variable changes nothing and the
-    # same cases differ); naming any other feature makes numpy warn
-    code = ("import pathlib, sys; "
-            f"sys.path.insert(0, {str(pathlib.Path(__file__).parent)!r}); "
-            "import test_golden as g; "
-            "print(*(n for n in sorted(g.CASES) if g._render(n, "
-            f"pathlib.Path({str(tmp_path)!r})) "
-            "!= (g.GOLDEN / f'{n}.json').read_bytes()))")
-    env = {**os.environ,
-           "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert set(proc.stdout.split()) == DISPATCH_DEPENDENT
-
-
 def test_regeneration_refuses_other_versions():
     # the version check runs before the case names are read, so the unknown
     # name guarantees that nothing is written even if the check is broken
@@ -262,8 +264,6 @@ def test_regeneration_refuses_other_versions():
 
 
 if __name__ == "__main__":
-    import tempfile
-
     import numpy
     import scipy
 
@@ -275,7 +275,6 @@ if __name__ == "__main__":
     if unknown:
         sys.exit(f"unknown case(s): {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
-    with tempfile.TemporaryDirectory() as tmp:
-        for case in names:
-            (GOLDEN / f"{case}.json").write_bytes(_render(case, pathlib.Path(tmp)))
-            print(case, file=sys.stderr)
+    for case in names:
+        (GOLDEN / f"{case}.json").write_bytes(_render_pinned()[case][0])
+        print(case, file=sys.stderr)

@@ -218,5 +218,7 @@ class TestFitDiversitySlope:
             fit_diversity_slope(np.array([10.0]), np.array([0.1]))
         with pytest.raises(ValueError):
             fit_diversity_slope(np.array([10.0, 100.0]), np.array([0.1, 0.0]))
+        with pytest.raises(ValueError, match="must be positive"):
+            fit_diversity_slope(np.array([10.0, 100.0]), np.array([0.1, math.nan]))
         with pytest.raises(ValueError, match="zero spread"):
             fit_diversity_slope(np.array([10.0, 10.0]), np.array([0.1, 0.2]))
