@@ -22,6 +22,7 @@ and evaluated at every grid point.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,12 +126,9 @@ class SweepResult:
     control variate on the node's own phase-one failure (see
     estimate_miss_curve)."""
 
-    scheme: Scheme
-    mode: str
     rho_db: np.ndarray
     estimate: np.ndarray
     std_error: np.ndarray
-    n_trials: int
     estimator: str = "mean"
 
 
@@ -156,9 +154,9 @@ def _frame(side: str, pt, pr, tr):
 # ---------------------------------------------------------------------------
 # Per-chunk draws and per-rho evaluators, returned as (draw, evaluator,
 # estimator name): the draw and the points evaluator(rho) that
-# mc.parallel_grid_stats runs.  Tail mode writes a point's values into rows
-# of the thread's scratch arena (see fadeprob.arena_row), so each is only
-# valid until that thread's next use.
+# mc.parallel_grid_stats runs on each chunk's sample.  Tail mode writes a
+# point's values into rows of its thread's arena (see fadeprob.arena_row),
+# so each is only valid until that thread's next point.
 # ---------------------------------------------------------------------------
 
 
@@ -166,19 +164,23 @@ def _tail_values(spec: SweepSpec, k: int, values_at):
     """Per-chunk draw of k values z^2 per trial, one contiguous row each,
     and an evaluator whose point at rho writes the thresholds x = z^2 /
     (2 rho) into the arena's "tail.x" row and returns values_at(rho)(x,
-    arena).  Far below 0 dB the thresholds overflow to inf, the limit:
-    overflow is quiet over the whole point."""
+    arena), the arena being the running thread's __dict__ of one
+    threading.local per sweep.  Far below 0 dB the thresholds overflow to
+    inf, the limit: overflow is quiet over the whole point."""
 
     def draw(idx, _start, size):
         z = substream(spec.seed, TAG_THRESHOLDS, idx).standard_normal((size, k))
         z *= z
         return z.T.copy()
 
+    local = threading.local()
+
     def evaluator(rho):
         values = values_at(rho)
 
         @np.errstate(over="ignore")
-        def point(zz, arena):
+        def point(zz):
+            arena = local.__dict__
             return values(np.divide(zz, 2.0 * rho, out=arena_row(
                 arena, "tail.x", zz.shape)), arena)
 
@@ -200,9 +202,9 @@ def _channel_values(spec: SweepSpec, kernel, lam_own: float | None = None):
     def evaluator(rho):
         cfg = spec.config(rho)
         if lam_own is None:
-            return lambda ch, _arena: (kernel(cfg, ch),)
+            return lambda ch: (kernel(cfg, ch),)
         mu = exp_q_mean(spec.d1 * rho, lam_own)
-        return lambda ch, _arena: (Controlled(*kernel(cfg, ch), mu),)
+        return lambda ch: (Controlled(*kernel(cfg, ch), mu),)
 
     return ((lambda idx, _start, size:
              chunk_draw(spec.means, spec.seed, idx, size)), evaluator,
@@ -325,10 +327,8 @@ def _run_sweep(spec: SweepSpec, draw, evaluator,
     mean, se = parallel_grid_stats(
         draw, [evaluator(db_to_linear(rho_db)) for rho_db in spec.rho_db],
         spec.n_trials, spec.chunk, spec.threads)
-    return SweepResult(scheme=spec.scheme, mode=spec.mode,
-                       rho_db=np.asarray(spec.rho_db, dtype=float),
-                       estimate=mean, std_error=se, n_trials=spec.n_trials,
-                       estimator=estimator)
+    return SweepResult(rho_db=np.asarray(spec.rho_db, dtype=float),
+                       estimate=mean, std_error=se, estimator=estimator)
 
 
 def estimate_miss_curve(spec: SweepSpec, side: str = "t",

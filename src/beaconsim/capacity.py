@@ -110,7 +110,6 @@ class CapacityEstimate:
     upper_se: float
     lower_mean: float
     lower_se: float
-    n_trials: int
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,6 @@ class OutageResult:
     epsilons: tuple
     upper: np.ndarray
     lower: np.ndarray
-    n_trials: int
 
 
 def state_probs(activity: ActivityModel, miss_t, joint_success):
@@ -310,7 +308,7 @@ def _cells(scheme: Scheme, means: MeanGains, activity: ActivityModel,
         return ch, [(next(orders, None), next(flips, None)) if sd
                     else (clean, None) for sd in sds]
 
-    def point(cfg: ProtocolConfig, sample, _scratch):
+    def point(cfg: ProtocolConfig, sample):
         ch, entries = sample
         if not ocsa:
             # the metric-free schemes give every level the same bounds
@@ -358,11 +356,11 @@ def _one_pass(scheme: Scheme, means: MeanGains, activity, t_c, n: int,
     return stats[at_rho.reshape(rho.shape), np.searchsorted(levels, sigma2)]
 
 
-def _estimate(cells, n: int) -> CapacityEstimate:
+def _estimate(cells) -> CapacityEstimate:
     """CapacityEstimate of _one_pass cells whose last two kinds are the
     upper and lower bounds."""
     return CapacityEstimate(*_mean_se(cells[..., -2, :]),
-                            *_mean_se(cells[..., -1, :]), n_trials=n)
+                            *_mean_se(cells[..., -1, :]))
 
 
 def capacity_draws(scheme: Scheme, means: MeanGains, activity: ActivityModel,
@@ -374,7 +372,7 @@ def capacity_draws(scheme: Scheme, means: MeanGains, activity: ActivityModel,
         raise ValueError("capacity_draws: rho and sigma2 must be scalars")
     draw, (point,) = _cells(scheme, means, activity, t_c, seed, d1, d2,
                             [rho], [sigma2])
-    return tuple(parallel_chunk_arrays(lambda *r: tuple(point(draw(*r), None)),
+    return tuple(parallel_chunk_arrays(lambda *r: tuple(point(draw(*r))),
                                        n, chunk, threads))
 
 
@@ -393,7 +391,7 @@ def imperfect_capacity(scheme: Scheme, means: MeanGains,
     substream, so sigma2 = 0 reproduces the noiseless estimate bit for bit.
     """
     return _estimate(_one_pass(scheme, means, activity, t_c, n, seed, d1, d2,
-                               threads, chunk, rho, sigma2), n)
+                               threads, chunk, rho, sigma2))
 
 
 def imperfect_estimates(means: MeanGains, activity: ActivityModel, rho,
@@ -411,7 +409,7 @@ def imperfect_estimates(means: MeanGains, activity: ActivityModel, rho,
     noisy, clean = _one_pass(Scheme.OCSA, means, activity, t_c, n, seed, d1,
                              d2, threads, chunk, rho, [sigma2, zero],
                              wrong=True)
-    return _estimate(noisy, n), _estimate(clean, n), _mean_se(noisy[..., 0, :])
+    return _estimate(noisy), _estimate(clean), _mean_se(noisy[..., 0, :])
 
 
 def ergodic_capacity(scheme: Scheme, means: MeanGains,
@@ -453,7 +451,6 @@ def outage_capacity(scheme: Scheme, means: MeanGains,
         epsilons=eps,
         upper=upper[idx],
         lower=lower[idx],
-        n_trials=n,
     )
 
 
@@ -611,7 +608,7 @@ def throughput_loss_mc(ov, means: MeanGains, rho: float,
                         np.where(sel == RelayIdentity.SECONDARY_RX,
                                  metrics.t_r, metrics.t_p))
 
-    def losses(t_i, _scratch):
+    def losses(t_i):
         return (1.0 - _frame_share(o, t_i) for o in cells)
 
     stats = parallel_grid_stats(selected_metric, [losses], n, chunk, threads)

@@ -85,8 +85,11 @@ def _in_pool(fn, *args):
 
 def _run_chunks(worker: Callable, ranges: Sequence[tuple[int, int, int]],
                 threads: int) -> list:
-    # more workers than chunks or CPUs only adds OS threads
-    workers = min(threads, len(ranges), os.cpu_count() or 1)
+    # more workers than chunks or usable CPUs only adds OS threads; the
+    # affinity mask (taskset, cpusets) may allow fewer CPUs than exist
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(threads, len(ranges), cpus)
     if workers <= 1 or getattr(_IN_POOL, "active", False):
         return [worker(*r) for r in ranges]
     with _POOLS_LOCK:
@@ -129,29 +132,26 @@ def _finish(mu: float | None, n: int, s_v: float, s_vv: float,
 
 
 def parallel_grid_stats(draw: Callable[[int, int, int], object],
-                        points: Sequence[Callable[[object, dict], Iterable]],
+                        points: Sequence[Callable[[object], Iterable]],
                         n: int, chunk: int | None = None, threads: int = 1):
     """Estimate and standard error of each cell of a grid of points.
 
     Per chunk, sample = draw(chunk_index, start, size) runs once; then each
-    point(sample, scratch) runs in grid order and yields its cells.  A cell
-    is an array of shape (size,), whose estimate is its mean, or a
-    Controlled of two such arrays, whose estimate is the ratio
-    mu * mean(values) / mean(control) (see _finish).  Each cell is reduced
-    to its sums (sum and sum of squares; for a Controlled, both arrays'
-    sums and sums of squares and their sum of products) as soon as it is
-    yielded, so a point may yield one buffer again after overwriting it
-    (the tail-mode evaluators yield scratch-arena rows); any other shape,
-    such as (size, 2), raises ValueError.  scratch is one dict per worker
-    thread, kept across its chunks and points for the whole call (see
-    fadeprob.arena_row).  Per cell, the chunk sums are combined with
-    math.fsum in chunk order, so the result is exact and independent of
-    the thread count.  Returns (estimate, std_error): float64 arrays with
-    one entry per cell a chunk yields.
+    point(sample) runs in grid order and yields its cells.  A cell is an
+    array of shape (size,), whose estimate is its mean, or a Controlled of
+    two such arrays, whose estimate is the ratio mu * mean(values) /
+    mean(control) (see _finish).  Each cell is reduced to its sums (sum
+    and sum of squares; for a Controlled, both arrays' sums and sums of
+    squares and their sum of products) as soon as it is yielded, so a
+    point may yield one buffer again after overwriting it (the tail-mode
+    points yield rows of their per-thread arena); any other shape, such as
+    (size, 2), raises ValueError.  Per cell, the chunk sums are combined
+    with math.fsum in chunk order, so the result is exact and independent
+    of the thread count; every chunk's sums are kept until the call ends.
+    Returns (estimate, std_error): float64 arrays with one entry per cell
+    a chunk yields.
     """
     ranges = chunk_ranges(n, chunk)
-    # every thread sees its own __dict__ of a threading.local: its scratch
-    local = threading.local()
 
     def column(vals, size: int) -> np.ndarray:
         vals = np.asarray(vals, dtype=float)
@@ -164,7 +164,7 @@ def parallel_grid_stats(draw: Callable[[int, int, int], object],
         sample = draw(chunk_idx, start, size)
         out = []
         for point in points:
-            for cell in point(sample, local.__dict__):
+            for cell in point(sample):
                 if isinstance(cell, Controlled):
                     v = column(cell.values, size)
                     c = column(cell.control, size)
@@ -189,7 +189,7 @@ def parallel_grid_stats(draw: Callable[[int, int, int], object],
 def parallel_chunk_stats(worker: Callable[[int, int, int], np.ndarray],
                          n: int, chunk: int | None = None, threads: int = 1):
     """(mean, std_error, n) of per-trial values: one-point parallel_grid_stats."""
-    mean, se = parallel_grid_stats(worker, [lambda vals, _scratch: (vals,)],
+    mean, se = parallel_grid_stats(worker, [lambda vals: (vals,)],
                                    n, chunk, threads)
     return mean[0], se[0], n
 

@@ -12,7 +12,10 @@ from __future__ import annotations
 import gc
 import itertools
 import math
+import os
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -385,8 +388,8 @@ def _plain_miss(spec: SweepSpec, side: str, user: int):
     that estimate_miss_curve reduces as Controlled cells."""
     draw, evaluator, _estimator = analysis._miss_values(
         spec, side, user)
-    points = [lambda ch, arena, point=evaluator(db_to_linear(r)):
-              (cell.values for cell in point(ch, arena))
+    points = [lambda ch, point=evaluator(db_to_linear(r)):
+              (cell.values for cell in point(ch))
               for r in spec.rho_db]
     return mc.parallel_grid_stats(draw, points, spec.n_trials, spec.chunk,
                                   spec.threads)
@@ -536,6 +539,40 @@ class TestSweepArena:
         peak11, left11 = self._traced_sweep(11)
         assert peak11 <= peak2 + row // 8
         assert max(left2, left11) < row // 8
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_arena_per_thread_per_sweep(self, monkeypatch, threads):
+        # each worker thread keeps one arena across all its chunks and rho
+        # points; the next sweep starts from fresh arenas
+        orig = analysis.arena_row
+
+        def recorded(arena, name, *args):
+            if name == "tail.x":  # once per point
+                time.sleep(0.003)  # lets a second worker thread take chunks
+                seen.append((threading.get_ident(), arena))
+            return orig(arena, name, *args)
+
+        monkeypatch.setattr(analysis, "arena_row", recorded)
+        n_points, n_chunks = 3, 8
+        spec = SweepSpec(scheme=Scheme.NC, means=MEANS,
+                         rho_db=(0.0, 10.0, 20.0), n_trials=n_chunks * 100,
+                         seed=5, mode="tail", chunk=100, threads=threads)
+        sweeps = []
+        for _ in range(2):
+            seen = []
+            estimate_miss_curve(spec)
+            assert len(seen) == n_points * n_chunks
+            by_thread = {}
+            for ident, arena in seen:
+                assert by_thread.setdefault(ident, arena) is arena
+            arenas = list(by_thread.values())
+            assert len({id(a) for a in arenas}) == len(arenas) <= threads
+            sweeps.append(arenas)
+        cpus = (len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+        if threads == 2 and cpus > 1:
+            assert len(sweeps[0]) == len(sweeps[1]) == 2
+        assert not {id(a) for a in sweeps[0]} & {id(a) for a in sweeps[1]}
 
     def test_threads_keep_their_own_arenas(self):
         # four workers on two-or-fewer cores with a short switch interval:

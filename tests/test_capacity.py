@@ -643,7 +643,7 @@ class TestGrid:
             assert isinstance(one.upper_mean, float)
             assert one == CapacityEstimate(
                 grid.upper_mean[i, j], grid.upper_se[i, j],
-                grid.lower_mean[i, j], grid.lower_se[i, j], grid.n_trials)
+                grid.lower_mean[i, j], grid.lower_se[i, j])
 
     def test_imperfect_estimates_equal_standalone_kernels(self, monkeypatch):
         # sigma2 repeats a level, with and without 0, so wrong-relay cells
@@ -684,7 +684,7 @@ class TestGrid:
             return np.where(lead, 1.0 - (1.0 - q_a) * (1.0 - q_b),
                             (1.0 - q_a) * (1.0 - q_b))
 
-        def reference(rho, sample, _scratch):
+        def reference(rho, sample):
             ch, clean, noisy, z = sample
             g = (ch.g_pt, ch.g_pr, ch.g_tr)
             cfg = ProtocolConfig(rho=rho, d1=1, d2=1)
