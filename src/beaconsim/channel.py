@@ -68,10 +68,18 @@ def draw_pair_chunk(means: MeanGains, seed: int, idx: int,
 
     The substream is keyed by (seed, gains tag, chunk index), so a chunk's
     gains do not depend on which other chunks are drawn or in what order.
+    Each link is a contiguous row of one (3, size) array.
     """
-    rng = substream(seed, TAG_GAINS, idx)
-    g = rng.exponential([means.pt, means.pr, means.tr], (size, 3))
-    return ChannelSet(g[:, 0], g[:, 1], g[:, 2])
+    g = substream(seed, TAG_GAINS, idx).standard_exponential((size, 3))
+    return ChannelSet(*_scaled_rows(g, [means.pt, means.pr, means.tr]))
+
+
+def _scaled_rows(g, scales):
+    """Column j of the standard exponential draws g times scales[j], as the
+    C-contiguous row j: the bits of rng.exponential(scales, g.shape).T,
+    which scales the same draws in the same stream order."""
+    return np.multiply(g.T, np.asarray(scales, dtype=float)[:, None],
+                       out=np.empty(g.shape[::-1]))
 
 
 def sample_channels(means: MeanGains, n: int, seed: int,
@@ -175,11 +183,14 @@ def draw_multiuser_chunk(means: MultiuserMeans, seed: int, idx: int,
     rng = substream(seed, TAG_GAINS, idx)
     nu = means.n_users
     iu, ju = np.triu_indices(nu, k=1)
-    g_p = rng.exponential(means.primary, (size, nu)).T
-    tri = rng.exponential(means.inter[iu, ju], (size, iu.size)).T
+    g_p = _scaled_rows(rng.standard_exponential((size, nu)), means.primary)
+    tri = rng.standard_exponential((size, iu.size))
     full = np.zeros((nu, nu, size))
-    full[iu, ju] = tri
-    full[ju, iu] = tri
+    # each link scaled straight into its row: a scaled copy of the whole
+    # triangle would add a (links, size) array to the draw's peak
+    for col, i, j in zip(tri.T, iu, ju):
+        np.multiply(col, means.inter[i, j], out=full[i, j])
+        full[j, i] = full[i, j]
     return MultiuserChannelSet(g_p, full)
 
 

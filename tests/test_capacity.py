@@ -414,35 +414,52 @@ class TestWrongRelay:
         assert se < ind_se
         assert abs(mc - ind) <= 4.0 * math.hypot(se, ind_se)
 
-    @pytest.mark.parametrize("side", ["t", "r"])
-    def test_flip_odds_equal_brute_force_average(self, side):
-        # fixed gains and own noise; average the flip over 1e6 draws of the
-        # other two metric noises
+    @staticmethod
+    def flip_inputs(side):
+        """Fixed gains and own noise, and the side's (win, leads over the
+        primary and the peer, own metric, primary's and peer's metrics)."""
         g_pt = np.array([1.0, 0.9, 0.2, 1.5, 0.6])
         g_pr = np.array([0.5, 1.0, 0.3, 1.4, 0.2])
         g_tr = np.array([0.8, 1.2, 0.1, 1.3, 0.7])
         z_own = np.array([0.3, -0.4, 1.1, 0.0, -1.2])
-        sd = 0.4
         order = gain_order(g_pt, g_pr, g_tr)
         if side == "t":
-            own, peer = g_pt, g_pr
-            win = order.t_wins
+            own, peer, win = g_pt, g_pr, order.t_wins
         else:
-            own, peer = g_pr, g_pt
-            win = order.r_wins
-        (w,) = capacity._flip_odds(win, g_tr - peer, own - peer, z_own, [sd])
-        t_p, t_own, t_peer = g_pt + g_pr, own + g_tr, peer + g_tr
+            own, peer, win = g_pr, g_pt, order.r_wins
+        return (z_own, win, g_tr - peer, own - peer, own + g_tr, g_pt + g_pr,
+                peer + g_tr)
+
+    @pytest.mark.parametrize("side", ["t", "r"])
+    def test_flip_odds_equal_brute_force_average(self, side):
+        # average the flip over 1e6 draws of the other two metric noises,
+        # half of them at +z_own and half at -z_own
+        z_own, win, over_p, over_peer, t_own, t_p, t_peer = (
+            self.flip_inputs(side))
+        sd = 0.4
+        (w,) = capacity._flip_odds(win, over_p, over_peer, z_own, [sd])
         rng = np.random.default_rng(47)
         n = 1_000_000
         for i in range(len(w)):
             wins = (t_own[i] > t_p[i]) and (t_own[i] > t_peer[i])
             z_p, z_peer = sd * rng.standard_normal((2, n))
-            mine = t_own[i] + sd * z_own[i]
+            mine = t_own[i] + sd * np.repeat([z_own[i], -z_own[i]], n // 2)
             flips = ((mine > t_p[i] + z_p) & (mine > t_peer[i] + z_peer)
                      ) != wins
             se = math.sqrt(w[i] * (1.0 - w[i]) / n)
             assert 1e-3 < w[i] < 1.0 - 1e-3
             assert abs(flips.mean() - w[i]) <= 4.0 * se
+
+    @pytest.mark.parametrize("side", ["t", "r"])
+    def test_flip_odds_even_in_own_noise(self, side):
+        # W(z) + W(-z) and W(-z) + W(z) are one sum: the bits agree
+        z_own, win, over_p, over_peer, *_ = self.flip_inputs(side)
+        sds = [0.4, 1e-3, 3.0]
+        plus, minus = (capacity._flip_odds(win, over_p.copy(),
+                                           over_peer.copy(), z, sds)
+                       for z in (z_own, -z_own))
+        for a, b in zip(plus, minus):
+            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("means", [(1.0, 1.0, 1.0)] + [
         tuple(v if i == j else 1.0 for i in range(3))
@@ -491,7 +508,7 @@ class TestWrongRelay:
                                            chunk=50_000)
         _, ind_se = wrong_relay_indicator((1.0, 2.0, 3.0), rho, 1, 0.01, n,
                                           seed=59)
-        assert (ind_se / se) ** 2 >= 5.0
+        assert (ind_se / se) ** 2 >= 12.0
 
 
 # ---------------------------------------------------------------------------
@@ -678,11 +695,14 @@ class TestGrid:
             return ch, clean, noisy, z
 
         def flip(lead, over_p, over_peer, z_own, sd):
-            # the chance that noise flips a side's win, given its own noise
-            q_a = gaussian_q(over_p / sd + z_own)
-            q_b = gaussian_q(over_peer / sd + z_own)
-            return np.where(lead, 1.0 - (1.0 - q_a) * (1.0 - q_b),
-                            (1.0 - q_a) * (1.0 - q_b))
+            # the chance that noise flips a side's win, given its own noise,
+            # averaged over the own noise and its negation
+            def at(z):
+                q_a = gaussian_q(over_p / sd + z)
+                q_b = gaussian_q(over_peer / sd + z)
+                return np.where(lead, 1.0 - (1.0 - q_a) * (1.0 - q_b),
+                                (1.0 - q_a) * (1.0 - q_b))
+            return (at(z_own) + at(-z_own)) / 2.0
 
         def reference(rho, sample):
             ch, clean, noisy, z = sample

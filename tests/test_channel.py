@@ -17,6 +17,8 @@ from beaconsim.channel import (
     MetricTriple,
     MultiuserMeans,
     compute_metrics,
+    draw_multiuser_chunk,
+    draw_pair_chunk,
     perturb_metrics,
     sample_channels,
     sample_multiuser,
@@ -51,6 +53,17 @@ class TestSampling:
         np.testing.assert_array_equal(a.g_tr, b.g_tr)
         c = sample_channels(MeanGains(1.0, 2.0, 3.0), 5000, seed=8)
         assert not np.array_equal(a.g_pt, c.g_pt)
+
+    def test_pair_draw_is_scaled_exponential_rows(self):
+        # the bits of rng.exponential(means, (size, 3)), one contiguous row
+        # per link
+        means, size = MeanGains(1.0, 2.0, 3e-30), 25_000
+        ch = draw_pair_chunk(means, 9, 4, size)
+        want = substream(9, mc.TAG_GAINS, 4).exponential(
+            [means.pt, means.pr, means.tr], (size, 3))
+        for j, g in enumerate((ch.g_pt, ch.g_pr, ch.g_tr)):
+            assert g.flags.c_contiguous
+            assert g.tobytes() == want[:, j].tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -102,6 +115,26 @@ class TestMultiuser:
         assert np.all(mch.g_uu[2, 2] == 0.0)
         assert np.mean(mch.g_p[1]) == pytest.approx(1.0, rel=0.05)
         assert np.mean(mch.g_uu[0, 1]) == pytest.approx(2.0, rel=0.05)
+
+    @pytest.mark.parametrize("m_pairs", [1, 3])
+    def test_draw_is_scaled_exponential_rows(self, m_pairs):
+        # primary and inter-user draws keep the bits of rng.exponential on
+        # (size, links) in stream order; each link is a contiguous row
+        nu, size = 2 * m_pairs, 5000
+        primary = np.linspace(0.5, 4.0, nu)
+        iu, ju = np.triu_indices(nu, k=1)
+        inter = np.zeros((nu, nu))
+        inter[iu, ju] = inter[ju, iu] = 1.0 + np.arange(iu.size)
+        mch = draw_multiuser_chunk(MultiuserMeans(primary, inter), 13, 2,
+                                   size)
+        rng = substream(13, mc.TAG_GAINS, 2)
+        g_p = rng.exponential(primary, (size, nu)).T
+        tri = rng.exponential(inter[iu, ju], (size, iu.size)).T
+        assert mch.g_p.flags.c_contiguous
+        assert mch.g_p.tobytes() == g_p.tobytes()
+        for k, (i, j) in enumerate(zip(iu, ju)):
+            assert mch.g_uu[i, j].tobytes() == tri[k].tobytes()
+            assert mch.g_uu[j, i].tobytes() == tri[k].tobytes()
 
     def test_deterministic(self):
         mu = MultiuserMeans.uniform(2, 1.0, 1.0)
